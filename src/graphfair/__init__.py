@@ -4,6 +4,9 @@ Exact-arithmetic allocators with worst-case maximin-share guarantees:
 1/2 on block-cactus graphs, 1/4 on complete multipartite graphs, and
 3/(7*2^k - 3) on split graphs with 2^(k-1) < p <= 2^k agent types, each
 certified against a brute-force oracle.
+
+The package root exports the user-facing API; solver internals stay in
+their modules.
 """
 
 from .core import (
@@ -22,101 +25,46 @@ from .core import (
     UnsupportedBlockError,
     Value,
     as_value,
-    is_alpha_bounded,
     validate_instance,
     value_str,
 )
-from .graphs import (
-    BlockCutTree,
-    ClassWitness,
-    block_cut_tree,
-    connected_components,
-    hamiltonian_path_in_block,
-    is_connected,
-    is_connected_subset,
-    recognize,
-)
-from .oracle import (
-    DEFAULT_MAX_VERTICES,
-    MmsRecord,
-    enumerate_connected_partitions,
-    max_min_ratio_allocation,
-    mms,
-    pmms,
-)
-from .carve import CarveResult, greedy_prefix_carve
-from .reduction import ReductionState, allocate_reduction, compute_kj, peel_heavy_vertices
-from .blockcactus import BoundedCallFrame, allocate_block_cactus, allocate_bounded
-from .multipartite import BipartSplit, allocate_bounded_multipartite, allocate_multipartite
-from .splitgraph import (
-    KernelInstance,
-    PackingSequence,
-    allocate_split,
-    beta,
-    build_packing_sequence,
-    contract_to_kernel,
-    merge_packings,
-    split_alpha,
-)
-from .verify import Certificate, check_allocation, empirical_alpha
+from .graphs import ClassWitness, recognize
+from .oracle import MmsRecord, max_min_ratio_allocation, mms, pmms
+from .blockcactus import allocate_block_cactus
+from .multipartite import allocate_multipartite
+from .splitgraph import allocate_split, split_alpha
+from .verify import Certificate, check_allocation
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Agent",
     "Allocation",
-    "BipartSplit",
-    "BlockCutTree",
-    "BoundedCallFrame",
-    "CarveResult",
     "Certificate",
     "ClassMismatchError",
     "ClassWitness",
-    "DEFAULT_MAX_VERTICES",
     "FairDivisionError",
     "GoodsGraph",
     "GuaranteeViolationError",
     "Instance",
     "InvalidInputError",
-    "KernelInstance",
     "MmsRecord",
     "Packing",
-    "PackingSequence",
-    "ReductionState",
     "SizeLimitError",
     "StructuralError",
     "UndefinedMmsError",
     "UnsupportedBlockError",
     "Value",
     "allocate_block_cactus",
-    "allocate_bounded",
-    "allocate_bounded_multipartite",
     "allocate_multipartite",
-    "allocate_reduction",
     "allocate_split",
     "as_value",
-    "beta",
-    "block_cut_tree",
-    "build_packing_sequence",
     "check_allocation",
-    "compute_kj",
-    "connected_components",
-    "contract_to_kernel",
-    "empirical_alpha",
-    "enumerate_connected_partitions",
-    "greedy_prefix_carve",
-    "hamiltonian_path_in_block",
-    "is_alpha_bounded",
-    "is_connected",
-    "is_connected_subset",
     "max_min_ratio_allocation",
-    "merge_packings",
     "mms",
-    "peel_heavy_vertices",
     "pmms",
     "recognize",
     "split_alpha",
     "validate_instance",
     "value_str",
-    "verify",
 ]

@@ -18,8 +18,8 @@ preserves "the graph still admits an n-bundle partition giving every active
 agent her target" and every served agent walks away with at least half hers.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 from .carve import greedy_prefix_carve
 from .core import (
@@ -27,7 +27,6 @@ from .core import (
     Allocation,
     ClassMismatchError,
     GoodsGraph,
-    GuaranteeViolationError,
     Instance,
     InvalidInputError,
     Packing,
@@ -39,26 +38,12 @@ from .graphs import (
     block_cut_tree,
     connected_components,
     hamiltonian_path_in_block,
-    is_connected,
     recognize,
 )
-from .reduction import allocate_reduction
+from .reduction import allocate_reduction, finish_allocation
 from . import oracle
 
 HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class BoundedCallFrame:
-    """One recursion state: the current graph, active agents, their targets.
-
-    The caller promises the graph is connected block-cactus and admits a
-    partition into len(agents) connected bundles worth each agent's target.
-    """
-
-    graph: GoodsGraph
-    agents: tuple[Agent, ...]
-    targets: dict[int, Value]
 
 
 def is_block_cactus_graph(graph: GoodsGraph) -> bool:
@@ -81,37 +66,27 @@ def _audit_state(kind: str, graph: GoodsGraph, agents, targets) -> dict:
     }
 
 
-def _as_allocation(frame: BoundedCallFrame, bundles: dict[int, frozenset[str]]) -> Allocation:
-    ratios: dict[int, Value] = {}
-    for a in frame.agents:
-        got = a.value(bundles.get(a.id, frozenset()))
-        target = frame.targets[a.id]
-        if got < HALF * target:
-            raise GuaranteeViolationError(
-                f"agent {a.id} received {got}, below half of target {target}"
-            )
-        ratios[a.id] = Fraction(got) / target if target > 0 else Fraction(1)
-    packing = Packing(bundles=tuple((aid, bundles[aid]) for aid in sorted(bundles)))
-    return Allocation(packing=packing, target_alpha=HALF, per_agent_ratio=ratios)
+def allocate_bounded(
+    graph: GoodsGraph,
+    agents: Sequence[Agent],
+    targets: Mapping[int, Value],
+    audit: list | None = None,
+) -> Allocation:
+    """Serve every agent a connected bundle worth half her target.
 
-
-def allocate_bounded(frame: BoundedCallFrame, audit: list | None = None) -> Allocation:
-    """Serve every frame agent a connected bundle worth half her target.
-
-    The returned bundles are disjoint but need not cover the graph.
+    Precondition: the graph is connected block-cactus and admits a partition
+    into len(agents) connected bundles worth each agent's target.  The
+    returned bundles are disjoint but need not cover the graph.
     """
-    if not frame.agents:
+    if not agents:
         return Allocation(packing=Packing(bundles=()), target_alpha=HALF, per_agent_ratio={})
-    for a in frame.agents:
-        if frame.targets[a.id] < 0:
+    for a in agents:
+        if targets[a.id] < 0:
             raise InvalidInputError(f"negative target for agent {a.id}")
-    graph = frame.graph
-    agents = frame.agents
-    targets = frame.targets
     n = len(agents)
 
     if n == 1:
-        return _as_allocation(frame, {agents[0].id: frozenset(graph.vertices)})
+        return finish_allocation(agents, targets, {agents[0].id: frozenset(graph.vertices)}, HALF)
 
     tree = block_cut_tree(graph)
 
@@ -119,7 +94,9 @@ def allocate_bounded(frame: BoundedCallFrame, audit: list | None = None) -> Allo
         if audit is not None:
             audit.append(_audit_state("base", graph, agents, targets))
         alloc = oracle.max_min_ratio_allocation(graph, list(agents), targets)
-        return _as_allocation(frame, {a.id: alloc.bundle_of(a.id) for a in agents})
+        return finish_allocation(
+            agents, targets, {a.id: alloc.bundle_of(a.id) for a in agents}, HALF
+        )
 
     block_idx = min(tree.terminal_blocks)
     block = tree.blocks[block_idx]
@@ -154,10 +131,7 @@ def allocate_bounded(frame: BoundedCallFrame, audit: list | None = None) -> Allo
         inner = allocate_reduction(
             Instance(graph=sub_graph, agents=tuple(folded)),
             HALF,
-            lambda sub, ts: allocate_bounded(
-                BoundedCallFrame(graph=sub.graph, agents=sub.agents, targets=dict(ts)),
-                audit,
-            ),
+            lambda sub, ts: allocate_bounded(sub.graph, sub.agents, ts, audit),
             share_records=records,
             audit=audit,
         )
@@ -166,7 +140,7 @@ def allocate_bounded(frame: BoundedCallFrame, audit: list | None = None) -> Allo
             if v in bundle:
                 out[aid] = bundle | rim
                 break
-        return _as_allocation(frame, out)
+        return finish_allocation(agents, targets, out, HALF)
 
     # Carve: someone values the rim at her whole target, so cut bundles off
     # a Hamiltonian path through the block, keeping the cut vertex.
@@ -189,12 +163,10 @@ def allocate_bounded(frame: BoundedCallFrame, audit: list | None = None) -> Allo
     rest_agents = tuple(a for a in agents if a.id not in out)
     if audit is not None:
         audit.append(_audit_state("carve", rest_graph, rest_agents, targets))
-    rest = allocate_bounded(
-        BoundedCallFrame(graph=rest_graph, agents=rest_agents, targets=targets), audit
-    )
+    rest = allocate_bounded(rest_graph, rest_agents, targets, audit)
     for a in rest_agents:
         out[a.id] = rest.bundle_of(a.id)
-    return _as_allocation(frame, out)
+    return finish_allocation(agents, targets, out, HALF)
 
 
 def allocate_block_cactus(inst: Instance, audit: list | None = None) -> Allocation:
@@ -209,28 +181,9 @@ def allocate_block_cactus(inst: Instance, audit: list | None = None) -> Allocati
         raise InvalidInputError("; ".join(problems))
     if not is_block_cactus_graph(inst.graph):
         raise ClassMismatchError("graph is not a block-cactus graph")
-
-    if inst.n == 1:
-        only = inst.agents[0]
-        record = oracle.pmms(inst.graph, only, 1)
-        if is_connected(inst.graph):
-            bundle = frozenset(inst.graph.vertices)
-        else:
-            bundle = record.witness.bundles[0][1]
-        ratio = (
-            Fraction(only.value(bundle)) / record.value if record.value > 0 else Fraction(1)
-        )
-        return Allocation(
-            packing=Packing(bundles=((only.id, bundle),)),
-            target_alpha=HALF,
-            per_agent_ratio={only.id: ratio},
-        )
-
     return allocate_reduction(
         inst,
         HALF,
-        lambda sub, ts: allocate_bounded(
-            BoundedCallFrame(graph=sub.graph, agents=sub.agents, targets=dict(ts)), audit
-        ),
+        lambda sub, ts: allocate_bounded(sub.graph, sub.agents, ts, audit),
         audit=audit,
     )

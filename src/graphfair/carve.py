@@ -18,10 +18,6 @@ class CarveResult:
     assignments: tuple[tuple[int, frozenset[str]], ...]
     leftover: tuple[str, ...]
 
-    @property
-    def served(self) -> frozenset[int]:
-        return frozenset(aid for aid, _ in self.assignments)
-
 
 def greedy_prefix_carve(
     order: Sequence[str],

@@ -103,8 +103,7 @@ def _dispatch(inst: Instance, wanted: str, audit=None):
 def cmd_allocate(args) -> int:
     inst = _load_valid_instance(args.file)
     name, alloc = _dispatch(inst, getattr(args, "class"))
-    records = {a.id: oracle.pmms(inst.graph, a, inst.n) for a in inst.agents}
-    cert = check_allocation(inst, alloc, alloc.target_alpha, records)
+    cert = check_allocation(inst, alloc, alloc.target_alpha)
     doc = io.allocation_to_doc(inst, cert)
     text = io.canonical_dumps(doc)
     if args.out:
@@ -127,8 +126,7 @@ def cmd_verify(args) -> int:
     inst = _load_valid_instance(args.instance)
     alloc, _claimed = io.load_allocation(args.allocation)
     alpha = Fraction(args.alpha)
-    records = {a.id: oracle.pmms(inst.graph, a, inst.n) for a in inst.agents}
-    cert = check_allocation(inst, alloc, alpha, records)
+    cert = check_allocation(inst, alloc, alpha)
     print(
         f"alpha={value_str(alpha)} min_ratio={value_str(cert.min_ratio)} "
         f"structural_ok={str(cert.structural_ok).lower()} "
@@ -188,8 +186,7 @@ def cmd_batch(args) -> int:
             )
             started = time.perf_counter()
             name, alloc = _dispatch(inst, cls)
-            records = {a.id: oracle.pmms(inst.graph, a, inst.n) for a in inst.agents}
-            cert = check_allocation(inst, alloc, alloc.target_alpha, records)
+            cert = check_allocation(inst, alloc, alloc.target_alpha)
             elapsed_ms = int((time.perf_counter() - started) * 1000)
             all_passed = all_passed and cert.passes
             rows.append(

@@ -148,17 +148,13 @@ class Agent:
     utility: Mapping[str, Value]
 
     def value(self, subset: Iterable[str]) -> Value:
-        return utility_of_set(self, subset)
-
-
-def utility_of_set(agent: Agent, subset: Iterable[str]) -> Value:
-    """Sum of the agent's values over a vertex set (additive utilities)."""
-    total = ZERO
-    for v in subset:
-        if v not in agent.utility:
-            raise InvalidInputError(f"agent {agent.id} has no value for vertex {v!r}")
-        total += agent.utility[v]
-    return total
+        """Sum of the agent's values over a vertex set (additive utilities)."""
+        total = ZERO
+        for v in subset:
+            if v not in self.utility:
+                raise InvalidInputError(f"agent {self.id} has no value for vertex {v!r}")
+            total += self.utility[v]
+        return total
 
 
 @dataclass(frozen=True)
@@ -220,17 +216,6 @@ def validate_instance(inst: Instance) -> list[str]:
     return problems
 
 
-def is_alpha_bounded(inst: Instance, agent: Agent, alpha: Value, mms_value: Value) -> bool:
-    """True when every single vertex is worth strictly less than alpha * mms.
-
-    An agent with mms 0 is never bounded (no vertex can sit strictly below 0).
-    """
-    if mms_value <= 0:
-        return False
-    cut = alpha * mms_value
-    return all(agent.utility[v] < cut for v in inst.graph.vertices)
-
-
 @dataclass(frozen=True)
 class Packing:
     """Pairwise disjoint connected bundles, labelled by agent id.
@@ -245,34 +230,6 @@ class Packing:
 
     def as_dict(self) -> dict[int, frozenset[str]]:
         return {label: vs for label, vs in self.bundles}
-
-    @property
-    def assigned_vertices(self) -> frozenset[str]:
-        out: set[str] = set()
-        for _, vs in self.bundles:
-            out |= vs
-        return frozenset(out)
-
-    def is_partition_of(self, graph: GoodsGraph) -> bool:
-        return self.assigned_vertices == frozenset(graph.vertices)
-
-    def structural_problems(self, graph: GoodsGraph) -> list[str]:
-        """Disjointness and label sanity; connectivity is verified elsewhere."""
-        problems: list[str] = []
-        labels = [label for label, _ in self.bundles]
-        if len(set(labels)) != len(labels):
-            problems.append("an agent label appears in two bundles")
-        seen: set[str] = set()
-        vset = set(graph.vertices)
-        for label, vs in self.bundles:
-            unknown = vs - vset
-            if unknown:
-                problems.append(f"bundle of {label} contains unknown vertices {sorted(unknown)}")
-            overlap = vs & seen
-            if overlap:
-                problems.append(f"bundle of {label} overlaps an earlier bundle at {sorted(overlap)}")
-            seen |= vs
-        return problems
 
 
 @dataclass(frozen=True)

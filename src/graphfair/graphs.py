@@ -76,9 +76,6 @@ class BlockCutTree:
     tree_edges: tuple[tuple[int, str], ...]
     terminal_blocks: frozenset[int]
 
-    def blocks_sorted(self) -> list[tuple[str, ...]]:
-        return [tuple(sorted(b)) for b in self.blocks]
-
 
 def block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
     """Biconnected components via an iterative lowpoint search.

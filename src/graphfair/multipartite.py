@@ -30,8 +30,7 @@ from .core import (
     validate_instance,
 )
 from .graphs import is_connected, recognize
-from .reduction import allocate_reduction
-from . import oracle
+from .reduction import allocate_reduction, finish_allocation
 
 QUARTER = Fraction(1, 4)
 
@@ -132,7 +131,7 @@ def allocate_bounded_multipartite(
     n = len(agents)
 
     if n == 1:
-        return _as_allocation(agents, targets, {agents[0].id: frozenset(graph.vertices)})
+        return finish_allocation(agents, targets, {agents[0].id: frozenset(graph.vertices)}, QUARTER)
 
     if len(graph) < 5 * n:
         raise GuaranteeViolationError(
@@ -179,21 +178,7 @@ def allocate_bounded_multipartite(
                 "dump": dump,
             }
         )
-    return _as_allocation(agents, targets, out)
-
-
-def _as_allocation(agents, targets, bundles: dict[int, frozenset[str]]) -> Allocation:
-    ratios: dict[int, Value] = {}
-    for a in agents:
-        got = a.value(bundles.get(a.id, frozenset()))
-        target = targets[a.id]
-        if got < QUARTER * target:
-            raise GuaranteeViolationError(
-                f"agent {a.id} received {got}, below a quarter of target {target}"
-            )
-        ratios[a.id] = Fraction(got) / target if target > 0 else Fraction(1)
-    packing = Packing(bundles=tuple((aid, bundles[aid]) for aid in sorted(bundles)))
-    return Allocation(packing=packing, target_alpha=QUARTER, per_agent_ratio=ratios)
+    return finish_allocation(agents, targets, out, QUARTER)
 
 
 def allocate_multipartite(inst: Instance, audit: list | None = None) -> Allocation:
@@ -209,22 +194,10 @@ def allocate_multipartite(inst: Instance, audit: list | None = None) -> Allocati
     if witness is None or witness.parts is None or len(witness.parts) < 2:
         raise ClassMismatchError("graph is not connected complete multipartite")
 
-    if inst.n == 1:
-        only = inst.agents[0]
-        record = oracle.pmms(inst.graph, only, 1)
-        bundle = frozenset(inst.graph.vertices)
-        ratio = (
-            Fraction(only.value(bundle)) / record.value if record.value > 0 else Fraction(1)
-        )
-        return Allocation(
-            packing=Packing(bundles=((only.id, bundle),)),
-            target_alpha=QUARTER,
-            per_agent_ratio={only.id: ratio},
-        )
-
     def solver(sub: Instance, ts: Mapping[int, Value]) -> Allocation:
-        sub_witness = recognize(sub.graph)
-        parts = sub_witness.parts if sub_witness.parts is not None else (frozenset(sub.graph.vertices),)
+        # An induced subgraph of a complete multipartite graph is complete
+        # multipartite, so recognize always finds the parts.
+        parts = recognize(sub.graph).parts
         return allocate_bounded_multipartite(sub.graph, parts, sub.agents, ts, audit)
 
     return allocate_reduction(inst, QUARTER, solver, audit=audit)

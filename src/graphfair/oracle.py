@@ -123,56 +123,6 @@ def _weights_for(agent_like, ids: list[str]):
     return list(vals)
 
 
-def enumerate_connected_partitions(
-    graph: GoodsGraph, n: int, max_vertices: int | None = None
-):
-    """Yield every partition of V into at most n nonempty connected bundles.
-
-    Each partition appears exactly once (up to bundle order) as an n-tuple of
-    frozensets, padded with empty bundles.  Bundles are listed in canonical
-    order: the first contains the smallest vertex, and so on.
-    """
-    if n < 1:
-        raise InvalidInputError(f"need at least one bundle, got n={n}")
-    _cap(graph, max_vertices)
-    mk = _Mask(graph)
-    adj = mk.adj
-    empty: frozenset[str] = frozenset()
-
-    def bundles_from(seed_bit: int, allowed: int):
-        # Connected subsets of `allowed` containing the seed, each once.
-        seed_mask = 1 << seed_bit
-
-        def grow(s_mask: int, cand: int, banned: int):
-            yield s_mask
-            live = cand & ~banned
-            local_ban = banned
-            while live:
-                b = live & -live
-                live ^= b
-                i = b.bit_length() - 1
-                new_s = s_mask | b
-                new_cand = (cand | adj[i]) & allowed & ~new_s
-                yield from grow(new_s, new_cand, local_ban)
-                local_ban |= b
-
-        yield from grow(seed_mask, adj[seed_bit] & allowed & ~seed_mask, 0)
-
-    def rec(remaining: int, parts_left: int, acc: tuple):
-        if remaining == 0:
-            yield acc + (empty,) * (n - len(acc))
-            return
-        if parts_left == 0:
-            return
-        if _component_count(adj, remaining) > parts_left:
-            return
-        seed = (remaining & -remaining).bit_length() - 1
-        for s_mask in bundles_from(seed, remaining):
-            yield from rec(remaining ^ s_mask, parts_left - 1, acc + (mk.to_set(s_mask),))
-
-    yield from rec(mk.full, n, ())
-
-
 def _minmax_partition_search(adj: list[int], full: int, wts, n: int):
     """Best (max of min bundle weight) partition into at most n connected parts.
 

@@ -13,6 +13,11 @@ component j serves the k_j agents whose sorted counts stay at or above their
 rank.  Each such agent values every leftover vertex below alpha times her
 component target, which is exactly the boundedness the per-component solvers
 need.
+
+A lone agent skips both stages: she takes the witness bundle of her share,
+which is the most valuable component whole.  Every allocator ends with the
+same check, finish_allocation, which raises when a bundle falls short of
+alpha times its target.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +25,9 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .core import (
+    Agent,
     Allocation,
+    GuaranteeViolationError,
     Instance,
     Packing,
     StructuralError,
@@ -98,6 +105,31 @@ def compute_kj(sorted_f: Sequence[int]) -> int:
     return k
 
 
+def finish_allocation(
+    agents: Sequence[Agent],
+    targets: Mapping[int, Value],
+    bundles: Mapping[int, frozenset[str]],
+    alpha: Value,
+) -> Allocation:
+    """Check every agent's bundle against alpha times her target and wrap up.
+
+    Ratios are bundle value over target, and 1 for a zero target.  A bundle
+    below alpha times its target means a bug, not a hard instance, so it
+    raises GuaranteeViolationError.
+    """
+    ratios: dict[int, Value] = {}
+    for a in agents:
+        got = a.value(bundles.get(a.id, frozenset()))
+        t = targets[a.id]
+        if got < alpha * t:
+            raise GuaranteeViolationError(
+                f"agent {a.id} received {got}, below {alpha} of target {t}"
+            )
+        ratios[a.id] = Fraction(got) / t if t > 0 else Fraction(1)
+    packing = Packing(bundles=tuple((aid, bundles[aid]) for aid in sorted(bundles)))
+    return Allocation(packing=packing, target_alpha=alpha, per_agent_ratio=ratios)
+
+
 def _bundles_inside(witness: Packing, comp: frozenset[str]) -> int:
     return sum(1 for _, b in witness.bundles if b and b <= comp)
 
@@ -113,14 +145,21 @@ def allocate_reduction(
 
     Guarantees every agent a connected bundle worth alpha times her share
     (pmms by default; callers may supply their own share records to thread
-    externally fixed targets).  Input validation is the caller's job; the
-    public allocators do it at entry, so recursive re-entries with partial
-    agent sets stay cheap.
+    externally fixed targets).  Without supplied records a lone agent takes
+    the witness bundle of her pmms, the most valuable component whole.
+    Input validation is the caller's job; the public allocators do it at
+    entry, so recursive re-entries with partial agent sets stay cheap.
     """
     if share_records is None:
         share_records = {
             a.id: oracle.pmms(inst.graph, a, inst.n) for a in inst.agents
         }
+        if inst.n == 1:
+            rec = share_records[inst.agents[0].id]
+            bundle = rec.witness.bundles[0][1]
+            return finish_allocation(
+                inst.agents, {rec.agent_id: rec.value}, {rec.agent_id: bundle}, alpha
+            )
     shares = {aid: rec.value for aid, rec in share_records.items()}
 
     state = peel_heavy_vertices(inst, alpha, shares)
@@ -188,11 +227,4 @@ def allocate_reduction(
         for aid in chosen:
             bundles[aid] = sub_alloc.bundle_of(aid)
 
-    ratios: dict[int, Value] = {}
-    for a in inst.agents:
-        if shares[a.id] > 0:
-            ratios[a.id] = Fraction(a.value(bundles[a.id])) / shares[a.id]
-        else:
-            ratios[a.id] = Fraction(1)
-    packing = Packing(bundles=tuple((aid, bundles[aid]) for aid in sorted(bundles)))
-    return Allocation(packing=packing, target_alpha=alpha, per_agent_ratio=ratios)
+    return finish_allocation(inst.agents, shares, bundles, alpha)

@@ -33,7 +33,7 @@ from .core import (
     validate_instance,
 )
 from .graphs import is_connected, recognize
-from .reduction import allocate_reduction
+from .reduction import allocate_reduction, finish_allocation
 from . import oracle
 
 THREE_QUARTERS = Fraction(3, 4)
@@ -159,23 +159,22 @@ def _bundle_value(util: Mapping[str, Value], bundle) -> Value:
 
 
 def build_packing_sequence(
-    graph: GoodsGraph,
     split_pair: tuple[frozenset[str], frozenset[str]],
     type_utilities: Sequence[Mapping[str, Value]],
     mms_partitions: Sequence[Packing],
-    alpha: Fraction,
     audit: list | None = None,
 ) -> PackingSequence:
     """Run the full tournament over 2^k slots and check the retention floor.
 
-    Slot s starts from its own copy of mms_partitions[s].  After each round
-    every bundle must still be worth, to its owner, at least the current
-    floor times the owner's original minimum bundle value; a miss means a
-    bug in the merge or an unbounded input and raises.
+    Slot s starts from its own copy of mms_partitions[s].  After round ell
+    every bundle must still be worth, to its owner, at least beta(k, ell)
+    times the owner's original minimum bundle value; a miss means a bug in
+    the merge or an unbounded input and raises.
     """
     count = len(type_utilities)
     if count == 0 or count & (count - 1):
         raise InvalidInputError(f"slot count {count} is not a power of two")
+    k = count.bit_length() - 1
     if len(mms_partitions) != count:
         raise InvalidInputError("need exactly one witness partition per slot")
     _, independent = split_pair
@@ -187,17 +186,15 @@ def build_packing_sequence(
         floors.append(min(_bundle_value(type_utilities[s], b) for b in bundles))
         seqs.append(PackingSequence(level=0, packings=[OwnedPacking(s, bundles)]))
 
-    scale = Fraction(1)
     level = 0
     while len(seqs) > 1:
         level += 1
-        scale = (scale - alpha) / 2
         seqs = [
             merge_packings(seqs[i], seqs[i + 1], type_utilities, independent, audit)
             for i in range(0, len(seqs), 2)
         ]
         for seq in seqs:
-            _check_sequence(seq, type_utilities, independent, scale, floors)
+            _check_sequence(seq, type_utilities, independent, beta(k, level), floors)
     final = seqs[0]
     for pos, pack in enumerate(final.packings):
         if pack.slot != pos:
@@ -294,30 +291,10 @@ def contract_to_kernel(
     )
 
 
-def _finish(
-    agents: Sequence[Agent],
-    targets: Mapping[int, Value],
-    bundles: Mapping[int, frozenset[str]],
-    alpha: Fraction,
-) -> Allocation:
-    ratios: dict[int, Value] = {}
-    for a in agents:
-        got = a.value(bundles.get(a.id, frozenset()))
-        t = targets[a.id]
-        if got < alpha * t:
-            raise GuaranteeViolationError(
-                f"agent {a.id} received {got}, below {alpha} of target {t}"
-            )
-        ratios[a.id] = got / t if t > 0 else Fraction(1)
-    packing = Packing(bundles=tuple((aid, bundles[aid]) for aid in sorted(bundles)))
-    return Allocation(packing=packing, target_alpha=alpha, per_agent_ratio=ratios)
-
-
 def _allocate_bounded_split(
     sub: Instance,
     targets: Mapping[int, Value],
     k: int,
-    alpha: Fraction,
     audit: list | None = None,
 ) -> Allocation:
     """Serve a bounded sub-instance on a connected split graph.
@@ -326,6 +303,7 @@ def _allocate_bounded_split(
     all present agents; the reduction guarantees that and the witnesses are
     recomputed from the same oracle, so a mismatch raises.
     """
+    alpha = split_alpha(k)
     agents = list(sub.agents)
     if not agents:
         return Allocation(packing=Packing(bundles=()), target_alpha=alpha, per_agent_ratio={})
@@ -335,7 +313,7 @@ def _allocate_bounded_split(
     n = len(agents)
     if n == 1:
         whole = frozenset(sub.graph.vertices)
-        return _finish(agents, targets, {agents[0].id: whole}, alpha)
+        return finish_allocation(agents, targets, {agents[0].id: whole}, alpha)
 
     witness = recognize(sub.graph)
     if witness.split_pair is None:
@@ -368,9 +346,7 @@ def _allocate_bounded_split(
                 "targets": {a.id: targets[a.id] for a in agents},
             }
         )
-    seq = build_packing_sequence(
-        sub.graph, (clique, independent), type_utilities, mms_partitions, alpha, audit
-    )
+    seq = build_packing_sequence((clique, independent), type_utilities, mms_partitions, audit)
     kern = contract_to_kernel(sub.graph, (clique, independent), seq, agents)
 
     kernel_targets = {a.id: oracle.mms(kern.graph, a, n).value for a in kern.agents}
@@ -402,7 +378,7 @@ def _allocate_bounded_split(
                 "targets": {a.id: targets[a.id] for a in agents},
             }
         )
-    return _finish(agents, targets, bundles, alpha)
+    return finish_allocation(agents, targets, bundles, alpha)
 
 
 def allocate_split(inst: Instance, audit: list | None = None) -> Allocation:
@@ -421,20 +397,8 @@ def allocate_split(inst: Instance, audit: list | None = None) -> Allocation:
 
     p = len({a.type_id for a in inst.agents})
     k = (p - 1).bit_length()
-    alpha = split_alpha(k)
-
-    if inst.n == 1:
-        only = inst.agents[0]
-        record = oracle.pmms(inst.graph, only, 1)
-        bundle = frozenset(inst.graph.vertices)
-        ratio = only.value(bundle) / record.value if record.value > 0 else Fraction(1)
-        return Allocation(
-            packing=Packing(bundles=((only.id, bundle),)),
-            target_alpha=alpha,
-            per_agent_ratio={only.id: ratio},
-        )
 
     def solver(part: Instance, ts: Mapping[int, Value]) -> Allocation:
-        return _allocate_bounded_split(part, ts, k, alpha, audit)
+        return _allocate_bounded_split(part, ts, k, audit)
 
-    return allocate_reduction(inst, alpha, solver, audit=audit)
+    return allocate_reduction(inst, split_alpha(k), solver, audit=audit)

@@ -35,16 +35,11 @@ class Certificate:
         return self.structural_ok and self.min_ratio >= self.alpha_target
 
 
-def _share_value(record) -> Value:
-    # accepts either an oracle MmsRecord or a bare rational
-    return record.value if hasattr(record, "value") else record
-
-
 def check_allocation(
     inst: Instance,
     alloc: Allocation,
     alpha: Value,
-    mms_records: Mapping[int, object] | None = None,
+    mms_records: Mapping[int, oracle.MmsRecord] | None = None,
 ) -> Certificate:
     """Certify `alloc` against exact shares at guarantee level `alpha`.
 
@@ -87,7 +82,7 @@ def check_allocation(
     for a in sorted(inst.agents, key=lambda x: x.id):
         bundle = alloc.bundle_of(a.id)
         value = a.value(bundle & frozenset(vset))
-        share = _share_value(mms_records[a.id])
+        share = mms_records[a.id].value
         ratio = value / share if share > 0 else Fraction(1)
         rows.append((a.id, bundle, value, share, ratio))
         ratios.append(ratio)
@@ -99,12 +94,3 @@ def check_allocation(
         structural_ok=not notes,
         notes=tuple(notes),
     )
-
-
-def empirical_alpha(
-    inst: Instance,
-    alloc: Allocation,
-    mms_records: Mapping[int, object] | None = None,
-) -> Value:
-    """The exact worst ratio the allocation achieves, structure aside."""
-    return check_allocation(inst, alloc, Fraction(0), mms_records).min_ratio

@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive: direct enumeration over set
 partitions, connected subsets, and vertex permutations.  Slow but obviously
-correct, which is the point of an oracle for the oracle.
+correct, which is the point of an oracle for the oracle.  The packing and
+boundedness checks at the end are test-side assertions that the library
+itself does not need.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from graphfair.core import Agent, GoodsGraph, ZERO
+from graphfair.core import Agent, GoodsGraph, Instance, Packing, Value, ZERO
 from graphfair.graphs import is_connected_subset
 
 
@@ -24,6 +26,20 @@ def set_partitions(items):
         yield [[first]] + part
 
 
+def enumerate_connected_partitions(graph: GoodsGraph, n: int):
+    """Yield every partition of V into at most n nonempty connected bundles.
+
+    Each partition appears exactly once (up to bundle order) as an n-tuple of
+    frozensets, padded with empty bundles.  Bundles are listed in canonical
+    order: the first contains the smallest vertex, and so on.
+    """
+    for part in set_partitions(graph.vertices):
+        if len(part) > n or not all(is_connected_subset(graph, p) for p in part):
+            continue
+        bundles = sorted((frozenset(p) for p in part), key=min)
+        yield tuple(bundles) + (frozenset(),) * (n - len(part))
+
+
 def naive_mms(graph: GoodsGraph, agent: Agent, n: int):
     """Max over covers by at most n connected parts of the padded minimum.
 
@@ -31,13 +47,8 @@ def naive_mms(graph: GoodsGraph, agent: Agent, n: int):
     mirroring the oracle's undefined case.
     """
     best = None
-    for part in set_partitions(graph.vertices):
-        if len(part) > n:
-            continue
-        if not all(is_connected_subset(graph, p) for p in part):
-            continue
-        values = [agent.value(p) for p in part] + [ZERO] * (n - len(part))
-        low = min(values)
+    for part in enumerate_connected_partitions(graph, n):
+        low = min(agent.value(p) for p in part)
         if best is None or low > best:
             best = low
     return best
@@ -128,3 +139,44 @@ def random_profile(rng, vertices) -> dict[str, Fraction]:
     return {
         v: Fraction(rng.randint(0, 20), rng.choice([1, 1, 2, 3])) for v in vertices
     }
+
+
+def assigned_vertices(packing: Packing) -> frozenset[str]:
+    out: set[str] = set()
+    for _, vs in packing.bundles:
+        out |= vs
+    return frozenset(out)
+
+
+def is_partition_of(packing: Packing, graph: GoodsGraph) -> bool:
+    return assigned_vertices(packing) == frozenset(graph.vertices)
+
+
+def packing_problems(packing: Packing, graph: GoodsGraph) -> list[str]:
+    """Disjointness and label sanity; connectivity is checked separately."""
+    problems: list[str] = []
+    labels = [label for label, _ in packing.bundles]
+    if len(set(labels)) != len(labels):
+        problems.append("an agent label appears in two bundles")
+    seen: set[str] = set()
+    vset = set(graph.vertices)
+    for label, vs in packing.bundles:
+        unknown = vs - vset
+        if unknown:
+            problems.append(f"bundle of {label} contains unknown vertices {sorted(unknown)}")
+        overlap = vs & seen
+        if overlap:
+            problems.append(f"bundle of {label} overlaps an earlier bundle at {sorted(overlap)}")
+        seen |= vs
+    return problems
+
+
+def is_alpha_bounded(inst: Instance, agent: Agent, alpha: Value, mms_value: Value) -> bool:
+    """True when every single vertex is worth strictly less than alpha * mms.
+
+    An agent with mms 0 is never bounded (no vertex can sit strictly below 0).
+    """
+    if mms_value <= 0:
+        return False
+    cut = alpha * mms_value
+    return all(agent.utility[v] < cut for v in inst.graph.vertices)

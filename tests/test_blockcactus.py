@@ -4,7 +4,6 @@ import pytest
 
 from graphfair import oracle
 from graphfair.blockcactus import (
-    BoundedCallFrame,
     allocate_block_cactus,
     allocate_bounded,
     is_block_cactus_graph,
@@ -64,9 +63,8 @@ def test_single_block_is_solved_directly():
         ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]
     )
     agents = flat_agents(g, 2)
-    frame = BoundedCallFrame(graph=g, agents=agents, targets={1: Fraction(10), 2: Fraction(10)})
     audit: list = []
-    alloc = allocate_bounded(frame, audit=audit)
+    alloc = allocate_bounded(g, agents, {1: Fraction(10), 2: Fraction(10)}, audit=audit)
     assert [ev["kind"] for ev in audit] == ["base"]
     assert alloc.min_ratio >= HALF
 
@@ -76,9 +74,8 @@ def test_case_two_carves_the_terminal_cycle():
     agents = flat_agents(g, 2)
     # the rim of the 5-cycle is worth 40 to everyone, above both targets,
     # so the bounded call must take the carve branch
-    frame = BoundedCallFrame(graph=g, agents=agents, targets={1: Fraction(25), 2: Fraction(25)})
     audit: list = []
-    alloc = allocate_bounded(frame, audit=audit)
+    alloc = allocate_bounded(g, agents, {1: Fraction(25), 2: Fraction(25)}, audit=audit)
     assert [ev["kind"] for ev in audit] == ["carve"]
     assert alloc.bundle_of(1) == frozenset({"v1", "v2"})
     assert alloc.bundle_of(2) == frozenset({"v3", "v4"})
@@ -93,9 +90,8 @@ def test_case_one_absorbs_a_light_rim():
     g = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
     agents = flat_agents(g, 2)
     # both terminal rims are single vertices worth 10 < 15
-    frame = BoundedCallFrame(graph=g, agents=agents, targets={1: Fraction(15), 2: Fraction(15)})
     audit: list = []
-    alloc = allocate_bounded(frame, audit=audit)
+    alloc = allocate_bounded(g, agents, {1: Fraction(15), 2: Fraction(15)}, audit=audit)
     assert audit[0]["kind"] == "absorb"
     folded = audit[0]
     assert len(folded["vertices"]) == 2  # rim merged into its cut vertex
@@ -126,6 +122,21 @@ def test_single_agent_takes_everything():
     alloc = allocate_block_cactus(inst)
     assert alloc.bundle_of(1) == frozenset(g.vertices)
     assert alloc.min_ratio == 1
+
+
+def test_single_agent_on_disconnected_graph_takes_best_component():
+    # a path a-b worth 5 and a triangle c-d-e worth 6: the triangle wins whole
+    g = GoodsGraph.build(
+        ["a", "b", "c", "d", "e"], [("a", "b"), ("c", "d"), ("d", "e"), ("c", "e")]
+    )
+    values = {"a": 4, "b": 1, "c": 2, "d": 2, "e": 2}
+    only = Agent(id=1, type_id=1, utility={v: Fraction(x) for v, x in values.items()})
+    inst = Instance(graph=g, agents=(only,))
+    alloc = allocate_block_cactus(inst)
+    assert alloc.bundle_of(1) == frozenset({"c", "d", "e"})
+    assert alloc.per_agent_ratio == {1: Fraction(1)}
+    cert = check_allocation(inst, alloc, HALF)
+    assert cert.passes and cert.min_ratio == 1
 
 
 def test_class_mismatch_rejected():

@@ -16,7 +16,7 @@ def test_segments_stop_at_threshold():
     res = greedy_prefix_carve(order, [1, 2], {1: F(3), 2: F(4)}, utils)
     assert res.assignments == ((1, frozenset({"a", "b"})), (2, frozenset({"c", "d"})))
     assert res.leftover == ()
-    assert res.served == frozenset({1, 2})
+    assert {aid for aid, _ in res.assignments} == {1, 2}
 
 
 def test_smallest_id_wins_simultaneous_crossing():
@@ -42,7 +42,6 @@ def test_unserved_agents_leave_leftover():
     utils = {1: {"a": F(1), "b": F(1)}}
     res = greedy_prefix_carve(order, [1], {1: F(10)}, utils)
     assert res.assignments == ()
-    assert res.served == frozenset()
     assert res.leftover == ("a", "b")
 
 

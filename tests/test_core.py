@@ -10,11 +10,11 @@ from graphfair.core import (
     InvalidInputError,
     Packing,
     as_value,
-    is_alpha_bounded,
-    utility_of_set,
     validate_instance,
     value_str,
 )
+
+from naive_oracles import assigned_vertices, is_alpha_bounded, is_partition_of, packing_problems
 
 
 def test_as_value_accepts_rationals():
@@ -84,9 +84,9 @@ def test_instance_lookup_and_values():
     inst = two_agent_instance()
     assert inst.n == 2
     assert inst.agent(2).value({"a", "d"}) == Fraction(7)
-    assert utility_of_set(inst.agent(1), {"a"}) == Fraction(1)
+    assert inst.agent(1).value({"a"}) == Fraction(1)
     with pytest.raises(InvalidInputError):
-        utility_of_set(inst.agent(1), {"nope"})
+        inst.agent(1).value({"nope"})
 
 
 def test_validate_instance_clean():
@@ -129,22 +129,22 @@ def test_is_alpha_bounded_is_strict():
 def test_packing_structure():
     g = triangle_pendant()
     p = Packing(bundles=((1, frozenset({"a", "b"})), (2, frozenset({"c", "d"}))))
-    assert p.structural_problems(g) == []
-    assert p.is_partition_of(g)
-    assert p.assigned_vertices == frozenset(g.vertices)
+    assert packing_problems(p, g) == []
+    assert is_partition_of(p, g)
+    assert assigned_vertices(p) == frozenset(g.vertices)
     assert p.as_dict()[2] == frozenset({"c", "d"})
 
     overlap = Packing(bundles=((1, frozenset({"a"})), (2, frozenset({"a"}))))
-    assert overlap.structural_problems(g)
+    assert packing_problems(overlap, g)
 
     relabeled = Packing(bundles=((1, frozenset({"a"})), (1, frozenset({"b"}))))
-    assert relabeled.structural_problems(g)
+    assert packing_problems(relabeled, g)
 
     partial = Packing(bundles=((1, frozenset({"a", "d"})),))
-    assert not partial.is_partition_of(g)
+    assert not is_partition_of(partial, g)
 
     stray = Packing(bundles=((1, frozenset({"zz"})),))
-    assert stray.structural_problems(g)
+    assert packing_problems(stray, g)
 
 
 def test_allocation_accessors():

@@ -19,6 +19,8 @@ from graphfair.multipartite import (
 )
 from graphfair.verify import check_allocation
 
+from naive_oracles import is_partition_of, packing_problems
+
 QUARTER = Fraction(1, 4)
 
 
@@ -83,8 +85,8 @@ def test_bounded_call_serves_everyone_a_quarter():
     assert targets == {1: Fraction(50), 2: Fraction(50)}
     audit: list = []
     alloc = allocate_bounded_multipartite(g, parts, agents, targets, audit=audit)
-    assert alloc.packing.is_partition_of(g)
-    assert alloc.packing.structural_problems(g) == []
+    assert is_partition_of(alloc.packing, g)
+    assert packing_problems(alloc.packing, g) == []
     for a in agents:
         assert a.value(alloc.bundle_of(a.id)) >= QUARTER * targets[a.id]
     ev = next(e for e in audit if e["kind"] == "mp_bounded")

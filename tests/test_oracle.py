@@ -14,9 +14,13 @@ from graphfair.core import (
 from graphfair.graphs import is_connected_subset
 
 from naive_oracles import (
+    assigned_vertices,
     connected_graphs_up_to,
+    enumerate_connected_partitions,
+    is_partition_of,
     naive_mms,
     naive_pmms,
+    packing_problems,
     random_profile,
 )
 
@@ -51,8 +55,8 @@ def test_witnesses_are_valid_packings():
         rec = oracle.mms(g, a, n)
         assert rec.n == n and rec.agent_id == a.id
         assert len(rec.witness.bundles) == n
-        assert rec.witness.structural_problems(g) == []
-        assert rec.witness.is_partition_of(g)
+        assert packing_problems(rec.witness, g) == []
+        assert is_partition_of(rec.witness, g)
         values = [a.value(b) for _, b in rec.witness.bundles if b]
         assert min(values) == rec.value
         for _, b in rec.witness.bundles:
@@ -63,8 +67,8 @@ def test_pmms_witness_may_skip_vertices():
     g = GoodsGraph.build(["x", "y", "z"], [("x", "y")])
     a = agent_with({"x": 2, "y": 2, "z": 1})
     rec = oracle.pmms(g, a, 2)
-    assert rec.witness.structural_problems(g) == []
-    covered = rec.witness.assigned_vertices
+    assert packing_problems(rec.witness, g) == []
+    covered = assigned_vertices(rec.witness)
     assert covered <= frozenset(g.vertices)
     assert min(a.value(b) for _, b in rec.witness.bundles) == 2
 
@@ -89,7 +93,7 @@ def test_bad_n_rejected():
 def test_enumerate_connected_partitions_counts():
     g = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
     # P3 into at most 2 bundles: {abc}, {a|bc}, {ab|c}
-    parts = list(oracle.enumerate_connected_partitions(g, 2))
+    parts = list(enumerate_connected_partitions(g, 2))
     assert len(parts) == 3
     for p in parts:
         assert len(p) == 2
@@ -134,7 +138,7 @@ def test_max_min_ratio_allocation_exact():
     # opposite ends are worth 4 to each: both can hit their target exactly
     assert alloc.min_ratio >= 1
     assert "a" in alloc.bundle_of(1) and "d" in alloc.bundle_of(2)
-    assert alloc.packing.is_partition_of(g)
+    assert is_partition_of(alloc.packing, g)
 
 
 def test_max_min_ratio_zero_target_unconstrained():
@@ -158,7 +162,7 @@ def test_max_min_ratio_brute_force_cross_check():
         targets = {1: Fraction(3), 2: Fraction(5)}
         alloc = oracle.max_min_ratio_allocation(graph, [a1, a2], targets)
         best = None
-        for parts in oracle.enumerate_connected_partitions(graph, 2):
+        for parts in enumerate_connected_partitions(graph, 2):
             for assign in ((0, 1), (1, 0)):
                 r1 = a1.value(parts[assign[0]]) / targets[1]
                 r2 = a2.value(parts[assign[1]]) / targets[2]

@@ -7,11 +7,17 @@ from graphfair.core import (
     Agent,
     Allocation,
     GoodsGraph,
+    GuaranteeViolationError,
     Instance,
     Packing,
     StructuralError,
 )
-from graphfair.reduction import allocate_reduction, compute_kj, peel_heavy_vertices
+from graphfair.reduction import (
+    allocate_reduction,
+    compute_kj,
+    finish_allocation,
+    peel_heavy_vertices,
+)
 
 
 def path(names: list[str]) -> GoodsGraph:
@@ -162,3 +168,19 @@ def test_allocate_reduction_unroutable_agent_is_an_error():
     )
     with pytest.raises(StructuralError):
         allocate_reduction(inst, Fraction(1, 2), whole_component_solver, share_records={1: bogus})
+
+
+def test_finish_allocation_reports_ratios_and_zero_targets():
+    inst = inst_of(path(["a", "b", "c"]), {"a": 1, "b": 2, "c": 3}, {"a": 5, "b": 0, "c": 0})
+    bundles = {1: frozenset({"b", "c"}), 2: frozenset()}
+    alloc = finish_allocation(inst.agents, {1: Fraction(10), 2: Fraction(0)}, bundles, Fraction(1, 2))
+    assert alloc.packing.bundles == ((1, frozenset({"b", "c"})), (2, frozenset()))
+    assert alloc.target_alpha == Fraction(1, 2)
+    # agent 2 has target 0: an empty bundle satisfies her at ratio 1
+    assert alloc.per_agent_ratio == {1: Fraction(1, 2), 2: Fraction(1)}
+
+
+def test_finish_allocation_rejects_a_bundle_below_alpha():
+    inst = inst_of(path(["a", "b"]), {"a": 1, "b": 2})
+    with pytest.raises(GuaranteeViolationError, match="agent 1 received 2, below 1/2 of target 5"):
+        finish_allocation(inst.agents, {1: Fraction(5)}, {1: frozenset({"b"})}, Fraction(1, 2))

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 from graphfair.core import Agent, Allocation, GoodsGraph, Instance, Packing
-from graphfair.verify import check_allocation, empirical_alpha
+from graphfair.oracle import MmsRecord
+from graphfair.verify import check_allocation
 
 
 def path_instance() -> Instance:
@@ -91,8 +92,12 @@ def test_zero_share_agents_are_satisfied_by_anything():
 def test_caller_supplied_share_values():
     inst = path_instance()
     alloc = alloc_of((1, {"a", "b"}), (2, {"c", "d"}))
-    # bare rationals work in place of oracle records
-    cert = check_allocation(inst, alloc, Fraction(1), {1: Fraction(8), 2: Fraction(2)})
+    # records with caller-chosen values replace the oracle's shares
+    records = {
+        aid: MmsRecord(agent_id=aid, n=2, value=value, witness=Packing(bundles=()), kind="target")
+        for aid, value in ((1, Fraction(8)), (2, Fraction(2)))
+    }
+    cert = check_allocation(inst, alloc, Fraction(1), records)
     assert cert.min_ratio == Fraction(1, 2)
     assert not cert.passes
 
@@ -100,4 +105,4 @@ def test_caller_supplied_share_values():
 def test_empirical_alpha_reports_min_ratio():
     inst = path_instance()
     alloc = alloc_of((1, {"d"}), (2, {"a", "b", "c"}))
-    assert empirical_alpha(inst, alloc) == Fraction(1, 2)
+    assert check_allocation(inst, alloc, Fraction(0)).min_ratio == Fraction(1, 2)
