@@ -228,9 +228,6 @@ class Packing:
 
     bundles: tuple[tuple[int, frozenset[str]], ...]
 
-    def as_dict(self) -> dict[int, frozenset[str]]:
-        return {label: vs for label, vs in self.bundles}
-
 
 @dataclass(frozen=True)
 class Allocation:

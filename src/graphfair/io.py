@@ -7,7 +7,6 @@ newline, so re-serializing a canonical file is byte-stable.
 """
 
 import json
-from fractions import Fraction
 from typing import Mapping
 
 from .core import (

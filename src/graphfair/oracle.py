@@ -2,11 +2,19 @@
 
 The searches run over connected partitions enumerated canonically: the first
 bundle always contains the smallest unassigned vertex, and bundles grow by a
-standard no-duplicate connected-subset expansion.  Vertex sets are bitmasks,
-utilities are exact (integers internally whenever every value is integral,
-Fractions otherwise), and branches are cut by two bounds: the running minimum
-can only drop, and no completion can beat the remaining weight divided by the
-remaining bundle count.
+standard no-duplicate connected-subset expansion.  Vertex sets are bitmasks.
+
+Values are Fractions at the API only.  Inside the searches every utility is a
+plain int: an agent's utilities are multiplied by the least common multiple of
+their denominators, and the search result is divided back once at the end.
+Branches are cut by two bounds: the running minimum can only drop, and no
+completion can beat the remaining weight spread evenly over the remaining
+bundles, tested as `remaining <= best * bundles` so that no division happens.
+
+The max-min ratio search compares value/target across agents.  It gives each
+agent ratio weights, her scaled utilities multiplied so that every agent's
+value/target is her ratio-weight sum over one common denominator; the whole
+search then compares ints.
 
 These routines are meant for desk-scale inputs; everything refuses graphs
 larger than the configured cap (default 14 vertices).
@@ -14,6 +22,7 @@ larger than the configured cap (default 14 vertices).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     Agent,
@@ -30,8 +39,6 @@ from .core import (
 from .graphs import connected_components, is_connected
 
 DEFAULT_MAX_VERTICES = 14
-
-_INF = float("inf")
 
 _cache: dict = {}
 
@@ -110,48 +117,52 @@ def _component_count(adj: list[int], mask: int) -> int:
     return count
 
 
-def _weights_for(agent_like, ids: list[str]):
-    """Weights in vertex order; ints when every value is integral."""
-    utility = agent_like.utility if isinstance(agent_like, Agent) else agent_like
+def _weights_for(agent: Agent, ids: list[str]) -> tuple[list[int], int]:
+    """Int weights in vertex order, and the scale they were multiplied by.
+
+    `scale` is the least common multiple of the utility denominators, and the
+    weight of vertex v is `utility[v] * scale`, so a bundle's value is its
+    weight sum divided by `scale`.
+    """
     vals = []
     for v in ids:
-        if v not in utility:
+        if v not in agent.utility:
             raise InvalidInputError(f"no utility for vertex {v!r}")
-        vals.append(utility[v])
-    if all(val.denominator == 1 for val in vals):
-        return [val.numerator for val in vals]
-    return list(vals)
+        vals.append(agent.utility[v])
+    scale = lcm(*(val.denominator for val in vals))
+    return [val.numerator * (scale // val.denominator) for val in vals], scale
 
 
-def _minmax_partition_search(adj: list[int], full: int, wts, n: int):
+def _minmax_partition_search(adj: list[int], full: int, wts: list[int], n: int):
     """Best (max of min bundle weight) partition into at most n connected parts.
 
     Partitions using fewer than n nonempty parts count as value 0 because the
-    missing bundles are empty.  Returns (value, parts) with parts a tuple of
-    masks (no padding), or (None, None) when no partition exists at all.
+    missing bundles are empty.  Returns (value, parts) with value the int
+    optimum in the units of `wts` and parts a tuple of masks (no padding), or
+    (None, None) when no partition exists at all.
     """
     best_val = None
     best_parts = None
-    total = sum((wts[i] for i in _bits(full)), ZERO)
+    total = sum(wts[i] for i in _bits(full))
 
     def rec(remaining, parts_left, cur_min, acc, rem_weight):
         nonlocal best_val, best_parts
         if remaining == 0:
-            val = cur_min if len(acc) == n else ZERO
+            val = cur_min if len(acc) == n else 0
             if cur_min is None:  # n bundles, all empty: only when full == 0
-                val = ZERO
+                val = 0
             if best_val is None or val > best_val:
                 best_val = val
                 best_parts = acc
             return
         if parts_left == 0:
             return
-        if best_val is not None:
-            bound = rem_weight / parts_left
-            if cur_min is not None and cur_min < bound:
-                bound = cur_min
-            if bound <= best_val:
-                return
+        # No completion beats min(cur_min, rem_weight / parts_left).
+        if best_val is not None and (
+            rem_weight <= best_val * parts_left
+            or (cur_min is not None and cur_min <= best_val)
+        ):
+            return
         if _component_count(adj, remaining) > parts_left:
             return
         seed = (remaining & -remaining).bit_length() - 1
@@ -159,13 +170,14 @@ def _minmax_partition_search(adj: list[int], full: int, wts, n: int):
 
         def grow(s_mask, s_weight, cand, banned):
             close_min = s_weight if cur_min is None or s_weight < cur_min else cur_min
-            skip = False
-            if best_val is not None and parts_left > 1:
-                b2 = (rem_weight - s_weight) / (parts_left - 1)
-                if close_min < b2:
-                    b2 = close_min
-                if b2 <= best_val:
-                    skip = True
+            skip = (
+                best_val is not None
+                and parts_left > 1
+                and (
+                    rem_weight - s_weight <= best_val * (parts_left - 1)
+                    or close_min <= best_val
+                )
+            )
             if not skip:
                 rec(remaining ^ s_mask, parts_left - 1, close_min, acc + (s_mask,), rem_weight - s_weight)
             live = cand & ~banned
@@ -181,9 +193,7 @@ def _minmax_partition_search(adj: list[int], full: int, wts, n: int):
         grow(seed_mask, wts[seed], adj[seed] & remaining & ~seed_mask, 0)
 
     rec(full, n, None, (), total)
-    if best_val is None:
-        return None, None
-    return Fraction(best_val), best_parts
+    return best_val, best_parts
 
 
 def _witness_packing(mk: _Mask, parts: tuple, n: int) -> Packing:
@@ -206,8 +216,8 @@ def mms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = None
     if n < 1:
         raise InvalidInputError(f"need at least one bundle, got n={n}")
     _cap(graph, max_vertices)
-    wts_probe = _weights_for(agent, list(graph.vertices))
-    key = ("mms", _graph_key(graph), tuple(wts_probe), n, agent.id)
+    wts, scale = _weights_for(agent, list(graph.vertices))
+    key = ("mms", _graph_key(graph), tuple(wts), scale, n, agent.id)
     hit = _cache.get(key)
     if hit is not None:
         return hit
@@ -216,11 +226,11 @@ def mms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = None
             f"graph has more than {n} components; no {n}-bundle partition covers it"
         )
     mk = _Mask(graph)
-    value, parts = _minmax_partition_search(mk.adj, mk.full, wts_probe, n)
+    best, parts = _minmax_partition_search(mk.adj, mk.full, wts, n)
     record = MmsRecord(
         agent_id=agent.id,
         n=n,
-        value=value,
+        value=Fraction(best, scale),
         witness=_witness_packing(mk, parts, n),
         kind="mms",
     )
@@ -239,8 +249,8 @@ def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = Non
     if n < 1:
         raise InvalidInputError(f"need at least one bundle, got n={n}")
     _cap(graph, max_vertices)
-    wts_all = _weights_for(agent, list(graph.vertices))
-    key = ("pmms", _graph_key(graph), tuple(wts_all), n, agent.id)
+    wts, scale = _weights_for(agent, list(graph.vertices))
+    key = ("pmms", _graph_key(graph), tuple(wts), scale, n, agent.id)
     hit = _cache.get(key)
     if hit is not None:
         return hit
@@ -254,39 +264,43 @@ def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = Non
             mask |= 1 << mk.pos[v]
         comp_masks.append(mask)
 
-    per_comp: list[dict[int, tuple[Value, tuple]]] = []
+    per_comp: list[dict[int, tuple[int, tuple]]] = []
     for mask in comp_masks:
-        table: dict[int, tuple[Value, tuple]] = {}
+        table: dict[int, tuple[int, tuple]] = {}
         size = bin(mask).count("1")
         for k in range(1, min(size, n) + 1):
-            val, parts = _minmax_partition_search(mk.adj, mask, wts_all, k)
-            table[k] = (val, parts)
+            table[k] = _minmax_partition_search(mk.adj, mask, wts, k)
         per_comp.append(table)
 
     sizes = [bin(mask).count("1") for mask in comp_masks]
     memo: dict[tuple[int, int], tuple] = {}
 
     def dp(j: int, budget: int):
-        # Returns (best min value or None when infeasible, chosen k tuple).
+        # Spreads `budget` bundles over components j.. and returns
+        # (feasible, min bundle value, chosen k tuple).  The min is None when
+        # no bundle is placed, which no placed bundle can beat.
         if j == len(comp_masks):
-            return (_INF, ()) if budget == 0 else (None, ())
+            return budget == 0, None, ()
         state = (j, budget)
         if state in memo:
             return memo[state]
-        best = (None, ())
+        best = (False, None, ())
         for k in range(0, min(sizes[j], budget) + 1):
-            sub, picks = dp(j + 1, budget - k)
-            if sub is None:
+            ok, sub, picks = dp(j + 1, budget - k)
+            if not ok:
                 continue
-            mine = _INF if k == 0 else per_comp[j][k][0]
-            cand = mine if mine < sub else sub
-            if best[0] is None or cand > best[0]:
-                best = (cand, (k,) + picks)
+            cand = sub
+            if k:
+                mine = per_comp[j][k][0]
+                if cand is None or mine < cand:
+                    cand = mine
+            if not best[0] or (best[1] is not None and (cand is None or cand > best[1])):
+                best = (True, cand, (k,) + picks)
         memo[state] = best
         return best
 
-    best_val, picks = dp(0, n)
-    if best_val is None:
+    feasible, best_val, picks = dp(0, n)
+    if not feasible:
         # More bundles than vertices: some bundle is empty, the share is 0.
         value = ZERO
         bundles = []
@@ -296,7 +310,7 @@ def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = Non
             bundles.append((j + 1, frozenset()))
         witness = Packing(bundles=tuple(bundles))
     else:
-        value = ZERO if best_val == _INF else Fraction(best_val)
+        value = Fraction(best_val, scale)
         parts: list[int] = []
         for j, k in enumerate(picks):
             if k:
@@ -331,10 +345,22 @@ def max_min_ratio_allocation(
         t = targets.get(a.id, ZERO)
         if t < 0:
             raise InvalidInputError(f"negative target for agent {a.id}")
-    wts = [_weights_for(a, mk.ids) for a in agents]
     tlist = [targets.get(a.id, ZERO) for a in agents]
-    constrained = [i for i, t in enumerate(tlist) if t > 0]
-    totals = [sum((w[i] for i in _bits(mk.full)), ZERO) for w in wts]
+    positive = [t > 0 for t in tlist]
+    constrained = [i for i in range(n) if positive[i]]
+    scaled = [_weights_for(a, mk.ids) for a in agents]
+    # Ratio weights: value/target of agent a is (sum of wts[a]) / common.
+    # Agents with target 0 get zero weights, which the search never reads.
+    denoms = [scaled[a][1] * tlist[a].numerator for a in constrained]
+    common = lcm(*denoms)
+    wts = [[0] * mk.m for _ in agents]
+    for a, d in zip(constrained, denoms):
+        factor = tlist[a].denominator * (common // d)
+        wts[a] = [w * factor for w in scaled[a][0]]
+    totals = [sum(w) for w in wts]
+    # Above every reachable ratio weight: the ratio of a target-0 agent.
+    top = 1 + max(totals)
+    zero_row = [0] * n
 
     best_score = None
     best_parts = None
@@ -343,19 +369,16 @@ def max_min_ratio_allocation(
     def leaf(bundle_masks, bundle_vals):
         nonlocal best_score, best_parts, best_assign
         nb = len(bundle_masks)
-        padded_vals = list(bundle_vals) + [[ZERO] * n for _ in range(n - nb)]
+        padded_vals = list(bundle_vals) + [zero_row] * (n - nb)
         ratio = [
-            [
-                (Fraction(padded_vals[b][a]) / tlist[a]) if tlist[a] > 0 else _INF
-                for a in range(n)
-            ]
-            for b in range(n)
+            [vals[a] if positive[a] else top for a in range(n)]
+            for vals in padded_vals
         ]
         memo: dict[int, tuple] = {}
 
         def assign(used: int):
             if used == (1 << n) - 1:
-                return _INF, ()
+                return top, ()
             bi = bin(used).count("1")
             if used in memo:
                 return memo[used]
@@ -384,12 +407,12 @@ def max_min_ratio_allocation(
         if parts_left == 0:
             return
         if best_score is not None and constrained:
-            bound = _INF
+            # Agent a can reach at most max(best closed bundle, everything left).
+            bound = top
             for a in constrained:
                 pot = closed_best[a]
-                whole = Fraction(rem_wt[a]) / tlist[a]
-                if whole > pot:
-                    pot = whole
+                if rem_wt[a] > pot:
+                    pot = rem_wt[a]
                 if pot < bound:
                     bound = pot
             if bound <= best_score:
@@ -401,11 +424,9 @@ def max_min_ratio_allocation(
 
         def grow(s_mask, s_vals, cand, banned):
             new_best = list(closed_best)
-            for a in range(n):
-                if tlist[a] > 0:
-                    r = Fraction(s_vals[a]) / tlist[a]
-                    if r > new_best[a]:
-                        new_best[a] = r
+            for a in constrained:
+                if s_vals[a] > new_best[a]:
+                    new_best[a] = s_vals[a]
             rec(
                 remaining ^ s_mask,
                 parts_left - 1,
@@ -431,7 +452,7 @@ def max_min_ratio_allocation(
 
         grow(seed_mask, [wts[a][seed] for a in range(n)], adj[seed] & remaining & ~seed_mask, 0)
 
-    rec(mk.full, n, [], [], [ZERO] * n, list(totals))
+    rec(mk.full, n, [], [], [0] * n, totals)
 
     if best_parts is None:
         raise StructuralError("no connected partition found")

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from graphfair import cli, io
 from graphfair.core import Agent, GoodsGraph, Instance
@@ -175,18 +177,25 @@ def test_batch_empty_config_header_only(tmp_path):
 
 
 def test_console_script_round_trip(tmp_path):
+    # The child imports the package from where this process found it, which
+    # may be a path pytest added rather than one on PYTHONPATH.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     inst = tmp_path / "inst.json"
     res = subprocess.run(
         [sys.executable, "-m", "graphfair.cli", "gen", "--class", "block-cactus",
          "--seed", "2", "--vertices", "7", "--agents", "2", "--out", str(inst)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert res.returncode == 0, res.stderr
     res = subprocess.run(
         [sys.executable, "-m", "graphfair.cli", "allocate", str(inst)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)

@@ -132,7 +132,7 @@ def test_packing_structure():
     assert packing_problems(p, g) == []
     assert is_partition_of(p, g)
     assert assigned_vertices(p) == frozenset(g.vertices)
-    assert p.as_dict()[2] == frozenset({"c", "d"})
+    assert dict(p.bundles)[2] == frozenset({"c", "d"})
 
     overlap = Packing(bundles=((1, frozenset({"a"})), (2, frozenset({"a"}))))
     assert packing_problems(overlap, g)

@@ -1,5 +1,8 @@
+import ast
 import random
 from fractions import Fraction
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,78 @@ def test_pmms_matches_naive_on_disconnected_graphs():
                 assert oracle.mms(g, a, n).value == expected
 
 
+def test_shares_exact_with_coprime_denominators():
+    rng = random.Random("oracle-coprime")
+    denominators = [2, 3, 5, 7, 11, 13]
+    for graph in connected_graphs_up_to(5)[-12:]:
+        util = {
+            v: Fraction(rng.randint(0, 40), rng.choice(denominators))
+            for v in graph.vertices
+        }
+        a = agent_with(util)
+        for n in (1, 2, 3):
+            assert oracle.mms(graph, a, n).value == naive_mms(graph, a, n)
+            assert oracle.pmms(graph, a, n).value == naive_pmms(graph, a, n)
+
+
+def test_shares_exact_near_two_to_the_64():
+    rng = random.Random("oracle-huge")
+    big = 2**64
+    for graph in connected_graphs_up_to(5)[-12:]:
+        util = {v: big + rng.randint(-5, 5) for v in graph.vertices}
+        a = agent_with(util)
+        for n in (2, 3):
+            assert oracle.mms(graph, a, n).value == naive_mms(graph, a, n)
+            assert oracle.pmms(graph, a, n).value == naive_pmms(graph, a, n)
+    # Huge numerators over coprime denominators.
+    g = GoodsGraph.build(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    a = Agent(
+        id=1,
+        type_id=1,
+        utility={
+            "a": Fraction(big + 1, 3),
+            "b": Fraction(big - 1, 7),
+            "c": Fraction(big + 3, 5),
+            "d": Fraction(big, 11),
+        },
+    )
+    for n in (1, 2, 3, 4):
+        assert oracle.mms(g, a, n).value == naive_mms(g, a, n)
+        assert oracle.pmms(g, a, n).value == naive_pmms(g, a, n)
+
+
+def test_bound_separates_values_that_float_quotients_merge():
+    # On the path a-b-c with two bundles the search first closes {a | b c}
+    # at min = 2^64 + 1, then bounds {a b | c} by c = 2^64 + 3.  As floats
+    # the two quotients are equal, so `int / int` would cut the optimum.
+    big = 2**64
+    assert (big + 3) / 1 == (big + 1) / 1
+    g = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    a = agent_with({"a": big + 1, "b": big + 3, "c": big + 3})
+    assert naive_mms(g, a, 2) == big + 3
+    assert oracle.mms(g, a, 2).value == big + 3
+    assert oracle.pmms(g, a, 2).value == big + 3
+
+
+def test_oracle_searches_stay_in_exact_arithmetic():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    floats = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "float"
+    ]
+    assert floats == [], f"`float` used at lines {floats}"
+    search_fns = {"rec", "grow", "leaf", "assign", "dp"}
+    divisions = [
+        (fn.name, node.lineno)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in search_fns
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.Div)
+    ]
+    assert divisions == [], f"`/` inside a search function: {divisions}"
+
+
 def test_max_min_ratio_allocation_exact():
     g = GoodsGraph.build(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
     a1 = Agent(id=1, type_id=1, utility={"a": Fraction(4), "b": Fraction(1), "c": Fraction(1), "d": Fraction(1)})
@@ -152,24 +227,46 @@ def test_max_min_ratio_zero_target_unconstrained():
         oracle.max_min_ratio_allocation(g, [a1, a2], {1: Fraction(1), 2: Fraction(-1)})
 
 
+def brute_max_min_ratio(graph, agents, targets):
+    """Best min value/target over agents with a positive target."""
+    best = None
+    for parts in enumerate_connected_partitions(graph, len(agents)):
+        for order in permutations(parts):
+            cand = min(
+                a.value(bundle) / targets[a.id]
+                for a, bundle in zip(agents, order)
+                if targets[a.id] > 0
+            )
+            if best is None or cand > best:
+                best = cand
+    return best
+
+
 def test_max_min_ratio_brute_force_cross_check():
     rng = random.Random("ratio-cross")
-    for graph in connected_graphs_up_to(4)[-6:]:
-        u1 = random_profile(rng, graph.vertices)
-        u2 = random_profile(rng, graph.vertices)
-        a1 = Agent(id=1, type_id=1, utility=u1)
-        a2 = Agent(id=2, type_id=2, utility=u2)
-        targets = {1: Fraction(3), 2: Fraction(5)}
-        alloc = oracle.max_min_ratio_allocation(graph, [a1, a2], targets)
-        best = None
-        for parts in enumerate_connected_partitions(graph, 2):
-            for assign in ((0, 1), (1, 0)):
-                r1 = a1.value(parts[assign[0]]) / targets[1]
-                r2 = a2.value(parts[assign[1]]) / targets[2]
-                cand = min(r1, r2)
-                if best is None or cand > best:
-                    best = cand
-        assert alloc.min_ratio == best
+    target_cases = [
+        {1: Fraction(3), 2: Fraction(5)},
+        {1: Fraction(7, 3), 2: Fraction(11, 4)},
+        {1: Fraction(5, 2), 2: Fraction(0), 3: Fraction(9, 7)},
+        {1: Fraction(4), 2: Fraction(13, 6), 3: Fraction(5, 3)},
+    ]
+    for targets in target_cases:
+        for graph in connected_graphs_up_to(4)[-6:]:
+            agents = [
+                Agent(id=i, type_id=i, utility=random_profile(rng, graph.vertices))
+                for i in sorted(targets)
+            ]
+            alloc = oracle.max_min_ratio_allocation(graph, agents, targets)
+            assert is_partition_of(alloc.packing, graph)
+            best = brute_max_min_ratio(graph, agents, targets)
+            for a in agents:
+                got = a.value(alloc.bundle_of(a.id))
+                if targets[a.id] > 0:
+                    assert alloc.per_agent_ratio[a.id] == got / targets[a.id]
+                else:
+                    assert alloc.per_agent_ratio[a.id] == 1
+            positive = [a for a in agents if targets[a.id] > 0]
+            assert min(alloc.per_agent_ratio[a.id] for a in positive) == best
 
 
 def test_cache_round_trip():
