@@ -11,6 +11,18 @@ Branches are cut by two bounds: the running minimum can only drop, and no
 completion can beat the remaining weight spread evenly over the remaining
 bundles, tested as `remaining <= best * bundles` so that no division happens.
 
+Only the searches whose answer is read run.  `pmms` fills its per-component
+table lazily: a component's k-bundle share is searched the first time the
+component DP reads it, so on a connected graph only k = n is searched.  One
+bundle needs no search at all: a connected vertex set split into one bundle is
+the set itself.
+
+Shares are cached per utility function: the key is the graph, the int
+weights, their scale and n, never the agent.  Agents of one type therefore
+share one search, and each gets the record under her own `agent_id` (repeated
+calls by one agent return the same record object).  The cache holds at most
+`_CACHE_LIMIT` utility functions and drops the oldest first.
+
 The max-min ratio search compares value/target across agents.  It gives each
 agent ratio weights, her scaled utilities multiplied so that every agent's
 value/target is her ratio-weight sum over one common denominator; the whole
@@ -20,7 +32,7 @@ These routines are meant for desk-scale inputs; everything refuses graphs
 larger than the configured cap (default 14 vertices).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -40,6 +52,8 @@ from .graphs import connected_components, is_connected
 
 DEFAULT_MAX_VERTICES = 14
 
+# Share cache: key -> {agent_id: MmsRecord}, one key per utility function.
+_CACHE_LIMIT = 1024
 _cache: dict = {}
 
 
@@ -68,6 +82,24 @@ class MmsRecord:
     value: Value
     witness: Packing
     kind: str
+
+
+def _cached(key, agent_id: int) -> MmsRecord | None:
+    """The cached record for `key` labelled with `agent_id`, or None."""
+    by_agent = _cache.get(key)
+    if by_agent is None:
+        return None
+    record = by_agent.get(agent_id)
+    if record is None:
+        record = replace(next(iter(by_agent.values())), agent_id=agent_id)
+        by_agent[agent_id] = record
+    return record
+
+
+def _store(key, record: MmsRecord) -> None:
+    if len(_cache) >= _CACHE_LIMIT:
+        del _cache[next(iter(_cache))]
+    _cache[key] = {record.agent_id: record}
 
 
 class _Mask:
@@ -196,6 +228,16 @@ def _minmax_partition_search(adj: list[int], full: int, wts: list[int], n: int):
     return best_val, best_parts
 
 
+def _best_split(adj: list[int], mask: int, wts: list[int], k: int):
+    """`_minmax_partition_search`, except that k = 1 reads off the whole mask.
+
+    Only for a connected (or empty) `mask`: its one-bundle split is itself.
+    """
+    if k == 1:
+        return sum(wts[i] for i in _bits(mask)), (mask,)
+    return _minmax_partition_search(adj, mask, wts, k)
+
+
 def _witness_packing(mk: _Mask, parts: tuple, n: int) -> Packing:
     bundles = [(i + 1, mk.to_set(mask)) for i, mask in enumerate(parts)]
     for j in range(len(parts), n):
@@ -217,8 +259,8 @@ def mms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = None
         raise InvalidInputError(f"need at least one bundle, got n={n}")
     _cap(graph, max_vertices)
     wts, scale = _weights_for(agent, list(graph.vertices))
-    key = ("mms", _graph_key(graph), tuple(wts), scale, n, agent.id)
-    hit = _cache.get(key)
+    key = ("mms", _graph_key(graph), tuple(wts), scale, n)
+    hit = _cached(key, agent.id)
     if hit is not None:
         return hit
     if len(connected_components(graph)) > n:
@@ -226,7 +268,7 @@ def mms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = None
             f"graph has more than {n} components; no {n}-bundle partition covers it"
         )
     mk = _Mask(graph)
-    best, parts = _minmax_partition_search(mk.adj, mk.full, wts, n)
+    best, parts = _best_split(mk.adj, mk.full, wts, n)
     record = MmsRecord(
         agent_id=agent.id,
         n=n,
@@ -234,7 +276,7 @@ def mms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = None
         witness=_witness_packing(mk, parts, n),
         kind="mms",
     )
-    _cache[key] = record
+    _store(key, record)
     return record
 
 
@@ -250,8 +292,8 @@ def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = Non
         raise InvalidInputError(f"need at least one bundle, got n={n}")
     _cap(graph, max_vertices)
     wts, scale = _weights_for(agent, list(graph.vertices))
-    key = ("pmms", _graph_key(graph), tuple(wts), scale, n, agent.id)
-    hit = _cache.get(key)
+    key = ("pmms", _graph_key(graph), tuple(wts), scale, n)
+    hit = _cached(key, agent.id)
     if hit is not None:
         return hit
 
@@ -264,15 +306,16 @@ def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = Non
             mask |= 1 << mk.pos[v]
         comp_masks.append(mask)
 
-    per_comp: list[dict[int, tuple[int, tuple]]] = []
-    for mask in comp_masks:
-        table: dict[int, tuple[int, tuple]] = {}
-        size = bin(mask).count("1")
-        for k in range(1, min(size, n) + 1):
-            table[k] = _minmax_partition_search(mk.adj, mask, wts, k)
-        per_comp.append(table)
-
     sizes = [bin(mask).count("1") for mask in comp_masks]
+    table: dict[tuple[int, int], tuple[int, tuple]] = {}
+
+    def comp_split(j: int, k: int):
+        # Best k-bundle split of component j, searched on first use only.
+        state = (j, k)
+        if state not in table:
+            table[state] = _best_split(mk.adj, comp_masks[j], wts, k)
+        return table[state]
+
     memo: dict[tuple[int, int], tuple] = {}
 
     def dp(j: int, budget: int):
@@ -291,7 +334,7 @@ def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = Non
                 continue
             cand = sub
             if k:
-                mine = per_comp[j][k][0]
+                mine = comp_split(j, k)[0]
                 if cand is None or mine < cand:
                     cand = mine
             if not best[0] or (best[1] is not None and (cand is None or cand > best[1])):
@@ -314,10 +357,10 @@ def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = Non
         parts: list[int] = []
         for j, k in enumerate(picks):
             if k:
-                parts.extend(per_comp[j][k][1])
+                parts.extend(comp_split(j, k)[1])
         witness = _witness_packing(mk, tuple(parts), n)
     record = MmsRecord(agent_id=agent.id, n=n, value=value, witness=witness, kind="pmms")
-    _cache[key] = record
+    _store(key, record)
     return record
 
 

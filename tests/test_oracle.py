@@ -117,19 +117,106 @@ def test_pmms_matches_naive_on_random_small_graphs():
 
 def test_pmms_matches_naive_on_disconnected_graphs():
     rng = random.Random("oracle-disc")
+    graphs = [
+        GoodsGraph.build(
+            ["a", "b", "c", "d", "e"], [("a", "b"), ("b", "c"), ("d", "e")]
+        ),
+        # Components of 4, 2 and 1 vertices: the component DP reads several
+        # k per component, and n = |V| + 1 leaves some bundle empty.
+        GoodsGraph.build(
+            ["a", "b", "c", "d", "e", "f", "g"],
+            [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("e", "f")],
+        ),
+    ]
+    for g in graphs:
+        for _ in range(10):
+            a = agent_with(random_profile(rng, g.vertices))
+            for n in range(1, len(g.vertices) + 2):
+                rec = oracle.pmms(g, a, n)
+                assert rec.value == naive_pmms(g, a, n)
+                assert packing_problems(rec.witness, g) == []
+                assert min(a.value(b) for _, b in rec.witness.bundles) == rec.value
+                expected = naive_mms(g, a, n)
+                if expected is None:
+                    with pytest.raises(UndefinedMmsError):
+                        oracle.mms(g, a, n)
+                else:
+                    assert oracle.mms(g, a, n).value == expected
+
+
+def count_searches(monkeypatch) -> list[tuple[int, int]]:
+    """Record the (vertex mask, bundle count) of every exhaustive search."""
+    calls: list[tuple[int, int]] = []
+    search = oracle._minmax_partition_search
+
+    def counted(adj, full, wts, n):
+        calls.append((full, n))
+        return search(adj, full, wts, n)
+
+    monkeypatch.setattr(oracle, "_minmax_partition_search", counted)
+    return calls
+
+
+def test_pmms_runs_only_the_searches_it_reads(monkeypatch):
+    calls = count_searches(monkeypatch)
+    names = ["a", "b", "c", "d", "e", "f"]
     g = GoodsGraph.build(
-        ["a", "b", "c", "d", "e"], [("a", "b"), ("b", "c"), ("d", "e")]
+        names, [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("b", "e")]
     )
-    for _ in range(10):
-        a = agent_with(random_profile(rng, g.vertices))
-        for n in (1, 2, 3, 4):
-            assert oracle.pmms(g, a, n).value == naive_pmms(g, a, n)
-            expected = naive_mms(g, a, n)
-            if expected is None:
-                with pytest.raises(UndefinedMmsError):
-                    oracle.mms(g, a, n)
-            else:
-                assert oracle.mms(g, a, n).value == expected
+    a = agent_with({v: i + 1 for i, v in enumerate(names)})
+    for n in range(1, len(names) + 2):
+        calls.clear()
+        oracle.pmms(g, a, n)
+        # One search for the whole graph at k = n; none for one bundle or for
+        # more bundles than vertices.
+        assert calls == ([(0b111111, n)] if 2 <= n <= len(names) else []), n
+    calls.clear()
+    oracle.mms(g, a, 1)
+    assert calls == []
+
+    disc = GoodsGraph.build(
+        ["a", "b", "c", "d", "e", "f", "g"],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("e", "f")],
+    )
+    a = agent_with({v: 1 for v in disc.vertices})
+    for n in range(1, len(disc.vertices) + 2):
+        calls.clear()
+        oracle.pmms(disc, a, n)
+        assert len(calls) == len(set(calls)), n
+        assert all(k >= 2 for _, k in calls), n
+
+
+def test_agents_of_one_type_share_records(monkeypatch):
+    calls = count_searches(monkeypatch)
+    g = GoodsGraph.build(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    util = {"a": Fraction(3), "b": Fraction(1, 2), "c": Fraction(2), "d": Fraction(5, 2)}
+    first = Agent(id=1, type_id=1, utility=util)
+    second = Agent(id=2, type_id=1, utility=dict(util))
+    for share in (oracle.pmms, oracle.mms):
+        mine = share(g, first, 2)
+        searched = len(calls)
+        theirs = share(g, second, 2)
+        assert len(calls) == searched  # the second agent runs no search
+        assert (mine.agent_id, theirs.agent_id) == (1, 2)
+        assert theirs.value == mine.value
+        assert theirs.witness == mine.witness
+        # Repeated calls by one agent return the same record object.
+        assert share(g, second, 2) is theirs
+        assert share(g, first, 2) is mine
+
+
+def test_cache_is_bounded_and_drops_the_oldest_first():
+    g = GoodsGraph.build(["a", "b"], [("a", "b")])
+    limit = oracle._CACHE_LIMIT
+    agents = [agent_with({"a": i + 1, "b": 2 * i + 1}) for i in range(limit + 10)]
+    records = [oracle.pmms(g, a, 2) for a in agents]
+    assert len(oracle._cache) == limit
+    assert [r.value for r in records] == [i + 1 for i in range(limit + 10)]
+    # The newest entries are hits; the oldest were dropped and are searched again.
+    assert oracle.pmms(g, agents[-1], 2) is records[-1]
+    again = oracle.pmms(g, agents[0], 2)
+    assert again is not records[0] and again == records[0]
+    assert len(oracle._cache) == limit
 
 
 def test_shares_exact_with_coprime_denominators():
@@ -193,7 +280,7 @@ def test_oracle_searches_stay_in_exact_arithmetic():
         if isinstance(node, ast.Name) and node.id == "float"
     ]
     assert floats == [], f"`float` used at lines {floats}"
-    search_fns = {"rec", "grow", "leaf", "assign", "dp"}
+    search_fns = {"rec", "grow", "leaf", "assign", "dp", "comp_split", "_best_split"}
     divisions = [
         (fn.name, node.lineno)
         for fn in ast.walk(tree)

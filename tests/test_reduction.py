@@ -155,6 +155,18 @@ def test_allocate_reduction_zero_share_agents_get_nothing():
     assert alloc.per_agent_ratio[2] == Fraction(1)
 
 
+def test_lone_agent_gets_her_own_id_from_a_shared_share_record():
+    g = GoodsGraph.build(["a", "b", "c"], [("a", "b")])
+    util = {"a": Fraction(1), "b": Fraction(2), "c": Fraction(4)}
+    # Another agent with the same utilities fills the share cache first.
+    other = Agent(id=7, type_id=1, utility=util)
+    assert oracle.pmms(g, other, 1).agent_id == 7
+    inst = Instance(graph=g, agents=(Agent(id=1, type_id=1, utility=dict(util)),))
+    alloc = allocate_reduction(inst, Fraction(1, 2), whole_component_solver)
+    assert alloc.packing.bundles == ((1, frozenset({"c"})),)
+    assert alloc.per_agent_ratio == {1: Fraction(1)}
+
+
 def test_allocate_reduction_unroutable_agent_is_an_error():
     g = GoodsGraph.build(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     inst = inst_of(g, {"a": 1, "b": 1, "c": 1, "d": 1})
