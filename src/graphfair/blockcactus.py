@@ -124,7 +124,6 @@ def allocate_bounded(
                 n=n,
                 value=targets[a.id],
                 witness=oracle.mms(sub_graph, a, n).witness,
-                kind="target",
             )
             for a in folded
         }

@@ -10,7 +10,6 @@ import csv
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import generators, io, oracle
 from .blockcactus import allocate_block_cactus
@@ -22,6 +21,7 @@ from .core import (
     SizeLimitError,
     UndefinedMmsError,
     UnsupportedBlockError,
+    as_value,
     validate_instance,
     value_str,
 )
@@ -125,7 +125,7 @@ def cmd_allocate(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load_valid_instance(args.instance)
     alloc, _claimed = io.load_allocation(args.allocation)
-    alpha = Fraction(args.alpha)
+    alpha = as_value(args.alpha)
     cert = check_allocation(inst, alloc, alpha)
     print(
         f"alpha={value_str(alpha)} min_ratio={value_str(cert.min_ratio)} "
@@ -154,6 +154,13 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _trial_int(trial: dict, name: str, default: int) -> int:
+    x = trial.get(name, default)
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidInputError(f"trial {name} must be an integer, got {x!r}")
+    return x
+
+
 def cmd_batch(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -173,17 +180,14 @@ def cmd_batch(args) -> int:
         if not isinstance(trial, dict):
             raise InvalidInputError("each trial must be an object")
         cls = trial.get("class", "auto")
-        count = trial.get("count", 1)
-        base_seed = trial.get("seed", 0)
+        count = _trial_int(trial, "count", 1)
+        base_seed = _trial_int(trial, "seed", 0)
+        vertices = _trial_int(trial, "vertices", 10)
+        agents = _trial_int(trial, "agents", 2)
+        max_utility = _trial_int(trial, "max_utility", 20)
         for t in range(count):
             seed = base_seed + t
-            inst = generators.generate(
-                cls,
-                seed,
-                trial.get("vertices", 10),
-                trial.get("agents", 2),
-                trial.get("max_utility", 20),
-            )
+            inst = generators.generate(cls, seed, vertices, agents, max_utility)
             started = time.perf_counter()
             name, alloc = _dispatch(inst, cls)
             cert = check_allocation(inst, alloc, alloc.target_alpha)
@@ -292,7 +296,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:
-        # bad --alpha strings and similar argument-level value failures
+        # argument-level value failures that no parser above maps
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except FairDivisionError as exc:

@@ -11,14 +11,17 @@ Branches are cut by two bounds: the running minimum can only drop, and no
 completion can beat the remaining weight spread evenly over the remaining
 bundles, tested as `remaining <= best * bundles` so that no division happens.
 
-Only the searches whose answer is read run.  `pmms` fills its per-component
-table lazily: a component's k-bundle share is searched the first time the
-component DP reads it, so on a connected graph only k = n is searched.  One
-bundle needs no search at all: a connected vertex set split into one bundle is
-the set itself.
+`mms` and `pmms` run one component DP: bundles never cross components, so
+the n bundles are spread over the components, at least one per component for
+`mms` (the bundles must cover V) and possibly none for `pmms`.  On a connected
+graph the two shares are therefore one search and one record.  A component's
+k-bundle share is searched only when the DP first reads it, so a connected
+graph searches k = n alone, and one bundle, the component itself, needs no
+search.
 
 Shares are cached per utility function: the key is the graph, the int
-weights, their scale and n, never the agent.  Agents of one type therefore
+weights, their scale and n, never the agent, and which share was asked for
+only when the graph has two or more components.  Agents of one type therefore
 share one search, and each gets the record under her own `agent_id` (repeated
 calls by one agent return the same record object).  The cache holds at most
 `_CACHE_LIMIT` utility functions and drops the oldest first.
@@ -73,15 +76,15 @@ def _cap(graph: GoodsGraph, max_vertices: int | None) -> None:
 class MmsRecord:
     """An exact share value with a witness packing.
 
-    The witness labels are bundle slots 1..n, not agent ids.  For kind "mms"
-    the witness covers the whole vertex set; for kind "pmms" it may not.
+    The witness labels are bundle slots 1..n, not agent ids.  An `mms`
+    witness covers the whole vertex set; a `pmms` witness may not, except on
+    a graph with at most one component, where the two shares are one record.
     """
 
     agent_id: int
     n: int
     value: Value
     witness: Packing
-    kind: str
 
 
 def _cached(key, agent_id: int) -> MmsRecord | None:
@@ -228,16 +231,6 @@ def _minmax_partition_search(adj: list[int], full: int, wts: list[int], n: int):
     return best_val, best_parts
 
 
-def _best_split(adj: list[int], mask: int, wts: list[int], k: int):
-    """`_minmax_partition_search`, except that k = 1 reads off the whole mask.
-
-    Only for a connected (or empty) `mask`: its one-bundle split is itself.
-    """
-    if k == 1:
-        return sum(wts[i] for i in _bits(mask)), (mask,)
-    return _minmax_partition_search(adj, mask, wts, k)
-
-
 def _witness_packing(mk: _Mask, parts: tuple, n: int) -> Packing:
     bundles = [(i + 1, mk.to_set(mask)) for i, mask in enumerate(parts)]
     for j in range(len(parts), n):
@@ -249,71 +242,47 @@ def _graph_key(graph: GoodsGraph):
     return (graph.vertices, tuple(sorted(graph.edges)))
 
 
-def mms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = None) -> MmsRecord:
-    """Exact maximin share over connected partitions into n bundles.
+def _share(
+    graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None, cover: bool
+) -> MmsRecord:
+    """The n-bundle share over packings, or over partitions when `cover` is set.
 
-    Undefined (raises UndefinedMmsError) when the graph has more than n
-    connected components, since no n-bundle partition covers V then.
+    A component given k bundles is worth its k-bundle maximin share; covering
+    V only asks every component to take at least one bundle.
     """
     if n < 1:
         raise InvalidInputError(f"need at least one bundle, got n={n}")
     _cap(graph, max_vertices)
     wts, scale = _weights_for(agent, list(graph.vertices))
-    key = ("mms", _graph_key(graph), tuple(wts), scale, n)
+    comps = connected_components(graph)
+    key = (_graph_key(graph), tuple(wts), scale, n)
+    if len(comps) > 1:
+        # Only here can covering V change the share.
+        key = (cover,) + key
     hit = _cached(key, agent.id)
     if hit is not None:
         return hit
-    if len(connected_components(graph)) > n:
+    if cover and len(comps) > n:
         raise UndefinedMmsError(
             f"graph has more than {n} components; no {n}-bundle partition covers it"
         )
-    mk = _Mask(graph)
-    best, parts = _best_split(mk.adj, mk.full, wts, n)
-    record = MmsRecord(
-        agent_id=agent.id,
-        n=n,
-        value=Fraction(best, scale),
-        witness=_witness_packing(mk, parts, n),
-        kind="mms",
-    )
-    _store(key, record)
-    return record
-
-
-def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = None) -> MmsRecord:
-    """Exact maximin share over packings (bundles need not cover V).
-
-    Defined for every graph.  Bundles live inside single components, so the
-    optimum distributes the n bundles over components and solves each
-    component as a connected subproblem; a component receiving k bundles is
-    worth its k-bundle maximin share.
-    """
-    if n < 1:
-        raise InvalidInputError(f"need at least one bundle, got n={n}")
-    _cap(graph, max_vertices)
-    wts, scale = _weights_for(agent, list(graph.vertices))
-    key = ("pmms", _graph_key(graph), tuple(wts), scale, n)
-    hit = _cached(key, agent.id)
-    if hit is not None:
-        return hit
 
     mk = _Mask(graph)
-    comps = connected_components(graph)
-    comp_masks = []
-    for comp in comps:
-        mask = 0
-        for v in comp:
-            mask |= 1 << mk.pos[v]
-        comp_masks.append(mask)
-
-    sizes = [bin(mask).count("1") for mask in comp_masks]
+    comp_masks = [sum(1 << mk.pos[v] for v in comp) for comp in comps]
+    sizes = [len(comp) for comp in comps]
+    least = 1 if cover else 0
     table: dict[tuple[int, int], tuple[int, tuple]] = {}
 
     def comp_split(j: int, k: int):
-        # Best k-bundle split of component j, searched on first use only.
+        # Best k-bundle split of component j, searched on first use only.  One
+        # bundle needs no search: it is the component itself.
         state = (j, k)
         if state not in table:
-            table[state] = _best_split(mk.adj, comp_masks[j], wts, k)
+            mask = comp_masks[j]
+            if k == 1:
+                table[state] = sum(wts[i] for i in _bits(mask)), (mask,)
+            else:
+                table[state] = _minmax_partition_search(mk.adj, mask, wts, k)
         return table[state]
 
     memo: dict[tuple[int, int], tuple] = {}
@@ -328,7 +297,7 @@ def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = Non
         if state in memo:
             return memo[state]
         best = (False, None, ())
-        for k in range(0, min(sizes[j], budget) + 1):
+        for k in range(least, min(sizes[j], budget) + 1):
             ok, sub, picks = dp(j + 1, budget - k)
             if not ok:
                 continue
@@ -343,25 +312,35 @@ def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = Non
         return best
 
     feasible, best_val, picks = dp(0, n)
-    if not feasible:
-        # More bundles than vertices: some bundle is empty, the share is 0.
-        value = ZERO
-        bundles = []
-        for i, v in enumerate(graph.vertices[:n]):
-            bundles.append((i + 1, frozenset({v})))
-        for j in range(len(bundles), n):
-            bundles.append((j + 1, frozenset()))
-        witness = Packing(bundles=tuple(bundles))
-    else:
+    if feasible:
         value = Fraction(best_val, scale)
-        parts: list[int] = []
-        for j, k in enumerate(picks):
-            if k:
-                parts.extend(comp_split(j, k)[1])
-        witness = _witness_packing(mk, tuple(parts), n)
-    record = MmsRecord(agent_id=agent.id, n=n, value=value, witness=witness, kind="pmms")
+        parts = tuple(p for j, k in enumerate(picks) if k for p in comp_split(j, k)[1])
+    else:
+        # More bundles than vertices: each vertex is a bundle of its own, the
+        # rest are empty, and the share is 0.
+        value = ZERO
+        parts = tuple(1 << i for i in range(mk.m))
+    record = MmsRecord(agent_id=agent.id, n=n, value=value, witness=_witness_packing(mk, parts, n))
     _store(key, record)
     return record
+
+
+def mms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = None) -> MmsRecord:
+    """Exact maximin share over connected partitions into n bundles.
+
+    Undefined (raises UndefinedMmsError) when the graph has more than n
+    connected components, since no n-bundle partition covers V then.
+    """
+    return _share(graph, agent, n, max_vertices, cover=True)
+
+
+def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = None) -> MmsRecord:
+    """Exact maximin share over packings (bundles need not cover V).
+
+    Defined for every graph.  On a connected graph it equals mms, and both
+    return the same record.
+    """
+    return _share(graph, agent, n, max_vertices, cover=False)
 
 
 def max_min_ratio_allocation(

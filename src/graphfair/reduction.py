@@ -20,7 +20,7 @@ same check, finish_allocation, which raises when a bundle falls short of
 alpha times its target.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -46,15 +46,12 @@ ConnectedSolver = Callable[[Instance, Mapping[int, Value]], Allocation]
 class ReductionState:
     """Peel outcome: heavy picks, leftover agents, leftover components.
 
-    heavy lists (vertex, agent) pairs in pick order.  f maps (agent id,
-    component index) to the number of witness bundles inside that component;
-    it is filled by allocate_reduction, which owns the witnesses.
+    heavy lists (vertex, agent) pairs in pick order.
     """
 
     heavy: list[tuple[str, int]]
     residual_agents: list[int]
     components: list[frozenset[str]]
-    f: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
 def peel_heavy_vertices(
@@ -180,14 +177,14 @@ def allocate_reduction(
     # Route agents to components up front so the audit trail exposes the
     # whole plan before any solver runs.
     plan: list[tuple[frozenset[str], int, list[int]]] = []
-    for j, comp in enumerate(state.components):
-        for aid in state.residual_agents:
-            state.f[(aid, j)] = _bundles_inside(share_records[aid].witness, comp)
+    for comp in state.components:
         if not pending:
             plan.append((comp, 0, []))
             continue
-        ranked = sorted(pending, key=lambda aid: (-state.f[(aid, j)], aid))
-        k = compute_kj([state.f[(aid, j)] for aid in ranked])
+        # f(i, j) of the module docstring, for this component j.
+        f = {aid: _bundles_inside(share_records[aid].witness, comp) for aid in pending}
+        ranked = sorted(pending, key=lambda aid: (-f[aid], aid))
+        k = compute_kj([f[aid] for aid in ranked])
         chosen = ranked[:k]
         plan.append((comp, k, chosen))
         for aid in chosen:

@@ -126,6 +126,17 @@ def test_parse_error_exit_2(tmp_path):
     assert cli.main(["verify", str(f), str(alloc), "--alpha", "banana"]) == 2
 
 
+def test_verify_zero_denominator_alpha_exit_2(tmp_path, capsys):
+    g = cycle(4)
+    f = tmp_path / "c4.json"
+    write_instance(f, g, [{v: 1 for v in g.vertices}])
+    alloc = tmp_path / "alloc.json"
+    assert cli.main(["allocate", str(f), "--out", str(alloc)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", str(f), str(alloc), "--alpha", "1/0"]) == 2
+    assert "not a rational value: '1/0'" in capsys.readouterr().err
+
+
 def test_size_cap_exit_4(tmp_path):
     names = [f"v{i:02d}" for i in range(15)]
     g = GoodsGraph.build(names, [(names[i], names[i + 1]) for i in range(14)])
@@ -174,6 +185,22 @@ def test_batch_empty_config_header_only(tmp_path):
     assert cli.main(["batch", "--config", str(config), "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").strip().split("\n")
     assert lines == ["instance_id,class,n_agents,n_vertices,n_types,alpha_target,min_ratio,pass,runtime_ms"]
+
+
+def test_batch_non_int_trial_field_exit_2(tmp_path, capsys):
+    base = {"class": "block-cactus", "count": 1, "seed": 11, "vertices": 8, "agents": 2}
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "report.csv"
+    for name, bad in [
+        ("count", "2"),
+        ("seed", 1.5),
+        ("vertices", None),
+        ("agents", True),
+        ("max_utility", [20]),
+    ]:
+        config.write_text(json.dumps({"trials": [{**base, name: bad}]}), encoding="utf-8")
+        assert cli.main(["batch", "--config", str(config), "--out", str(out)]) == 2, name
+        assert f"trial {name} must be an integer" in capsys.readouterr().err
 
 
 def test_console_script_round_trip(tmp_path):

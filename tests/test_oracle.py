@@ -141,7 +141,10 @@ def test_pmms_matches_naive_on_disconnected_graphs():
                     with pytest.raises(UndefinedMmsError):
                         oracle.mms(g, a, n)
                 else:
-                    assert oracle.mms(g, a, n).value == expected
+                    rec = oracle.mms(g, a, n)
+                    assert rec.value == expected
+                    assert is_partition_of(rec.witness, g)
+                    assert min(a.value(b) for _, b in rec.witness.bundles) == rec.value
 
 
 def count_searches(monkeypatch) -> list[tuple[int, int]]:
@@ -184,6 +187,41 @@ def test_pmms_runs_only_the_searches_it_reads(monkeypatch):
         oracle.pmms(disc, a, n)
         assert len(calls) == len(set(calls)), n
         assert all(k >= 2 for _, k in calls), n
+
+
+def test_connected_graph_runs_one_search_for_both_shares(monkeypatch):
+    calls = count_searches(monkeypatch)
+    names = ["a", "b", "c", "d", "e"]
+    g = GoodsGraph.build(names, [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("b", "d")])
+    a = agent_with({v: i + 2 for i, v in enumerate(names)})
+    for n in (2, 3):
+        for first, second in ((oracle.pmms, oracle.mms), (oracle.mms, oracle.pmms)):
+            oracle.clear_cache()
+            calls.clear()
+            rec = first(g, a, n)
+            assert second(g, a, n) is rec
+            assert calls == [(0b11111, n)]
+            assert is_partition_of(rec.witness, g)
+
+
+def test_shares_stay_apart_on_two_components(monkeypatch):
+    # The criterion-2 graph: covering forces the isolated vertex into a bundle.
+    calls = count_searches(monkeypatch)
+    g = GoodsGraph.build(["x", "y", "z"], [("x", "y")])
+    a = agent_with({"x": 2, "y": 2, "z": 1})
+    for first, second in ((oracle.pmms, oracle.mms), (oracle.mms, oracle.pmms)):
+        oracle.clear_cache()
+        calls.clear()
+        one = first(g, a, 2)
+        other = second(g, a, 2)
+        assert one is not other
+        by_share = {first: one, second: other}
+        # Only pmms searches, for two bundles in {x, y}; mms gives each
+        # component one bundle, which needs no search.
+        assert calls == [(0b011, 2)]
+        assert by_share[oracle.mms].value == 1
+        assert by_share[oracle.pmms].value == 2
+        assert is_partition_of(by_share[oracle.mms].witness, g)
 
 
 def test_agents_of_one_type_share_records(monkeypatch):
@@ -280,7 +318,7 @@ def test_oracle_searches_stay_in_exact_arithmetic():
         if isinstance(node, ast.Name) and node.id == "float"
     ]
     assert floats == [], f"`float` used at lines {floats}"
-    search_fns = {"rec", "grow", "leaf", "assign", "dp", "comp_split", "_best_split"}
+    search_fns = {"rec", "grow", "leaf", "assign", "dp", "comp_split"}
     divisions = [
         (fn.name, node.lineno)
         for fn in ast.walk(tree)

@@ -131,9 +131,7 @@ def test_allocate_reduction_routes_two_components():
     # inflate the shares above 2 * max vertex so nobody peels, keeping the
     # real witnesses for the component routing
     fake = {
-        aid: oracle.MmsRecord(
-            agent_id=aid, n=2, value=Fraction(11), witness=rec.witness, kind="target"
-        )
+        aid: oracle.MmsRecord(agent_id=aid, n=2, value=Fraction(11), witness=rec.witness)
         for aid, rec in records.items()
     }
     audit: list = []
@@ -176,7 +174,6 @@ def test_allocate_reduction_unroutable_agent_is_an_error():
         n=1,
         value=Fraction(10),
         witness=Packing(bundles=((1, frozenset({"b", "c"})),)),
-        kind="target",
     )
     with pytest.raises(StructuralError):
         allocate_reduction(inst, Fraction(1, 2), whole_component_solver, share_records={1: bogus})
