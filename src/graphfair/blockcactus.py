@@ -56,21 +56,10 @@ def is_block_cactus_graph(graph: GoodsGraph) -> bool:
     return True
 
 
-def _audit_state(kind: str, graph: GoodsGraph, agents, targets) -> dict:
-    return {
-        "kind": kind,
-        "vertices": list(graph.vertices),
-        "agents": [a.id for a in agents],
-        "targets": {a.id: targets[a.id] for a in agents},
-        "utilities": {a.id: {v: a.utility[v] for v in graph.vertices} for a in agents},
-    }
-
-
 def allocate_bounded(
     graph: GoodsGraph,
     agents: Sequence[Agent],
     targets: Mapping[int, Value],
-    audit: list | None = None,
 ) -> Allocation:
     """Serve every agent a connected bundle worth half her target.
 
@@ -91,8 +80,6 @@ def allocate_bounded(
     tree = block_cut_tree(graph)
 
     if len(tree.blocks) == 1:
-        if audit is not None:
-            audit.append(_audit_state("base", graph, agents, targets))
         alloc = oracle.max_min_ratio_allocation(graph, list(agents), targets)
         return finish_allocation(
             agents, targets, {a.id: alloc.bundle_of(a.id) for a in agents}, HALF
@@ -116,8 +103,6 @@ def allocate_bounded(
             utility = dict(a.utility)
             utility[v] = a.value(block)
             folded.append(Agent(id=a.id, type_id=a.type_id, utility=utility))
-        if audit is not None:
-            audit.append(_audit_state("absorb", sub_graph, folded, targets))
         records = {
             a.id: oracle.MmsRecord(
                 agent_id=a.id,
@@ -130,9 +115,8 @@ def allocate_bounded(
         inner = allocate_reduction(
             Instance(graph=sub_graph, agents=tuple(folded)),
             HALF,
-            lambda sub, ts: allocate_bounded(sub.graph, sub.agents, ts, audit),
+            lambda sub, ts: allocate_bounded(sub.graph, sub.agents, ts),
             share_records=records,
-            audit=audit,
         )
         out = {a.id: inner.bundle_of(a.id) for a in agents}
         for aid, bundle in out.items():
@@ -160,15 +144,13 @@ def allocate_bounded(
         taken |= piece
     rest_graph = graph.induced(frozenset(graph.vertices) - frozenset(taken))
     rest_agents = tuple(a for a in agents if a.id not in out)
-    if audit is not None:
-        audit.append(_audit_state("carve", rest_graph, rest_agents, targets))
-    rest = allocate_bounded(rest_graph, rest_agents, targets, audit)
+    rest = allocate_bounded(rest_graph, rest_agents, targets)
     for a in rest_agents:
         out[a.id] = rest.bundle_of(a.id)
     return finish_allocation(agents, targets, out, HALF)
 
 
-def allocate_block_cactus(inst: Instance, audit: list | None = None) -> Allocation:
+def allocate_block_cactus(inst: Instance) -> Allocation:
     """Allocate with guarantee 1/2 of each agent's share over packings.
 
     The instance graph must be a block-cactus graph (every biconnected block
@@ -183,6 +165,5 @@ def allocate_block_cactus(inst: Instance, audit: list | None = None) -> Allocati
     return allocate_reduction(
         inst,
         HALF,
-        lambda sub, ts: allocate_bounded(sub.graph, sub.agents, ts, audit),
-        audit=audit,
+        lambda sub, ts: allocate_bounded(sub.graph, sub.agents, ts),
     )

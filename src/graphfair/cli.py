@@ -85,16 +85,16 @@ def cmd_mms(args) -> int:
     return EXIT_OK
 
 
-def _dispatch(inst: Instance, wanted: str, audit=None):
+def _dispatch(inst: Instance, wanted: str):
     if wanted != "auto":
         for name, fn in ALLOCATORS:
             if name == wanted:
-                return name, fn(inst, audit=audit)
+                return name, fn(inst)
         raise InvalidInputError(f"unknown class {wanted!r}")
     last: ClassMismatchError | None = None
     for name, fn in ALLOCATORS:
         try:
-            return name, fn(inst, audit=audit)
+            return name, fn(inst)
         except ClassMismatchError as exc:
             last = exc
     raise ClassMismatchError(f"no allocator accepts this graph: {last}")
@@ -179,7 +179,11 @@ def cmd_batch(args) -> int:
     for trial in config.get("trials", []):
         if not isinstance(trial, dict):
             raise InvalidInputError("each trial must be an object")
-        cls = trial.get("class", "auto")
+        if "class" not in trial:
+            raise InvalidInputError(
+                f'trial is missing "class", expected one of {sorted(generators.GENERATORS)}'
+            )
+        cls = trial["class"]
         count = _trial_int(trial, "count", 1)
         base_seed = _trial_int(trial, "seed", 0)
         vertices = _trial_int(trial, "vertices", 10)

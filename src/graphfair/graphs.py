@@ -66,14 +66,12 @@ def is_connected_subset(graph: GoodsGraph, subset) -> bool:
 class BlockCutTree:
     """Blocks and cut vertices of a connected graph.
 
-    tree_edges joins block indices to the cut vertices they contain; a block
-    adjacent to at most one cut vertex is terminal.  A graph that is itself
-    biconnected has a single terminal block and no cut vertices.
+    A block containing at most one cut vertex is terminal.  A graph that is
+    itself biconnected has a single terminal block and no cut vertices.
     """
 
     blocks: tuple[frozenset[str], ...]
     cut_vertices: frozenset[str]
-    tree_edges: tuple[tuple[int, str], ...]
     terminal_blocks: frozenset[int]
 
 
@@ -91,7 +89,6 @@ def block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
         return BlockCutTree(
             blocks=(only,),
             cut_vertices=frozenset(),
-            tree_edges=(),
             terminal_blocks=frozenset({0}),
         )
 
@@ -149,17 +146,10 @@ def block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
                     cuts.add(u)
 
     blocks = tuple(sorted(raw_blocks, key=lambda b: tuple(sorted(b))))
-    tree_edges = tuple(
-        (i, c) for i, b in enumerate(blocks) for c in sorted(b & cuts)
-    )
-    cut_degree = {i: 0 for i in range(len(blocks))}
-    for i, _ in tree_edges:
-        cut_degree[i] += 1
-    terminal = frozenset(i for i, d in cut_degree.items() if d <= 1)
+    terminal = frozenset(i for i, b in enumerate(blocks) if len(b & cuts) <= 1)
     return BlockCutTree(
         blocks=blocks,
         cut_vertices=frozenset(cuts),
-        tree_edges=tree_edges,
         terminal_blocks=terminal,
     )
 

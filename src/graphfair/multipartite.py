@@ -113,7 +113,6 @@ def allocate_bounded_multipartite(
     parts: Sequence[frozenset[str]],
     agents: Sequence[Agent],
     targets: Mapping[int, Value],
-    audit: list | None = None,
 ) -> Allocation:
     """Serve every agent a connected bundle worth a quarter of her target.
 
@@ -150,7 +149,6 @@ def allocate_bounded_multipartite(
     pieces2, left2 = _carve_side(split.v2, [by_id[i] for i in split.n2], targets)
 
     bundles: dict[int, set[str]] = {}
-    spare_of: dict[int, str] = {}
     for pieces, spare_pool in ((pieces1, left2), (pieces2, left1)):
         for aid, piece in pieces:
             bundles[aid] = set(piece)
@@ -159,29 +157,15 @@ def allocate_bounded_multipartite(
             spare = min(spare_pool)
             spare_pool.remove(spare)
             bundles[aid].add(spare)
-            spare_of[aid] = spare
     leftovers = sorted(left1 + left2)
     dump = min(bundles)
     bundles[dump].update(leftovers)
 
     out = {aid: frozenset(b) for aid, b in bundles.items()}
-    if audit is not None:
-        audit.append(
-            {
-                "kind": "mp_bounded",
-                "v1": sorted(split.v1),
-                "v2": sorted(split.v2),
-                "n1": list(split.n1),
-                "n2": list(split.n2),
-                "pieces": [(aid, sorted(p)) for aid, p in pieces1 + pieces2],
-                "spares": dict(spare_of),
-                "dump": dump,
-            }
-        )
     return finish_allocation(agents, targets, out, QUARTER)
 
 
-def allocate_multipartite(inst: Instance, audit: list | None = None) -> Allocation:
+def allocate_multipartite(inst: Instance) -> Allocation:
     """Allocate with guarantee 1/4 of each agent's share over packings.
 
     The instance graph must be connected complete multipartite with at least
@@ -198,6 +182,6 @@ def allocate_multipartite(inst: Instance, audit: list | None = None) -> Allocati
         # An induced subgraph of a complete multipartite graph is complete
         # multipartite, so recognize always finds the parts.
         parts = recognize(sub.graph).parts
-        return allocate_bounded_multipartite(sub.graph, parts, sub.agents, ts, audit)
+        return allocate_bounded_multipartite(sub.graph, parts, sub.agents, ts)
 
-    return allocate_reduction(inst, QUARTER, solver, audit=audit)
+    return allocate_reduction(inst, QUARTER, solver)

@@ -136,7 +136,6 @@ def allocate_reduction(
     alpha: Value,
     connected_solver: ConnectedSolver,
     share_records: Mapping[int, oracle.MmsRecord] | None = None,
-    audit: list | None = None,
 ) -> Allocation:
     """Full pipeline: peel, split into components, serve each via the solver.
 
@@ -174,54 +173,28 @@ def allocate_reduction(
             bundles[aid] = frozenset()
         pending = []
 
-    # Route agents to components up front so the audit trail exposes the
-    # whole plan before any solver runs.
-    plan: list[tuple[frozenset[str], int, list[int]]] = []
+    capacities: list[int] = []
     for comp in state.components:
-        if not pending:
-            plan.append((comp, 0, []))
-            continue
         # f(i, j) of the module docstring, for this component j.
         f = {aid: _bundles_inside(share_records[aid].witness, comp) for aid in pending}
         ranked = sorted(pending, key=lambda aid: (-f[aid], aid))
         k = compute_kj([f[aid] for aid in ranked])
-        chosen = ranked[:k]
-        plan.append((comp, k, chosen))
-        for aid in chosen:
-            pending.remove(aid)
-    if pending:
-        raise StructuralError(
-            f"agents {pending} were never routed to a component; "
-            f"component capacities were {[k for _, k, _ in plan]}"
-        )
-    if audit is not None:
-        audit.append(
-            {
-                "kind": "peel",
-                "heavy": list(state.heavy),
-                "residual": list(state.residual_agents),
-                "ks": [k for _, k, _ in plan],
-            }
-        )
-
-    for comp, k, chosen in plan:
+        capacities.append(k)
         if k == 0:
             continue
+        chosen = ranked[:k]
+        for aid in chosen:
+            pending.remove(aid)
         sub_graph = inst.graph.induced(comp)
         sub_inst = Instance(graph=sub_graph, agents=tuple(inst.agent(aid) for aid in chosen))
         targets = {aid: oracle.mms(sub_graph, inst.agent(aid), k).value for aid in chosen}
-        if audit is not None:
-            audit.append(
-                {
-                    "kind": "component",
-                    "vertices": sorted(comp),
-                    "k": k,
-                    "agents": list(chosen),
-                    "targets": dict(targets),
-                }
-            )
         sub_alloc = connected_solver(sub_inst, targets)
         for aid in chosen:
             bundles[aid] = sub_alloc.bundle_of(aid)
+    if pending:
+        raise StructuralError(
+            f"agents {pending} were never routed to a component; "
+            f"component capacities were {capacities}"
+        )
 
     return finish_allocation(inst.agents, shares, bundles, alpha)

@@ -78,9 +78,8 @@ class OwnedPacking:
 
 @dataclass
 class PackingSequence:
-    """A group of 2^level packings in which each I-vertex sits exactly once."""
+    """2^ell packings after ell merge rounds; each I-vertex sits in exactly one."""
 
-    level: int
     packings: list[OwnedPacking]
 
 
@@ -89,7 +88,6 @@ def merge_packings(
     right: PackingSequence,
     utilities: Sequence[Mapping[str, Value]],
     independent: frozenset[str],
-    audit: list | None = None,
 ) -> PackingSequence:
     """Resolve I-vertices contested between two sequences.
 
@@ -111,7 +109,6 @@ def merge_packings(
             raise StructuralError(
                 f"vertex {v!r} appears in {len(locs.get(v, ()))} packings, expected 2"
             )
-    before = [[sorted(b & independent) for b in pack.bundles] for pack in packs]
 
     contested = set(locs)
     current: tuple[int, int] | None = None
@@ -131,24 +128,7 @@ def merge_packings(
         contested.discard(v)
         current = twin
 
-    merged = PackingSequence(level=left.level + 1, packings=packs)
-    if audit is not None:
-        audit.append(
-            {
-                "kind": "split_merge",
-                "level": merged.level,
-                "bundles": [
-                    {
-                        "slot": pack.slot,
-                        "before": before[pi][bi],
-                        "after": sorted(pack.bundles[bi] & independent),
-                    }
-                    for pi, pack in enumerate(packs)
-                    for bi in range(len(pack.bundles))
-                ],
-            }
-        )
-    return merged
+    return PackingSequence(packings=packs)
 
 
 def _bundle_value(util: Mapping[str, Value], bundle) -> Value:
@@ -162,7 +142,6 @@ def build_packing_sequence(
     split_pair: tuple[frozenset[str], frozenset[str]],
     type_utilities: Sequence[Mapping[str, Value]],
     mms_partitions: Sequence[Packing],
-    audit: list | None = None,
 ) -> PackingSequence:
     """Run the full tournament over 2^k slots and check the retention floor.
 
@@ -184,13 +163,13 @@ def build_packing_sequence(
     for s in range(count):
         bundles = [set(vs) for _, vs in mms_partitions[s].bundles]
         floors.append(min(_bundle_value(type_utilities[s], b) for b in bundles))
-        seqs.append(PackingSequence(level=0, packings=[OwnedPacking(s, bundles)]))
+        seqs.append(PackingSequence(packings=[OwnedPacking(s, bundles)]))
 
     level = 0
     while len(seqs) > 1:
         level += 1
         seqs = [
-            merge_packings(seqs[i], seqs[i + 1], type_utilities, independent, audit)
+            merge_packings(seqs[i], seqs[i + 1], type_utilities, independent)
             for i in range(0, len(seqs), 2)
         ]
         for seq in seqs:
@@ -295,7 +274,6 @@ def _allocate_bounded_split(
     sub: Instance,
     targets: Mapping[int, Value],
     k: int,
-    audit: list | None = None,
 ) -> Allocation:
     """Serve a bounded sub-instance on a connected split graph.
 
@@ -336,17 +314,7 @@ def _allocate_bounded_split(
     slots = types + [types[-1]] * (2**k - len(types))
     type_utilities = [rep[t].utility for t in slots]
     mms_partitions = [records[t].witness for t in slots]
-    if audit is not None:
-        audit.append(
-            {
-                "kind": "split_call",
-                "vertices": list(sub.graph.vertices),
-                "agents": sorted(a.id for a in agents),
-                "slot_types": list(slots),
-                "targets": {a.id: targets[a.id] for a in agents},
-            }
-        )
-    seq = build_packing_sequence((clique, independent), type_utilities, mms_partitions, audit)
+    seq = build_packing_sequence((clique, independent), type_utilities, mms_partitions)
     kern = contract_to_kernel(sub.graph, (clique, independent), seq, agents)
 
     kernel_targets = {a.id: oracle.mms(kern.graph, a, n).value for a in kern.agents}
@@ -362,26 +330,10 @@ def _allocate_bounded_split(
         grown = set(core_part)
         grown.update(v for v, w in kern.anchors.items() if w in core_part)
         bundles[a.id] = frozenset(grown)
-
-    if audit is not None:
-        audit.append(
-            {
-                "kind": "split_kernel",
-                "kernel": list(kern.graph.vertices),
-                "independent": sorted(independent),
-                "anchors": dict(kern.anchors),
-                "slot_of": dict(kern.slot_of),
-                "packings": [[sorted(b) for b in p.bundles] for p in seq.packings],
-                "modified": {a.id: dict(a.utility) for a in kern.agents},
-                "kernel_targets": dict(kernel_targets),
-                "kernel_min_ratio": solved.min_ratio,
-                "targets": {a.id: targets[a.id] for a in agents},
-            }
-        )
     return finish_allocation(agents, targets, bundles, alpha)
 
 
-def allocate_split(inst: Instance, audit: list | None = None) -> Allocation:
+def allocate_split(inst: Instance) -> Allocation:
     """Allocate on a connected split graph.
 
     The guarantee depends on the number of distinct agent types p present in
@@ -399,6 +351,6 @@ def allocate_split(inst: Instance, audit: list | None = None) -> Allocation:
     k = (p - 1).bit_length()
 
     def solver(part: Instance, ts: Mapping[int, Value]) -> Allocation:
-        return _allocate_bounded_split(part, ts, k, audit)
+        return _allocate_bounded_split(part, ts, k)
 
-    return allocate_reduction(inst, split_alpha(k), solver, audit=audit)
+    return allocate_reduction(inst, split_alpha(k), solver)

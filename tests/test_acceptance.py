@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from graphfair import generators as gen
-from graphfair import cli, io, oracle
+from graphfair import blockcactus, cli, io, multipartite, oracle, reduction, splitgraph
 from graphfair.blockcactus import allocate_block_cactus
 from graphfair.core import Agent, GoodsGraph, GuaranteeViolationError, Instance
 from graphfair.multipartite import allocate_multipartite
@@ -102,45 +102,48 @@ def test_criterion_3_recurrence_closed_form():
     print(f"[criterion 3] PASS ({elapsed:.3f}s)")
 
 
-def test_criterion_4_block_cactus_suite():
+def test_criterion_4_block_cactus_suite(record):
     t0 = time.perf_counter()
+    bounded = record(blockcactus, "allocate_bounded")
+    reductions = record(blockcactus, "allocate_reduction")
+    carve_calls = record(blockcactus, "greedy_prefix_carve")
     absorbs = carves = 0
     for seed in range(200):
         inst = gen.gen_block_cactus(seed, 6 + seed % 7, 1 + seed % 4, 20)
         if seed % 3 == 0:
             inst = flat_instance(inst, f"flat:{seed}", lo=8, hi=12)
-        audit: list = []
-        alloc = allocate_block_cactus(inst, audit=audit)
+        for calls in (bounded, reductions, carve_calls):
+            calls.clear()
+        alloc = allocate_block_cactus(inst)
         cert = check_allocation(inst, alloc, Fraction(1, 2), certificate_records(inst))
         assert cert.passes, (seed, cert.notes, cert.min_ratio)
-        # Replay the recursion: after folding a rim (absorb) or carving a
-        # path prefix (carve), the remaining graph must still let every
-        # remaining agent reach her unchanged target.
-        for ev in audit:
-            if ev["kind"] not in ("absorb", "carve"):
-                continue
-            if len(ev["vertices"]) > oracle.DEFAULT_MAX_VERTICES:
-                continue
-            sub = inst.graph.induced(frozenset(ev["vertices"]))
-            n_ev = len(ev["agents"])
-            for aid in ev["agents"]:
-                probe = Agent(id=aid, type_id=aid, utility=ev["utilities"][aid])
-                assert oracle.mms(sub, probe, n_ev).value >= ev["targets"][aid], (
-                    seed,
-                    ev["kind"],
-                    aid,
-                )
-            absorbs += ev["kind"] == "absorb"
-            carves += ev["kind"] == "carve"
+        # Replay the recursion: every bounded call, including the one after
+        # each carve, and every absorb's re-entry into the reduction with
+        # the rim folded in, must still let every agent reach her unchanged
+        # target.  Only an absorb passes share records to the reduction.
+        folds = [c for c in reductions if c.kwargs.get("share_records") is not None]
+        states = [c.args for c in bounded] + [
+            (
+                c.args[0].graph,
+                c.args[0].agents,
+                {aid: rec.value for aid, rec in c.kwargs["share_records"].items()},
+            )
+            for c in folds
+        ]
+        for graph, agents, targets in states:
+            for a in agents:
+                assert oracle.mms(graph, a, len(agents)).value >= targets[a.id], (seed, a.id)
+        absorbs += len(folds)
+        carves += len(carve_calls)
     assert absorbs > 0 and carves > 0, (absorbs, carves)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 600, elapsed
     print(f"[criterion 4] PASS (absorb={absorbs}, carve={carves}, {elapsed:.1f}s)")
 
 
-def test_criterion_5_multipartite_suite():
+def test_criterion_5_multipartite_suite(record):
     t0 = time.perf_counter()
-    bounded = 0
+    bounded_calls = record(multipartite, "allocate_bounded_multipartite")
     for seed in range(200):
         if seed % 3 == 2:
             inst = flat_instance(
@@ -150,23 +153,25 @@ def test_criterion_5_multipartite_suite():
             na = 1 + seed % 3
             nv = {1: 4 + seed % 9, 2: 10 + seed % 3, 3: 11 + seed % 2}[na]
             inst = gen.gen_multipartite(seed, nv, na, 20)
-        audit: list = []
         try:
-            alloc = allocate_multipartite(inst, audit=audit)
+            alloc = allocate_multipartite(inst)
         except GuaranteeViolationError as exc:
             raise AssertionError(f"runtime assertion fired at seed {seed}: {exc}")
         cert = check_allocation(inst, alloc, Fraction(1, 4), certificate_records(inst))
         assert cert.passes, (seed, cert.notes, cert.min_ratio)
-        bounded += sum(1 for ev in audit if ev["kind"] == "mp_bounded")
+    # calls with one agent hand her the whole graph and skip the split
+    bounded = sum(1 for c in bounded_calls if len(c.args[2]) >= 2)
     assert bounded > 0  # the bounded path must actually be exercised
     elapsed = time.perf_counter() - t0
     assert elapsed <= 600, elapsed
     print(f"[criterion 5] PASS (bounded calls={bounded}, {elapsed:.1f}s)")
 
 
-def test_criterion_6_split_suite():
+def test_criterion_6_split_suite(record):
     t0 = time.perf_counter()
-    merges = kernels = 0
+    merge_calls = record(splitgraph, "merge_packings")
+    kernel_calls = record(splitgraph, "contract_to_kernel")
+    kernel_solves = record(oracle, "max_min_ratio_allocation")
     for seed in range(200):
         if seed % 3 == 2:
             inst = flat_instance(
@@ -177,40 +182,43 @@ def test_criterion_6_split_suite():
             inst = gen.gen_split(seed, 4 + seed % 9, 1 + seed % 4, 20)
         p = len({a.type_id for a in inst.agents})
         alpha = split_alpha((p - 1).bit_length())
-        audit: list = []
-        alloc = allocate_split(inst, audit=audit)
+        alloc = allocate_split(inst)
         assert alloc.target_alpha == alpha, seed
         cert = check_allocation(inst, alloc, alpha, certificate_records(inst))
         assert cert.passes, (seed, cert.notes, cert.min_ratio)
-
-        type_util = {a.type_id: a.utility for a in inst.agents}
-        slot_types: dict[int, int] = {}
-        for ev in audit:
-            if ev["kind"] == "split_call":
-                slot_types = dict(enumerate(ev["slot_types"]))
-            elif ev["kind"] == "split_merge":
-                merges += 1
-                for entry in ev["bundles"]:
-                    util = type_util[slot_types[entry["slot"]]]
-                    assert set(entry["after"]) <= set(entry["before"]), seed
-                    before = sorted((util[v] for v in entry["before"]), reverse=True)
-                    after = sorted((util[v] for v in entry["after"]), reverse=True)
-                    # losing a contested vertex is always paid for by a kept
-                    # one: the j-th best survivor beats the 2j-th best original
-                    for j in range(1, len(before) // 2 + 1):
-                        assert after[j - 1] >= before[2 * j - 1], (seed, entry)
-            elif ev["kind"] == "split_kernel":
-                kernels += 1
-                assert ev["kernel_min_ratio"] >= Fraction(3, 4), seed
-                kern = set(ev["kernel"])
-                for aid, slot in ev["slot_of"].items():
-                    util = type_util[slot_types[slot]]
-                    mod = ev["modified"][aid]
-                    for bundle in ev["packings"][slot]:
-                        folded = sum((mod[v] for v in set(bundle) & kern), Fraction(0))
-                        full = sum((util[v] for v in bundle), Fraction(0))
-                        assert folded == full, (seed, aid, bundle)
+    merges, kernels = len(merge_calls), len(kernel_calls)
     assert merges > 0 and kernels > 0, (merges, kernels)
+
+    for call in merge_calls:
+        left, right, utilities, independent = call.args
+        packs = left.packings + right.packings
+        assert [p.slot for p in call.result.packings] == [p.slot for p in packs]
+        for old, new in zip(packs, call.result.packings):
+            util = utilities[old.slot]
+            assert len(new.bundles) == len(old.bundles)
+            for was, now in zip(old.bundles, new.bundles):
+                assert now - independent == was - independent, (was, now)
+                assert now <= was, (was, now)
+                before = sorted((util[v] for v in was & independent), reverse=True)
+                after = sorted((util[v] for v in now & independent), reverse=True)
+                # losing a contested vertex is always paid for by a kept
+                # one: the j-th best survivor beats the 2j-th best original
+                for j in range(1, len(before) // 2 + 1):
+                    assert after[j - 1] >= before[2 * j - 1], (was, now)
+
+    # Folding keeps each bundle's value to the owner of its packing, and
+    # the complete-graph solve on every kernel reaches 3/4.
+    for call in kernel_calls:
+        _, _, seq, agents = call.args
+        kern = call.result
+        kernel_vertices = frozenset(kern.graph.vertices)
+        for a, folded_agent in zip(agents, kern.agents):
+            assert folded_agent.id == a.id
+            for bundle in seq.packings[kern.slot_of[a.id]].bundles:
+                folded = folded_agent.value(bundle & kernel_vertices)
+                assert folded == a.value(bundle), (a.id, bundle)
+    assert len(kernel_solves) == kernels
+    assert all(c.result.min_ratio >= Fraction(3, 4) for c in kernel_solves)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 900, elapsed
     print(f"[criterion 6] PASS (merges={merges}, kernels={kernels}, {elapsed:.1f}s)")
@@ -231,8 +239,9 @@ def plant_heavy(inst: Instance, seed: int) -> Instance:
     return Instance(graph=inst.graph, agents=agents)
 
 
-def test_criterion_7_reduction_suite():
+def test_criterion_7_reduction_suite(record):
     t0 = time.perf_counter()
+    peels = record(reduction, "peel_heavy_vertices")
     for seed in range(100):
         cls = seed % 3
         if cls == 0:
@@ -247,13 +256,20 @@ def test_criterion_7_reduction_suite():
             na = 2 + seed % 3
             inst = plant_heavy(gen.gen_split(seed, 8 + seed % 5, na, 20, n_types=na), seed)
             allocate, alpha = allocate_split, split_alpha((na - 1).bit_length())
-        audit: list = []
-        alloc = allocate(inst, audit=audit)
+        peels.clear()
+        alloc = allocate(inst)
         assert {aid for aid, _ in alloc.packing.bundles} == {a.id for a in inst.agents}
-        peel = next(ev for ev in audit if ev["kind"] == "peel")
-        assert 1 in {aid for _, aid in peel["heavy"]}, seed
-        assert len(peel["residual"]) == inst.n - len(peel["heavy"]), seed
-        assert sum(peel["ks"]) == len(peel["residual"]), (seed, peel)
+        # the first peel is the top-level one; later peels are re-entries
+        peel = peels[0].result
+        assert 1 in {aid for _, aid in peel.heavy}, seed
+        assert len(peel.residual_agents) == inst.n - len(peel.heavy), seed
+        # every heavy pick is final and every other agent was routed to a
+        # component, which serves her inside it
+        for v, aid in peel.heavy:
+            assert alloc.bundle_of(aid) == frozenset({v}), (seed, aid)
+        for aid in peel.residual_agents:
+            bundle = alloc.bundle_of(aid)
+            assert bundle and any(bundle <= comp for comp in peel.components), (seed, aid)
         cert = check_allocation(inst, alloc, alpha, certificate_records(inst))
         assert cert.passes, (seed, cert.notes, cert.min_ratio)
     elapsed = time.perf_counter() - t0

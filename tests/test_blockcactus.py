@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphfair import oracle
+from graphfair import blockcactus, oracle, reduction
 from graphfair.blockcactus import (
     allocate_block_cactus,
     allocate_bounded,
@@ -58,60 +58,72 @@ def test_triangle_pendant_allocates_at_half():
     assert cert.passes, (cert.notes, cert.min_ratio)
 
 
-def test_single_block_is_solved_directly():
+def record_steps(record):
+    """Record the bounded solver's three exits: exact solve, carve, absorb."""
+    return (
+        record(oracle, "max_min_ratio_allocation"),
+        record(blockcactus, "greedy_prefix_carve"),
+        record(blockcactus, "allocate_reduction"),
+    )
+
+
+def test_single_block_is_solved_directly(record):
     g = GoodsGraph.build(
         ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]
     )
     agents = flat_agents(g, 2)
-    audit: list = []
-    alloc = allocate_bounded(g, agents, {1: Fraction(10), 2: Fraction(10)}, audit=audit)
-    assert [ev["kind"] for ev in audit] == ["base"]
+    solves, carves, absorbs = record_steps(record)
+    alloc = allocate_bounded(g, agents, {1: Fraction(10), 2: Fraction(10)})
+    assert (len(solves), carves, absorbs) == (1, [], [])
     assert alloc.min_ratio >= HALF
 
 
-def test_case_two_carves_the_terminal_cycle():
+def test_case_two_carves_the_terminal_cycle(record):
     g = cycle_with_pendant()
     agents = flat_agents(g, 2)
     # the rim of the 5-cycle is worth 40 to everyone, above both targets,
     # so the bounded call must take the carve branch
-    audit: list = []
-    alloc = allocate_bounded(g, agents, {1: Fraction(25), 2: Fraction(25)}, audit=audit)
-    assert [ev["kind"] for ev in audit] == ["carve"]
+    solves, carves, absorbs = record_steps(record)
+    rest = record(blockcactus, "allocate_bounded")
+    alloc = allocate_bounded(g, agents, {1: Fraction(25), 2: Fraction(25)})
+    assert (solves, len(carves), absorbs) == ([], 1, [])
     assert alloc.bundle_of(1) == frozenset({"v1", "v2"})
     assert alloc.bundle_of(2) == frozenset({"v3", "v4"})
     assert alloc.per_agent_ratio == {1: Fraction(4, 5), 2: Fraction(4, 5)}
-    # post-state snapshot: carved pieces and their owners are gone
-    ev = audit[0]
-    assert set(ev["vertices"]) == {"v5", "w"}
-    assert ev["agents"] == []
+    # the recursive call after the carve: pieces and their owners are gone
+    (call,) = rest
+    rest_graph, rest_agents, _ = call.args
+    assert set(rest_graph.vertices) == {"v5", "w"}
+    assert list(rest_agents) == []
 
 
-def test_case_one_absorbs_a_light_rim():
+def test_case_one_absorbs_a_light_rim(record):
     g = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
     agents = flat_agents(g, 2)
     # both terminal rims are single vertices worth 10 < 15
-    audit: list = []
-    alloc = allocate_bounded(g, agents, {1: Fraction(15), 2: Fraction(15)}, audit=audit)
-    assert audit[0]["kind"] == "absorb"
-    folded = audit[0]
-    assert len(folded["vertices"]) == 2  # rim merged into its cut vertex
+    _, carves, absorbs = record_steps(record)
+    alloc = allocate_bounded(g, agents, {1: Fraction(15), 2: Fraction(15)})
+    assert carves == [] and len(absorbs) == 1
+    folded = absorbs[0].args[0]
+    assert len(folded.graph) == 2  # rim merged into its cut vertex
     # every agent still reaches half her unchanged target
     for aid in (1, 2):
         got = agents[aid - 1].value(alloc.bundle_of(aid))
         assert got >= Fraction(15, 2)
-    # the folded cut vertex carries the rim's value in the snapshot
-    merged_values = sorted(folded["utilities"][1].values())
+    # the folded cut vertex carries the rim's value into the reduction
+    merged_values = sorted(folded.agent(1).utility[v] for v in folded.graph.vertices)
     assert merged_values == [Fraction(10), Fraction(20)]
 
 
-def test_flat_profile_runs_bounded_path_end_to_end():
+def test_flat_profile_runs_bounded_path_end_to_end(record):
     g = cycle_with_pendant()
     inst = Instance(graph=g, agents=flat_agents(g, 2))
-    audit: list = []
-    alloc = allocate_block_cactus(inst, audit=audit)
+    peels = record(reduction, "peel_heavy_vertices")
+    bounded = record(blockcactus, "allocate_bounded")
+    alloc = allocate_block_cactus(inst)
     # nothing peels: every vertex is 10, the threshold is 30/2
-    assert audit[0]["kind"] == "peel" and audit[0]["heavy"] == []
-    assert any(ev["kind"] in ("carve", "absorb", "base") for ev in audit)
+    assert peels[0].result.heavy == []
+    assert any(len(call.args[1]) >= 2 for call in bounded)
     records = {a.id: oracle.pmms(g, a, 2) for a in inst.agents}
     assert check_allocation(inst, alloc, HALF, records).passes
 

@@ -203,6 +203,21 @@ def test_batch_non_int_trial_field_exit_2(tmp_path, capsys):
         assert f"trial {name} must be an integer" in capsys.readouterr().err
 
 
+def test_batch_trial_without_class_exit_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps({"trials": [{"count": 1, "seed": 1, "vertices": 6, "agents": 2}]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "report.csv"
+    assert cli.main(["batch", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert 'missing "class"' in err
+    for cls in ("block-cactus", "multipartite", "split"):
+        assert cls in err
+    assert "auto" not in err
+
+
 def test_console_script_round_trip(tmp_path):
     # The child imports the package from where this process found it, which
     # may be a path pytest added rather than one on PYTHONPATH.

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphfair import oracle
+from graphfair import multipartite as mp, oracle
 from graphfair.core import (
     Agent,
     ClassMismatchError,
@@ -77,22 +77,23 @@ def test_make_bipart_split_needs_a_leftover_part():
         make_bipart_split(parts, agents, 2)
 
 
-def test_bounded_call_serves_everyone_a_quarter():
+def test_bounded_call_serves_everyone_a_quarter(record):
     g = multipartite(5, 5)
     parts = sorted(recognize(g).parts, key=lambda p: (len(p), sorted(p)))
     agents = flat_agents(g, 2)
     targets = {a.id: oracle.mms(g, a, 2).value for a in agents}
     assert targets == {1: Fraction(50), 2: Fraction(50)}
-    audit: list = []
-    alloc = allocate_bounded_multipartite(g, parts, agents, targets, audit=audit)
+    splits = record(mp, "make_bipart_split")
+    alloc = allocate_bounded_multipartite(g, parts, agents, targets)
     assert is_partition_of(alloc.packing, g)
     assert packing_problems(alloc.packing, g) == []
     for a in agents:
         assert a.value(alloc.bundle_of(a.id)) >= QUARTER * targets[a.id]
-    ev = next(e for e in audit if e["kind"] == "mp_bounded")
+    (call,) = splits
+    split = call.result
     # flat ties put both agents on v1, each served agent draws a spare from v2
-    assert set(ev["n1"]) == {1, 2}
-    assert len(ev["spares"]) == 2
+    assert set(split.n1) == {1, 2}
+    assert all(alloc.bundle_of(a.id) & split.v2 for a in agents)
 
 
 def test_bounded_call_rejects_small_graphs():
@@ -117,14 +118,14 @@ def test_bounded_call_input_checks():
     assert empty.packing.bundles == ()
 
 
-def test_allocate_multipartite_end_to_end_flat():
+def test_allocate_multipartite_end_to_end_flat(record):
     g = multipartite(4, 6)
     inst = Instance(graph=g, agents=flat_agents(g, 2))
-    audit: list = []
-    alloc = allocate_multipartite(inst, audit=audit)
+    bounded = record(mp, "allocate_bounded_multipartite")
+    alloc = allocate_multipartite(inst)
     records = {a.id: oracle.pmms(g, a, 2) for a in inst.agents}
     assert check_allocation(inst, alloc, QUARTER, records).passes
-    assert any(ev["kind"] == "mp_bounded" for ev in audit)
+    assert any(len(call.args[2]) >= 2 for call in bounded)
 
 
 def test_allocate_multipartite_single_agent():

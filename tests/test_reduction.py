@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphfair import oracle
+from graphfair import oracle, reduction
 from graphfair.core import (
     Agent,
     Allocation,
@@ -37,6 +37,16 @@ def whole_component_solver(sub: Instance, targets) -> Allocation:
     aid = sub.agents[0].id
     packing = Packing(bundles=((aid, frozenset(sub.graph.vertices)),))
     return Allocation(packing=packing, target_alpha=Fraction(1), per_agent_ratio={aid: Fraction(1)})
+
+
+def recording(solver, calls: list):
+    """Wrap a connected solver so it logs each (sub-instance, targets) it serves."""
+
+    def run(sub: Instance, targets) -> Allocation:
+        calls.append((sub, targets))
+        return solver(sub, targets)
+
+    return run
 
 
 def test_compute_kj():
@@ -87,28 +97,27 @@ def test_peel_is_maximal():
     assert state.residual_agents == []
 
 
-def test_allocate_reduction_peel_then_component():
+def test_allocate_reduction_peel_then_component(record):
     g = path(["a", "b", "c", "d", "e", "f"])
     inst = inst_of(
         g,
         {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1, "f": 100},
         {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1, "f": 1},
     )
-    audit: list = []
-    alloc = allocate_reduction(inst, Fraction(1, 2), whole_component_solver, audit=audit)
+    peels = record(reduction, "peel_heavy_vertices")
+    served: list = []
+    solver = recording(whole_component_solver, served)
+    alloc = allocate_reduction(inst, Fraction(1, 2), solver)
 
-    peel = audit[0]
-    assert peel["kind"] == "peel"
-    assert peel["heavy"] == [("f", 1)]
-    assert peel["residual"] == [2]
-    assert peel["ks"] == [1]
+    (peel,) = peels
+    assert peel.result.heavy == [("f", 1)]
+    assert peel.result.residual_agents == [2]
 
-    comp = audit[1]
-    assert comp["kind"] == "component"
-    assert comp["vertices"] == ["a", "b", "c", "d", "e"]
-    assert comp["k"] == 1 and comp["agents"] == [2]
+    (comp, targets), = served
+    assert sorted(comp.graph.vertices) == ["a", "b", "c", "d", "e"]
+    assert [a.id for a in comp.agents] == [2]
     # target is the 1-bundle share of the component, the whole path
-    assert comp["targets"] == {2: Fraction(5)}
+    assert targets == {2: Fraction(5)}
 
     assert alloc.bundle_of(1) == frozenset({"f"})
     assert alloc.bundle_of(2) == frozenset({"a", "b", "c", "d", "e"})
@@ -117,7 +126,7 @@ def test_allocate_reduction_peel_then_component():
     assert alloc.per_agent_ratio[2] == Fraction(5, 3)
 
 
-def test_allocate_reduction_routes_two_components():
+def test_allocate_reduction_routes_two_components(record):
     g = GoodsGraph.build(["a", "b", "x", "y"], [("a", "b"), ("x", "y")])
     inst = inst_of(
         g,
@@ -134,10 +143,13 @@ def test_allocate_reduction_routes_two_components():
         aid: oracle.MmsRecord(agent_id=aid, n=2, value=Fraction(11), witness=rec.witness)
         for aid, rec in records.items()
     }
-    audit: list = []
-    alloc = allocate_reduction(inst, Fraction(1, 2), whole_component_solver, share_records=fake, audit=audit)
-    assert audit[0]["heavy"] == []
-    assert audit[0]["ks"] == [1, 1]
+    peels = record(reduction, "peel_heavy_vertices")
+    served: list = []
+    solver = recording(whole_component_solver, served)
+    alloc = allocate_reduction(inst, Fraction(1, 2), solver, share_records=fake)
+    assert peels[0].result.heavy == []
+    assert len(peels[0].result.components) == 2
+    assert [sub.n for sub, _ in served] == [1, 1]
     assert alloc.bundle_of(1) == frozenset({"a", "b"})
     assert alloc.bundle_of(2) == frozenset({"x", "y"})
     assert alloc.per_agent_ratio == {1: Fraction(10, 11), 2: Fraction(10, 11)}

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphfair import oracle
+from graphfair import oracle, splitgraph
 from graphfair.core import (
     Agent,
     ClassMismatchError,
@@ -56,30 +56,28 @@ def test_merge_resolves_contested_vertices_along_a_chain():
         {"k1": Fraction(0), "k2": Fraction(0), "i1": Fraction(1), "i2": Fraction(5)},
     ]
     left = PackingSequence(
-        level=0, packings=[OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2", "i2"}])]
+        packings=[OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2", "i2"}])]
     )
     right = PackingSequence(
-        level=0, packings=[OwnedPacking(slot=1, bundles=[{"k1", "i1", "i2"}, {"k2"}])]
+        packings=[OwnedPacking(slot=1, bundles=[{"k1", "i1", "i2"}, {"k2"}])]
     )
-    audit: list = []
-    merged = merge_packings(left, right, utilities, frozenset({"i1", "i2"}), audit=audit)
-    assert merged.level == 1
+    independent = frozenset({"i1", "i2"})
+    merged = merge_packings(left, right, utilities, independent)
     assert [p.bundles for p in merged.packings] == [
         [{"k1", "i1"}, {"k2"}],
         [{"k1", "i2"}, {"k2"}],
     ]
     # inputs are untouched
     assert left.packings[0].bundles == [{"k1", "i1"}, {"k2", "i2"}]
-    ev = audit[0]
-    assert ev["kind"] == "split_merge" and ev["level"] == 1
-    entry = next(e for e in ev["bundles"] if e["before"] == ["i1", "i2"])
-    assert entry["after"] == ["i2"]
+    before = [b & independent for p in left.packings + right.packings for b in p.bundles]
+    after = [b & independent for p in merged.packings for b in p.bundles]
+    assert after[before.index({"i1", "i2"})] == {"i2"}
 
 
 def test_merge_requires_each_vertex_in_exactly_two_packings():
     utilities = [{"i1": Fraction(1)}, {"i1": Fraction(1)}]
-    once = PackingSequence(level=0, packings=[OwnedPacking(slot=0, bundles=[{"i1"}])])
-    never = PackingSequence(level=0, packings=[OwnedPacking(slot=1, bundles=[set()])])
+    once = PackingSequence(packings=[OwnedPacking(slot=0, bundles=[{"i1"}])])
+    never = PackingSequence(packings=[OwnedPacking(slot=1, bundles=[set()])])
     with pytest.raises(StructuralError):
         merge_packings(once, never, utilities, frozenset({"i1"}))
 
@@ -87,7 +85,6 @@ def test_merge_requires_each_vertex_in_exactly_two_packings():
 def test_contract_folds_into_own_slot_only():
     g = split_graph_2x2()
     seq = PackingSequence(
-        level=1,
         packings=[
             OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2"}]),
             OwnedPacking(slot=1, bundles=[{"k1"}, {"k2", "i2"}]),
@@ -117,20 +114,19 @@ def test_contract_rejects_stranded_vertices():
     agents = (Agent(id=1, type_id=1, utility={v: Fraction(1) for v in g.vertices}),)
 
     lonely = PackingSequence(
-        level=0, packings=[OwnedPacking(slot=0, bundles=[{"i1"}, {"k1", "k2", "i2"}])]
+        packings=[OwnedPacking(slot=0, bundles=[{"i1"}, {"k1", "k2", "i2"}])]
     )
     with pytest.raises(GuaranteeViolationError):
         contract_to_kernel(g, pair, lonely, agents)
 
     doubled = PackingSequence(
-        level=0,
         packings=[OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2", "i1", "i2"}])],
     )
     with pytest.raises(StructuralError):
         contract_to_kernel(g, pair, doubled, agents)
 
     dropped = PackingSequence(
-        level=0, packings=[OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2"}])]
+        packings=[OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2"}])]
     )
     with pytest.raises(StructuralError):
         contract_to_kernel(g, pair, dropped, agents)
@@ -154,7 +150,7 @@ def test_star_one_type_allocates_at_three_quarters():
     assert check_allocation(inst, alloc, Fraction(3, 4), records).passes
 
 
-def test_two_types_run_the_tournament():
+def test_two_types_run_the_tournament(record):
     verts = ["k1", "k2", "k3", "k4", "i1", "i2", "i3", "i4"]
     clique = [("k1", "k2"), ("k1", "k3"), ("k1", "k4"), ("k2", "k3"), ("k2", "k4"), ("k3", "k4")]
     g = GoodsGraph.build(verts, clique + [("k1", "i1"), ("k2", "i2"), ("k3", "i3"), ("k4", "i4")])
@@ -163,13 +159,16 @@ def test_two_types_run_the_tournament():
         graph=g,
         agents=(Agent(id=1, type_id=1, utility=u), Agent(id=2, type_id=2, utility=dict(u))),
     )
-    audit: list = []
-    alloc = allocate_split(inst, audit=audit)
+    steps = [
+        record(splitgraph, name)
+        for name in ("build_packing_sequence", "merge_packings", "contract_to_kernel")
+    ]
+    solves = record(oracle, "max_min_ratio_allocation")
+    alloc = allocate_split(inst)
     assert alloc.target_alpha == Fraction(3, 11)
-    kinds = [ev["kind"] for ev in audit]
-    assert "split_call" in kinds and "split_merge" in kinds and "split_kernel" in kinds
-    kernel = next(ev for ev in audit if ev["kind"] == "split_kernel")
-    assert kernel["kernel_min_ratio"] >= Fraction(3, 4)
+    assert all(steps)
+    (kernel_solve,) = solves
+    assert kernel_solve.result.min_ratio >= Fraction(3, 4)
     records = {a.id: oracle.pmms(g, a, 2) for a in inst.agents}
     assert check_allocation(inst, alloc, Fraction(3, 11), records).passes
 
