@@ -104,18 +104,13 @@ def allocate_bounded(
             utility[v] = a.value(block)
             folded.append(Agent(id=a.id, type_id=a.type_id, utility=utility))
         records = {
-            a.id: oracle.MmsRecord(
-                agent_id=a.id,
-                n=n,
-                value=targets[a.id],
-                witness=oracle.mms(sub_graph, a, n).witness,
-            )
+            a.id: oracle.MmsRecord(value=targets[a.id], witness=oracle.mms(sub_graph, a, n).witness)
             for a in folded
         }
         inner = allocate_reduction(
             Instance(graph=sub_graph, agents=tuple(folded)),
             HALF,
-            lambda sub, ts: allocate_bounded(sub.graph, sub.agents, ts),
+            allocate_bounded,
             share_records=records,
         )
         out = {a.id: inner.bundle_of(a.id) for a in agents}
@@ -162,8 +157,4 @@ def allocate_block_cactus(inst: Instance) -> Allocation:
         raise InvalidInputError("; ".join(problems))
     if not is_block_cactus_graph(inst.graph):
         raise ClassMismatchError("graph is not a block-cactus graph")
-    return allocate_reduction(
-        inst,
-        HALF,
-        lambda sub, ts: allocate_bounded(sub.graph, sub.agents, ts),
-    )
+    return allocate_reduction(inst, HALF, allocate_bounded)

@@ -59,7 +59,7 @@ def cmd_recognize(args) -> int:
         print("connected=false")
     print(" ".join(tokens) if tokens else "(no class flags)")
     if witness.parts is not None:
-        sizes = ",".join(str(len(p)) for p in witness.parts)
+        sizes = ",".join(str(size) for size in sorted(map(len, witness.parts)))
         print(f"parts=[{sizes}]")
     if witness.split_pair is not None:
         k, i = witness.split_pair
@@ -137,13 +137,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if cert.passes else EXIT_CERT_FAIL
 
 
-def cmd_gen(args) -> int:
+def _generate(cls: str, seed: int, vertices: int, agents: int, max_utility: int):
+    """The generated instance, or None after reporting sizes the generator rejects."""
     try:
-        inst = generators.generate(
-            getattr(args, "class"), args.seed, args.vertices, args.agents, args.max_utility
-        )
+        return generators.generate(cls, seed, vertices, agents, max_utility)
     except InvalidInputError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_gen(args) -> int:
+    inst = _generate(getattr(args, "class"), args.seed, args.vertices, args.agents, args.max_utility)
+    if inst is None:
         return EXIT_UNSUPPORTED
     text = io.canonical_dumps(io.instance_to_doc(inst))
     if args.out:
@@ -179,11 +184,11 @@ def cmd_batch(args) -> int:
     for trial in config.get("trials", []):
         if not isinstance(trial, dict):
             raise InvalidInputError("each trial must be an object")
-        if "class" not in trial:
-            raise InvalidInputError(
-                f'trial is missing "class", expected one of {sorted(generators.GENERATORS)}'
-            )
-        cls = trial["class"]
+        classes = sorted(generators.GENERATORS)
+        cls = trial.get("class")
+        if cls not in classes:
+            problem = f'unknown "class" {cls!r}' if "class" in trial else 'missing "class"'
+            raise InvalidInputError(f"bad trial: {problem}, expected one of {classes}")
         count = _trial_int(trial, "count", 1)
         base_seed = _trial_int(trial, "seed", 0)
         vertices = _trial_int(trial, "vertices", 10)
@@ -191,7 +196,9 @@ def cmd_batch(args) -> int:
         max_utility = _trial_int(trial, "max_utility", 20)
         for t in range(count):
             seed = base_seed + t
-            inst = generators.generate(cls, seed, vertices, agents, max_utility)
+            inst = _generate(cls, seed, vertices, agents, max_utility)
+            if inst is None:
+                return EXIT_UNSUPPORTED
             started = time.perf_counter()
             name, alloc = _dispatch(inst, cls)
             cert = check_allocation(inst, alloc, alloc.target_alpha)

@@ -160,7 +160,7 @@ class ClassWitness:
 
     flags may contain: connected, complete, cycle, tree, block_graph,
     cactus, block_cactus, complete_multipartite, split.  parts is the part
-    list for complete multipartite graphs, sorted by (size, members);
+    list for complete multipartite graphs, in order of smallest vertex;
     split_pair is a (clique, independent set) partition.
     """
 
@@ -221,7 +221,7 @@ def _multipartite_parts(graph: GoodsGraph) -> tuple[frozenset[str], ...] | None:
         same = part_of[a] == part_of[b]
         if same == graph.has_edge(a, b):
             return None
-    return tuple(sorted(parts, key=lambda p: (len(p), tuple(sorted(p)))))
+    return tuple(parts)
 
 
 def _maximal_cliques(graph: GoodsGraph):

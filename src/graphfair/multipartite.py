@@ -25,7 +25,6 @@ from .core import (
     GuaranteeViolationError,
     Instance,
     InvalidInputError,
-    Packing,
     Value,
     validate_instance,
 )
@@ -39,26 +38,26 @@ QUARTER = Fraction(1, 4)
 class BipartSplit:
     """A whole-part bisection of a complete multipartite vertex set.
 
-    V1 takes the ell smallest parts, just enough to reach n vertices; both
-    halves then hold at least n vertices and every V1-V2 pair is adjacent.
-    N1 holds the agents who weakly prefer V1, N2 the rest.
+    V1 takes the smallest parts, by (size, sorted members), just enough to
+    reach n vertices; both halves then hold at least n vertices and every
+    V1-V2 pair is adjacent.  N1 holds the agents who weakly prefer V1, N2 the
+    rest.
     """
 
     v1: frozenset[str]
     v2: frozenset[str]
     n1: tuple[int, ...]
     n2: tuple[int, ...]
-    ell: int
 
 
 def make_bipart_split(
     parts: Sequence[frozenset[str]], agents: Sequence[Agent], n: int
 ) -> BipartSplit:
-    sizes = [len(p) for p in parts]
+    parts = sorted(parts, key=lambda p: (len(p), sorted(p)))
     cum = 0
     ell = None
-    for idx, s in enumerate(sizes):
-        cum += s
+    for idx, p in enumerate(parts):
+        cum += len(p)
         if cum >= n:
             ell = idx + 1
             break
@@ -72,7 +71,7 @@ def make_bipart_split(
         raise GuaranteeViolationError("half sizes fell below the agent count")
     n1 = tuple(a.id for a in agents if a.value(v1) >= a.value(v2))
     n2 = tuple(a.id for a in agents if a.value(v1) < a.value(v2))
-    return BipartSplit(v1=v1, v2=v2, n1=n1, n2=n2, ell=ell)
+    return BipartSplit(v1=v1, v2=v2, n1=n1, n2=n2)
 
 
 def _carve_side(
@@ -117,24 +116,18 @@ def allocate_bounded_multipartite(
     """Serve every agent a connected bundle worth a quarter of her target.
 
     Preconditions: `parts` witnesses the graph as connected complete
-    multipartite, there are at least 5 vertices per agent (single-agent
-    calls take the whole graph and skip the split), and every vertex is
-    worth less than a quarter target to every agent.  The bundles output
-    partition the whole vertex set.
+    multipartite, there are at least two agents and at least 5 vertices per
+    agent, and every vertex is worth less than a quarter target to every
+    agent.  The bundles output partition the whole vertex set.
     """
-    if not agents:
-        return Allocation(packing=Packing(bundles=()), target_alpha=QUARTER, per_agent_ratio={})
     for a in agents:
         if targets[a.id] < 0:
             raise InvalidInputError(f"negative target for agent {a.id}")
     n = len(agents)
-
-    if n == 1:
-        return finish_allocation(agents, targets, {agents[0].id: frozenset(graph.vertices)}, QUARTER)
-
-    if len(graph) < 5 * n:
+    if n < 2 or len(graph) < 5 * n:
         raise GuaranteeViolationError(
-            f"need at least {5 * n} vertices for {n} agents, have {len(graph)}"
+            f"need two or more agents and 5 vertices per agent, "
+            f"have {n} agents and {len(graph)} vertices"
         )
     split = make_bipart_split(parts, agents, n)
     by_id = {a.id: a for a in agents}
@@ -178,10 +171,13 @@ def allocate_multipartite(inst: Instance) -> Allocation:
     if witness is None or witness.parts is None or len(witness.parts) < 2:
         raise ClassMismatchError("graph is not connected complete multipartite")
 
-    def solver(sub: Instance, ts: Mapping[int, Value]) -> Allocation:
+    def solver(
+        graph: GoodsGraph, agents: Sequence[Agent], ts: Mapping[int, Value]
+    ) -> Allocation:
         # An induced subgraph of a complete multipartite graph is complete
-        # multipartite, so recognize always finds the parts.
-        parts = recognize(sub.graph).parts
-        return allocate_bounded_multipartite(sub.graph, parts, sub.agents, ts)
+        # multipartite, and its parts are the whole graph's restricted to it.
+        vertices = frozenset(graph.vertices)
+        parts = [p & vertices for p in witness.parts if p & vertices]
+        return allocate_bounded_multipartite(graph, parts, agents, ts)
 
     return allocate_reduction(inst, QUARTER, solver)

@@ -21,10 +21,9 @@ search.
 
 Shares are cached per utility function: the key is the graph, the int
 weights, their scale and n, never the agent, and which share was asked for
-only when the graph has two or more components.  Agents of one type therefore
-share one search, and each gets the record under her own `agent_id` (repeated
-calls by one agent return the same record object).  The cache holds at most
-`_CACHE_LIMIT` utility functions and drops the oldest first.
+only when the graph has two or more components.  A record names no agent, so
+agents of one type share one search and receive the same record object.  The
+cache holds at most `_CACHE_LIMIT` records and drops the oldest first.
 
 The max-min ratio search compares value/target across agents.  It gives each
 agent ratio weights, her scaled utilities multiplied so that every agent's
@@ -35,7 +34,7 @@ These routines are meant for desk-scale inputs; everything refuses graphs
 larger than the configured cap (default 14 vertices).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -55,7 +54,7 @@ from .graphs import connected_components, is_connected
 
 DEFAULT_MAX_VERTICES = 14
 
-# Share cache: key -> {agent_id: MmsRecord}, one key per utility function.
+# Share cache: key -> MmsRecord, one key per utility function.
 _CACHE_LIMIT = 1024
 _cache: dict = {}
 
@@ -76,33 +75,21 @@ def _cap(graph: GoodsGraph, max_vertices: int | None) -> None:
 class MmsRecord:
     """An exact share value with a witness packing.
 
-    The witness labels are bundle slots 1..n, not agent ids.  An `mms`
-    witness covers the whole vertex set; a `pmms` witness may not, except on
-    a graph with at most one component, where the two shares are one record.
+    A record belongs to a utility function, not to an agent: every agent with
+    that utility function on that graph and bundle count n gets it.  The
+    witness has n bundles labelled with slots 1..n.  An `mms` witness covers
+    the whole vertex set; a `pmms` witness may not, except on a graph with at
+    most one component, where the two shares are one record.
     """
 
-    agent_id: int
-    n: int
     value: Value
     witness: Packing
-
-
-def _cached(key, agent_id: int) -> MmsRecord | None:
-    """The cached record for `key` labelled with `agent_id`, or None."""
-    by_agent = _cache.get(key)
-    if by_agent is None:
-        return None
-    record = by_agent.get(agent_id)
-    if record is None:
-        record = replace(next(iter(by_agent.values())), agent_id=agent_id)
-        by_agent[agent_id] = record
-    return record
 
 
 def _store(key, record: MmsRecord) -> None:
     if len(_cache) >= _CACHE_LIMIT:
         del _cache[next(iter(_cache))]
-    _cache[key] = {record.agent_id: record}
+    _cache[key] = record
 
 
 class _Mask:
@@ -259,7 +246,7 @@ def _share(
     if len(comps) > 1:
         # Only here can covering V change the share.
         key = (cover,) + key
-    hit = _cached(key, agent.id)
+    hit = _cache.get(key)
     if hit is not None:
         return hit
     if cover and len(comps) > n:
@@ -320,7 +307,7 @@ def _share(
         # rest are empty, and the share is 0.
         value = ZERO
         parts = tuple(1 << i for i in range(mk.m))
-    record = MmsRecord(agent_id=agent.id, n=n, value=value, witness=_witness_packing(mk, parts, n))
+    record = MmsRecord(value=value, witness=_witness_packing(mk, parts, n))
     _store(key, record)
     return record
 

@@ -15,9 +15,10 @@ component target, which is exactly the boundedness the per-component solvers
 need.
 
 A lone agent skips both stages: she takes the witness bundle of her share,
-which is the most valuable component whole.  Every allocator ends with the
-same check, finish_allocation, which raises when a bundle falls short of
-alpha times its target.
+which is the most valuable component whole.  Likewise a component that
+serves one agent is hers whole, so the solvers only ever see two or more
+agents.  Every allocator ends with the same check, finish_allocation, which
+raises when a bundle falls short of alpha times its target.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from typing import Callable, Mapping, Sequence
 from .core import (
     Agent,
     Allocation,
+    GoodsGraph,
     GuaranteeViolationError,
     Instance,
     Packing,
@@ -36,10 +38,10 @@ from .core import (
 from .graphs import connected_components
 from . import oracle
 
-# A connected solver takes a sub-instance (connected graph, the agents to
-# serve) plus a target per agent, and returns an Allocation whose bundles
-# meet alpha times the targets.
-ConnectedSolver = Callable[[Instance, Mapping[int, Value]], Allocation]
+# A connected solver takes a connected graph, the two or more agents to serve
+# on it and a target per agent, and returns an Allocation whose bundles meet
+# alpha times the targets.
+ConnectedSolver = Callable[[GoodsGraph, Sequence[Agent], Mapping[int, Value]], Allocation]
 
 
 @dataclass
@@ -151,10 +153,10 @@ def allocate_reduction(
             a.id: oracle.pmms(inst.graph, a, inst.n) for a in inst.agents
         }
         if inst.n == 1:
-            rec = share_records[inst.agents[0].id]
-            bundle = rec.witness.bundles[0][1]
+            aid = inst.agents[0].id
+            rec = share_records[aid]
             return finish_allocation(
-                inst.agents, {rec.agent_id: rec.value}, {rec.agent_id: bundle}, alpha
+                inst.agents, {aid: rec.value}, {aid: rec.witness.bundles[0][1]}, alpha
             )
     shares = {aid: rec.value for aid, rec in share_records.items()}
 
@@ -182,15 +184,17 @@ def allocate_reduction(
         capacities.append(k)
         if k == 0:
             continue
-        chosen = ranked[:k]
-        for aid in chosen:
-            pending.remove(aid)
+        chosen = [inst.agent(aid) for aid in ranked[:k]]
+        for a in chosen:
+            pending.remove(a.id)
+        if k == 1:
+            bundles[chosen[0].id] = comp
+            continue
         sub_graph = inst.graph.induced(comp)
-        sub_inst = Instance(graph=sub_graph, agents=tuple(inst.agent(aid) for aid in chosen))
-        targets = {aid: oracle.mms(sub_graph, inst.agent(aid), k).value for aid in chosen}
-        sub_alloc = connected_solver(sub_inst, targets)
-        for aid in chosen:
-            bundles[aid] = sub_alloc.bundle_of(aid)
+        targets = {a.id: oracle.mms(sub_graph, a, k).value for a in chosen}
+        sub_alloc = connected_solver(sub_graph, chosen, targets)
+        for a in chosen:
+            bundles[a.id] = sub_alloc.bundle_of(a.id)
     if pending:
         raise StructuralError(
             f"agents {pending} were never routed to a component; "

@@ -76,29 +76,24 @@ class OwnedPacking:
         return OwnedPacking(slot=self.slot, bundles=[set(b) for b in self.bundles])
 
 
-@dataclass
-class PackingSequence:
-    """2^ell packings after ell merge rounds; each I-vertex sits in exactly one."""
-
-    packings: list[OwnedPacking]
-
-
 def merge_packings(
-    left: PackingSequence,
-    right: PackingSequence,
+    left: list[OwnedPacking],
+    right: list[OwnedPacking],
     utilities: Sequence[Mapping[str, Value]],
     independent: frozenset[str],
-) -> PackingSequence:
-    """Resolve I-vertices contested between two sequences.
+) -> list[OwnedPacking]:
+    """Resolve I-vertices contested between two packing sequences.
 
-    Each I-vertex must appear in exactly two packings of the concatenation,
+    A sequence lists the 2^ell packings left after ell merge rounds, and
+    each I-vertex sits in exactly one of them.  Each I-vertex must therefore
+    appear in exactly two packings of the concatenation,
     one per side.  The resolution walks a chain: the current bundle keeps
     its most valuable (by its owner's utility, ties to the smaller id)
     contested vertex, the twin bundle holding the same vertex loses it and
     becomes current, so a bundle never loses twice without keeping once in
     between.  Value bounds are the caller's business; this only rewires.
     """
-    packs = [p.copy() for p in left.packings + right.packings]
+    packs = [p.copy() for p in left + right]
     locs: dict[str, list[tuple[int, int]]] = {}
     for pi, pack in enumerate(packs):
         for bi, bundle in enumerate(pack.bundles):
@@ -128,7 +123,7 @@ def merge_packings(
         contested.discard(v)
         current = twin
 
-    return PackingSequence(packings=packs)
+    return packs
 
 
 def _bundle_value(util: Mapping[str, Value], bundle) -> Value:
@@ -142,7 +137,7 @@ def build_packing_sequence(
     split_pair: tuple[frozenset[str], frozenset[str]],
     type_utilities: Sequence[Mapping[str, Value]],
     mms_partitions: Sequence[Packing],
-) -> PackingSequence:
+) -> list[OwnedPacking]:
     """Run the full tournament over 2^k slots and check the retention floor.
 
     Slot s starts from its own copy of mms_partitions[s].  After round ell
@@ -159,11 +154,11 @@ def build_packing_sequence(
     _, independent = split_pair
 
     floors: list[Value] = []
-    seqs: list[PackingSequence] = []
+    seqs: list[list[OwnedPacking]] = []
     for s in range(count):
         bundles = [set(vs) for _, vs in mms_partitions[s].bundles]
         floors.append(min(_bundle_value(type_utilities[s], b) for b in bundles))
-        seqs.append(PackingSequence(packings=[OwnedPacking(s, bundles)]))
+        seqs.append([OwnedPacking(s, bundles)])
 
     level = 0
     while len(seqs) > 1:
@@ -175,21 +170,21 @@ def build_packing_sequence(
         for seq in seqs:
             _check_sequence(seq, type_utilities, independent, beta(k, level), floors)
     final = seqs[0]
-    for pos, pack in enumerate(final.packings):
+    for pos, pack in enumerate(final):
         if pack.slot != pos:
             raise StructuralError("tournament reordered the packing slots")
     return final
 
 
 def _check_sequence(
-    seq: PackingSequence,
+    seq: list[OwnedPacking],
     utilities: Sequence[Mapping[str, Value]],
     independent: frozenset[str],
     scale: Fraction,
     floors: Sequence[Value],
 ) -> None:
     seen: set[str] = set()
-    for pack in seq.packings:
+    for pack in seq:
         for bundle in pack.bundles:
             kept = bundle & independent
             dup = kept & seen
@@ -222,7 +217,7 @@ class KernelInstance:
 def contract_to_kernel(
     graph: GoodsGraph,
     split_pair: tuple[frozenset[str], frozenset[str]],
-    seq: PackingSequence,
+    seq: list[OwnedPacking],
     agents: Sequence[Agent],
 ) -> KernelInstance:
     """Fold every surviving I-vertex into a clique neighbour in its bundle.
@@ -235,7 +230,7 @@ def contract_to_kernel(
     clique, independent = split_pair
     anchors: dict[str, str] = {}
     home_packing: dict[str, int] = {}
-    for pi, pack in enumerate(seq.packings):
+    for pi, pack in enumerate(seq):
         for bundle in pack.bundles:
             for v in sorted(bundle & independent):
                 if v in anchors:
@@ -271,29 +266,23 @@ def contract_to_kernel(
 
 
 def _allocate_bounded_split(
-    sub: Instance,
+    graph: GoodsGraph,
+    agents: Sequence[Agent],
     targets: Mapping[int, Value],
     k: int,
 ) -> Allocation:
-    """Serve a bounded sub-instance on a connected split graph.
+    """Serve two or more bounded agents on a connected split graph.
 
     targets[i] must equal agent i's maximin share on this very graph with
     all present agents; the reduction guarantees that and the witnesses are
     recomputed from the same oracle, so a mismatch raises.
     """
-    alpha = split_alpha(k)
-    agents = list(sub.agents)
-    if not agents:
-        return Allocation(packing=Packing(bundles=()), target_alpha=alpha, per_agent_ratio={})
     for a in agents:
         if targets[a.id] < 0:
             raise InvalidInputError(f"negative target for agent {a.id}")
     n = len(agents)
-    if n == 1:
-        whole = frozenset(sub.graph.vertices)
-        return finish_allocation(agents, targets, {agents[0].id: whole}, alpha)
 
-    witness = recognize(sub.graph)
+    witness = recognize(graph)
     if witness.split_pair is None:
         raise StructuralError("subgraph lost the split structure")
     clique, independent = witness.split_pair
@@ -304,7 +293,7 @@ def _allocate_bounded_split(
     rep: dict[int, Agent] = {}
     for a in sorted(agents, key=lambda x: x.id):
         rep.setdefault(a.type_id, a)
-    records = {t: oracle.mms(sub.graph, rep[t], n) for t in types}
+    records = {t: oracle.mms(graph, rep[t], n) for t in types}
     for a in agents:
         if targets[a.id] != records[a.type_id].value:
             raise GuaranteeViolationError(
@@ -315,7 +304,7 @@ def _allocate_bounded_split(
     type_utilities = [rep[t].utility for t in slots]
     mms_partitions = [records[t].witness for t in slots]
     seq = build_packing_sequence((clique, independent), type_utilities, mms_partitions)
-    kern = contract_to_kernel(sub.graph, (clique, independent), seq, agents)
+    kern = contract_to_kernel(graph, (clique, independent), seq, agents)
 
     kernel_targets = {a.id: oracle.mms(kern.graph, a, n).value for a in kern.agents}
     solved = oracle.max_min_ratio_allocation(kern.graph, list(kern.agents), kernel_targets)
@@ -330,7 +319,7 @@ def _allocate_bounded_split(
         grown = set(core_part)
         grown.update(v for v, w in kern.anchors.items() if w in core_part)
         bundles[a.id] = frozenset(grown)
-    return finish_allocation(agents, targets, bundles, alpha)
+    return finish_allocation(agents, targets, bundles, split_alpha(k))
 
 
 def allocate_split(inst: Instance) -> Allocation:
@@ -350,7 +339,9 @@ def allocate_split(inst: Instance) -> Allocation:
     p = len({a.type_id for a in inst.agents})
     k = (p - 1).bit_length()
 
-    def solver(part: Instance, ts: Mapping[int, Value]) -> Allocation:
-        return _allocate_bounded_split(part, ts, k)
+    def solver(
+        graph: GoodsGraph, agents: Sequence[Agent], ts: Mapping[int, Value]
+    ) -> Allocation:
+        return _allocate_bounded_split(graph, agents, ts, k)
 
     return allocate_reduction(inst, split_alpha(k), solver)

@@ -242,3 +242,27 @@ def test_console_script_round_trip(tmp_path):
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout)
     assert "bundles" in doc and "alpha_target" in doc
+
+
+def test_batch_infeasible_sizes_exit_3_like_gen(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "report.csv"
+    trial = {"class": "multipartite", "vertices": 5, "agents": 2}
+    config.write_text(json.dumps({"trials": [trial]}), encoding="utf-8")
+    assert cli.main(["batch", "--config", str(config), "--out", str(out)]) == 3
+    batch_err = capsys.readouterr().err
+    assert batch_err.startswith("infeasible parameters: ")
+    gen = ["gen", "--class", "multipartite", "--seed", "0", "--vertices", "5", "--agents", "2"]
+    assert cli.main(gen) == 3
+    assert capsys.readouterr().err == batch_err
+
+
+def test_batch_unknown_class_exit_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "report.csv"
+    config.write_text(json.dumps({"trials": [{"class": "auto"}]}), encoding="utf-8")
+    assert cli.main(["batch", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown \"class\" 'auto'" in err
+    for cls in ("block-cactus", "multipartite", "split"):
+        assert cls in err

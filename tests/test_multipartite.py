@@ -53,11 +53,12 @@ def test_make_bipart_split_prefix_of_small_parts():
     parts = sorted(recognize(g).parts, key=lambda p: (len(p), sorted(p)))
     agents = flat_agents(g, 2)
     split = make_bipart_split(parts, agents, 2)
-    assert split.ell == 1
     assert split.v1 == parts[0]
     assert split.v2 == parts[1] | parts[2]
     # flat agents weakly prefer the bigger half, ties go to v1
     assert split.n1 == () and split.n2 == (1, 2)
+    # the split orders the parts itself
+    assert make_bipart_split(parts[::-1], agents, 2) == split
 
 
 def test_make_bipart_split_tie_prefers_v1():
@@ -110,12 +111,10 @@ def test_bounded_call_input_checks():
     (agent,) = flat_agents(g, 1)
     with pytest.raises(InvalidInputError):
         allocate_bounded_multipartite(g, parts, (agent,), {1: Fraction(-1)})
-    # a single agent takes the whole graph, no size requirement
-    alloc = allocate_bounded_multipartite(g, parts, (agent,), {1: Fraction(60)})
-    assert alloc.bundle_of(1) == frozenset(g.vertices)
-    # no agents, empty allocation
-    empty = allocate_bounded_multipartite(g, parts, (), {})
-    assert empty.packing.bundles == ()
+    # the reduction serves a lone agent itself, so fewer than two is an error
+    for agents in ((agent,), ()):
+        with pytest.raises(GuaranteeViolationError, match="two or more agents"):
+            allocate_bounded_multipartite(g, parts, agents, {1: Fraction(60)})
 
 
 def test_allocate_multipartite_end_to_end_flat(record):
@@ -141,3 +140,29 @@ def test_allocate_multipartite_rejects_other_graphs():
     inst = Instance(graph=p4, agents=flat_agents(p4, 2))
     with pytest.raises(ClassMismatchError):
         allocate_multipartite(inst)
+
+
+def test_components_get_the_top_level_parts_restricted(record):
+    g = multipartite(2, 5, 7)
+    # Agent 1 peels v00.  Agents 2 and 3 value v00 most, so it keeps their
+    # shares above four times any other vertex, and the 13 vertices left
+    # serve them both.
+    flat = {v: Fraction(10) for v in g.vertices}
+    agents = tuple(
+        Agent(id=i, type_id=i, utility={**flat, "v00": Fraction(x)})
+        for i, x in ((1, 1000), (2, 40), (3, 40))
+    )
+    inst = Instance(graph=g, agents=agents)
+    recognized = record(mp, "recognize")
+    bounded = record(mp, "allocate_bounded_multipartite")
+    alloc = allocate_multipartite(inst)
+    assert alloc.bundle_of(1) == frozenset({"v00"})
+    assert len(recognized) == 1  # only the whole graph is recognized
+
+    def order(parts):
+        return sorted(parts, key=lambda p: (len(p), sorted(p)))
+
+    (call,) = bounded
+    graph, parts = call.args[:2]
+    assert "v00" not in graph.vertices
+    assert order(parts) == order(recognize(graph).parts)

@@ -56,7 +56,6 @@ def test_witnesses_are_valid_packings():
     a = agent_with({"a": 3, "b": 1, "c": 2, "d": 2})
     for n in (1, 2, 3):
         rec = oracle.mms(g, a, n)
-        assert rec.n == n and rec.agent_id == a.id
         assert len(rec.witness.bundles) == n
         assert packing_problems(rec.witness, g) == []
         assert is_partition_of(rec.witness, g)
@@ -226,21 +225,21 @@ def test_shares_stay_apart_on_two_components(monkeypatch):
 
 def test_agents_of_one_type_share_records(monkeypatch):
     calls = count_searches(monkeypatch)
-    g = GoodsGraph.build(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    path = [("a", "b"), ("b", "c"), ("c", "d")]
+    two_components = [("a", "b"), ("c", "d")]
     util = {"a": Fraction(3), "b": Fraction(1, 2), "c": Fraction(2), "d": Fraction(5, 2)}
     first = Agent(id=1, type_id=1, utility=util)
     second = Agent(id=2, type_id=1, utility=dict(util))
-    for share in (oracle.pmms, oracle.mms):
-        mine = share(g, first, 2)
-        searched = len(calls)
-        theirs = share(g, second, 2)
-        assert len(calls) == searched  # the second agent runs no search
-        assert (mine.agent_id, theirs.agent_id) == (1, 2)
-        assert theirs.value == mine.value
-        assert theirs.witness == mine.witness
-        # Repeated calls by one agent return the same record object.
-        assert share(g, second, 2) is theirs
-        assert share(g, first, 2) is mine
+    for edges in (path, two_components):
+        g = GoodsGraph.build(["a", "b", "c", "d"], edges)
+        for share in (oracle.pmms, oracle.mms):
+            mine = share(g, first, 2)
+            searched = len(calls)
+            theirs = share(g, second, 2)
+            assert len(calls) == searched  # the second agent runs no search
+            # A record names no agent, so both agents get the same object.
+            assert theirs is mine
+            assert share(g, first, 2) is mine
 
 
 def test_cache_is_bounded_and_drops_the_oldest_first():

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from graphfair import oracle, reduction
+from graphfair import generators, multipartite, oracle, reduction, splitgraph
 from graphfair.core import (
     Agent,
     Allocation,
@@ -32,19 +33,21 @@ def inst_of(graph: GoodsGraph, *utils: dict) -> Instance:
     return Instance(graph=graph, agents=agents)
 
 
-def whole_component_solver(sub: Instance, targets) -> Allocation:
-    assert sub.n == 1
-    aid = sub.agents[0].id
-    packing = Packing(bundles=((aid, frozenset(sub.graph.vertices)),))
-    return Allocation(packing=packing, target_alpha=Fraction(1), per_agent_ratio={aid: Fraction(1)})
+def halves_solver(graph: GoodsGraph, agents, targets) -> Allocation:
+    """Two agents: the first takes the smaller-id half of the vertices."""
+    assert len(agents) == 2
+    vs = sorted(graph.vertices)
+    half = len(vs) // 2
+    bundles = {agents[0].id: frozenset(vs[:half]), agents[1].id: frozenset(vs[half:])}
+    return finish_allocation(agents, targets, bundles, Fraction(1, 2))
 
 
 def recording(solver, calls: list):
-    """Wrap a connected solver so it logs each (sub-instance, targets) it serves."""
+    """Wrap a connected solver so it logs each (graph, agents, targets) it serves."""
 
-    def run(sub: Instance, targets) -> Allocation:
-        calls.append((sub, targets))
-        return solver(sub, targets)
+    def run(graph: GoodsGraph, agents, targets) -> Allocation:
+        calls.append((graph, agents, targets))
+        return solver(graph, agents, targets)
 
     return run
 
@@ -106,18 +109,14 @@ def test_allocate_reduction_peel_then_component(record):
     )
     peels = record(reduction, "peel_heavy_vertices")
     served: list = []
-    solver = recording(whole_component_solver, served)
+    solver = recording(halves_solver, served)
     alloc = allocate_reduction(inst, Fraction(1, 2), solver)
 
     (peel,) = peels
     assert peel.result.heavy == [("f", 1)]
     assert peel.result.residual_agents == [2]
-
-    (comp, targets), = served
-    assert sorted(comp.graph.vertices) == ["a", "b", "c", "d", "e"]
-    assert [a.id for a in comp.agents] == [2]
-    # target is the 1-bundle share of the component, the whole path
-    assert targets == {2: Fraction(5)}
+    # the leftover path serves agent 2 alone, so she takes it whole
+    assert served == []
 
     assert alloc.bundle_of(1) == frozenset({"f"})
     assert alloc.bundle_of(2) == frozenset({"a", "b", "c", "d", "e"})
@@ -140,25 +139,97 @@ def test_allocate_reduction_routes_two_components(record):
     # inflate the shares above 2 * max vertex so nobody peels, keeping the
     # real witnesses for the component routing
     fake = {
-        aid: oracle.MmsRecord(agent_id=aid, n=2, value=Fraction(11), witness=rec.witness)
+        aid: oracle.MmsRecord(value=Fraction(11), witness=rec.witness)
         for aid, rec in records.items()
     }
     peels = record(reduction, "peel_heavy_vertices")
     served: list = []
-    solver = recording(whole_component_solver, served)
+    solver = recording(halves_solver, served)
     alloc = allocate_reduction(inst, Fraction(1, 2), solver, share_records=fake)
     assert peels[0].result.heavy == []
     assert len(peels[0].result.components) == 2
-    assert [sub.n for sub, _ in served] == [1, 1]
+    # each component serves one agent, who takes it whole
+    assert served == []
     assert alloc.bundle_of(1) == frozenset({"a", "b"})
     assert alloc.bundle_of(2) == frozenset({"x", "y"})
     assert alloc.per_agent_ratio == {1: Fraction(10, 11), 2: Fraction(10, 11)}
 
 
+def test_allocate_reduction_solves_shared_components_and_serves_lone_agents_whole():
+    g = GoodsGraph.build(list("abcdxy"), [("a", "b"), ("b", "c"), ("c", "d"), ("x", "y")])
+    on_path = {"a": 5, "b": 5, "c": 5, "d": 5, "x": 0, "y": 0}
+    inst = inst_of(g, on_path, dict(on_path), {"a": 0, "b": 0, "c": 0, "d": 0, "x": 5, "y": 5})
+    # Shares of 11 keep every vertex below half a share, so nobody peels;
+    # the witnesses put two bundles of agents 1 and 2 on the path and one of
+    # agent 3 on the edge.
+    on_path_witness = Packing(bundles=((1, frozenset("ab")), (2, frozenset("cd")), (3, frozenset())))
+    on_edge_witness = Packing(bundles=((1, frozenset("xy")),))
+    records = {
+        aid: oracle.MmsRecord(value=Fraction(11), witness=witness)
+        for aid, witness in ((1, on_path_witness), (2, on_path_witness), (3, on_edge_witness))
+    }
+    served: list = []
+    alloc = allocate_reduction(
+        inst, Fraction(1, 2), recording(halves_solver, served), share_records=records
+    )
+    ((graph, agents, targets),) = served
+    assert sorted(graph.vertices) == ["a", "b", "c", "d"]
+    assert [a.id for a in agents] == [1, 2]
+    # the targets are the agents' 2-bundle shares of the path
+    assert targets == {1: Fraction(10), 2: Fraction(10)}
+    assert alloc.bundle_of(1) == frozenset("ab")
+    assert alloc.bundle_of(2) == frozenset("cd")
+    assert alloc.bundle_of(3) == frozenset("xy")
+
+
+def flattened(inst: Instance, seed: int) -> Instance:
+    """Near-equal utilities, one profile per agent type, so that few agents peel."""
+    rng = random.Random(seed)
+    per_type = {
+        t: {v: Fraction(rng.randint(10, 12)) for v in inst.graph.vertices}
+        for t in sorted({a.type_id for a in inst.agents})
+    }
+    agents = tuple(
+        Agent(id=a.id, type_id=a.type_id, utility=per_type[a.type_id]) for a in inst.agents
+    )
+    return Instance(graph=inst.graph, agents=agents)
+
+
+def with_heavy_first_agent(inst: Instance) -> Instance:
+    """Agent 1, now of a type of her own, values one vertex above all others together."""
+    first = inst.agents[0]
+    v = min(inst.graph.vertices)
+    utility = dict(first.utility)
+    utility[v] = sum(utility.values()) + 1
+    heavy = Agent(id=first.id, type_id=max(a.type_id for a in inst.agents) + 1, utility=utility)
+    return Instance(graph=inst.graph, agents=(heavy,) + inst.agents[1:])
+
+
+def test_class_solvers_only_see_two_or_more_agents(record):
+    # (recorded calls, position of the agents among their arguments)
+    solvers = {
+        "multipartite": (record(multipartite, "allocate_bounded_multipartite"), 2),
+        "split": (record(splitgraph, "_allocate_bounded_split"), 1),
+    }
+    for seed in range(20):
+        mp_inst = generators.gen_multipartite(seed, 11, 2 + seed % 2, 20)
+        split_inst = generators.gen_split(seed, 6 + seed % 5, 2 + seed % 3, 20)
+        for allocate, inst in (
+            (multipartite.allocate_multipartite, mp_inst),
+            (splitgraph.allocate_split, split_inst),
+        ):
+            flat = flattened(inst, seed)
+            allocate(flat)
+            allocate(with_heavy_first_agent(flat))
+    for name, (calls, at) in solvers.items():
+        assert calls, name
+        assert all(len(c.args[at]) >= 2 for c in calls), name
+
+
 def test_allocate_reduction_zero_share_agents_get_nothing():
     g = GoodsGraph.build(["a"], [])
     inst = inst_of(g, {"a": 1}, {"a": 3})
-    alloc = allocate_reduction(inst, Fraction(1, 2), whole_component_solver)
+    alloc = allocate_reduction(inst, Fraction(1, 2), halves_solver)
     # both shares are 0 (two bundles, one vertex); agent 1 peels the vertex
     assert alloc.bundle_of(1) == frozenset({"a"})
     assert alloc.bundle_of(2) == frozenset()
@@ -168,11 +239,12 @@ def test_allocate_reduction_zero_share_agents_get_nothing():
 def test_lone_agent_gets_her_own_id_from_a_shared_share_record():
     g = GoodsGraph.build(["a", "b", "c"], [("a", "b")])
     util = {"a": Fraction(1), "b": Fraction(2), "c": Fraction(4)}
-    # Another agent with the same utilities fills the share cache first.
-    other = Agent(id=7, type_id=1, utility=util)
-    assert oracle.pmms(g, other, 1).agent_id == 7
+    # Another agent with the same utilities fills the share cache first, and
+    # the record she gets is the one agent 1 gets.
+    shared = oracle.pmms(g, Agent(id=7, type_id=1, utility=util), 1)
     inst = Instance(graph=g, agents=(Agent(id=1, type_id=1, utility=dict(util)),))
-    alloc = allocate_reduction(inst, Fraction(1, 2), whole_component_solver)
+    assert oracle.pmms(g, inst.agents[0], 1) is shared
+    alloc = allocate_reduction(inst, Fraction(1, 2), halves_solver)
     assert alloc.packing.bundles == ((1, frozenset({"c"})),)
     assert alloc.per_agent_ratio == {1: Fraction(1)}
 
@@ -182,13 +254,11 @@ def test_allocate_reduction_unroutable_agent_is_an_error():
     inst = inst_of(g, {"a": 1, "b": 1, "c": 1, "d": 1})
     # witness bundle straddles both components, so no component counts it
     bogus = oracle.MmsRecord(
-        agent_id=1,
-        n=1,
         value=Fraction(10),
         witness=Packing(bundles=((1, frozenset({"b", "c"})),)),
     )
     with pytest.raises(StructuralError):
-        allocate_reduction(inst, Fraction(1, 2), whole_component_solver, share_records={1: bogus})
+        allocate_reduction(inst, Fraction(1, 2), halves_solver, share_records={1: bogus})
 
 
 def test_finish_allocation_reports_ratios_and_zero_targets():

@@ -14,7 +14,6 @@ from graphfair.core import (
 )
 from graphfair.splitgraph import (
     OwnedPacking,
-    PackingSequence,
     allocate_split,
     beta,
     contract_to_kernel,
@@ -55,41 +54,35 @@ def test_merge_resolves_contested_vertices_along_a_chain():
         {"k1": Fraction(0), "k2": Fraction(0), "i1": Fraction(5), "i2": Fraction(1)},
         {"k1": Fraction(0), "k2": Fraction(0), "i1": Fraction(1), "i2": Fraction(5)},
     ]
-    left = PackingSequence(
-        packings=[OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2", "i2"}])]
-    )
-    right = PackingSequence(
-        packings=[OwnedPacking(slot=1, bundles=[{"k1", "i1", "i2"}, {"k2"}])]
-    )
+    left = [OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2", "i2"}])]
+    right = [OwnedPacking(slot=1, bundles=[{"k1", "i1", "i2"}, {"k2"}])]
     independent = frozenset({"i1", "i2"})
     merged = merge_packings(left, right, utilities, independent)
-    assert [p.bundles for p in merged.packings] == [
+    assert [p.bundles for p in merged] == [
         [{"k1", "i1"}, {"k2"}],
         [{"k1", "i2"}, {"k2"}],
     ]
     # inputs are untouched
-    assert left.packings[0].bundles == [{"k1", "i1"}, {"k2", "i2"}]
-    before = [b & independent for p in left.packings + right.packings for b in p.bundles]
-    after = [b & independent for p in merged.packings for b in p.bundles]
+    assert left[0].bundles == [{"k1", "i1"}, {"k2", "i2"}]
+    before = [b & independent for p in left + right for b in p.bundles]
+    after = [b & independent for p in merged for b in p.bundles]
     assert after[before.index({"i1", "i2"})] == {"i2"}
 
 
 def test_merge_requires_each_vertex_in_exactly_two_packings():
     utilities = [{"i1": Fraction(1)}, {"i1": Fraction(1)}]
-    once = PackingSequence(packings=[OwnedPacking(slot=0, bundles=[{"i1"}])])
-    never = PackingSequence(packings=[OwnedPacking(slot=1, bundles=[set()])])
+    once = [OwnedPacking(slot=0, bundles=[{"i1"}])]
+    never = [OwnedPacking(slot=1, bundles=[set()])]
     with pytest.raises(StructuralError):
         merge_packings(once, never, utilities, frozenset({"i1"}))
 
 
 def test_contract_folds_into_own_slot_only():
     g = split_graph_2x2()
-    seq = PackingSequence(
-        packings=[
-            OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2"}]),
-            OwnedPacking(slot=1, bundles=[{"k1"}, {"k2", "i2"}]),
-        ],
-    )
+    seq = [
+        OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2"}]),
+        OwnedPacking(slot=1, bundles=[{"k1"}, {"k2", "i2"}]),
+    ]
     u1 = {"k1": Fraction(2), "k2": Fraction(3), "i1": Fraction(7), "i2": Fraction(9)}
     u2 = {"k1": Fraction(1), "k2": Fraction(1), "i1": Fraction(1), "i2": Fraction(4)}
     agents = (Agent(id=1, type_id=1, utility=u1), Agent(id=2, type_id=2, utility=u2))
@@ -113,21 +106,15 @@ def test_contract_rejects_stranded_vertices():
     pair = (frozenset({"k1", "k2"}), frozenset({"i1", "i2"}))
     agents = (Agent(id=1, type_id=1, utility={v: Fraction(1) for v in g.vertices}),)
 
-    lonely = PackingSequence(
-        packings=[OwnedPacking(slot=0, bundles=[{"i1"}, {"k1", "k2", "i2"}])]
-    )
+    lonely = [OwnedPacking(slot=0, bundles=[{"i1"}, {"k1", "k2", "i2"}])]
     with pytest.raises(GuaranteeViolationError):
         contract_to_kernel(g, pair, lonely, agents)
 
-    doubled = PackingSequence(
-        packings=[OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2", "i1", "i2"}])],
-    )
+    doubled = [OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2", "i1", "i2"}])]
     with pytest.raises(StructuralError):
         contract_to_kernel(g, pair, doubled, agents)
 
-    dropped = PackingSequence(
-        packings=[OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2"}])]
-    )
+    dropped = [OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2"}])]
     with pytest.raises(StructuralError):
         contract_to_kernel(g, pair, dropped, agents)
 

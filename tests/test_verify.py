@@ -94,7 +94,7 @@ def test_caller_supplied_share_values():
     alloc = alloc_of((1, {"a", "b"}), (2, {"c", "d"}))
     # records with caller-chosen values replace the oracle's shares
     records = {
-        aid: MmsRecord(agent_id=aid, n=2, value=value, witness=Packing(bundles=()))
+        aid: MmsRecord(value=value, witness=Packing(bundles=()))
         for aid, value in ((1, Fraction(8)), (2, Fraction(2)))
     }
     cert = check_allocation(inst, alloc, Fraction(1), records)
