@@ -68,7 +68,7 @@ def allocate_bounded(
     returned bundles are disjoint but need not cover the graph.
     """
     if not agents:
-        return Allocation(packing=Packing(bundles=()), target_alpha=HALF, per_agent_ratio={})
+        return Allocation(packing=Packing(bundles=()), target_alpha=HALF)
     for a in agents:
         if targets[a.id] < 0:
             raise InvalidInputError(f"negative target for agent {a.id}")
@@ -80,10 +80,8 @@ def allocate_bounded(
     tree = block_cut_tree(graph)
 
     if len(tree.blocks) == 1:
-        alloc = oracle.max_min_ratio_allocation(graph, list(agents), targets)
-        return finish_allocation(
-            agents, targets, {a.id: alloc.bundle_of(a.id) for a in agents}, HALF
-        )
+        bundles = oracle.max_min_ratio_allocation(graph, list(agents), targets)
+        return finish_allocation(agents, targets, bundles, HALF)
 
     block_idx = min(tree.terminal_blocks)
     block = tree.blocks[block_idx]
@@ -121,14 +119,14 @@ def allocate_bounded(
         return finish_allocation(agents, targets, out, HALF)
 
     # Carve: someone values the rim at her whole target, so cut bundles off
-    # a Hamiltonian path through the block, keeping the cut vertex.
+    # a Hamiltonian path through the block.  The path ends at the cut vertex,
+    # which the carve never sees, so it stays with the rest of the graph.
     path = hamiltonian_path_in_block(block, graph, v)
     carve = greedy_prefix_carve(
-        path,
+        path[:-1],
         [a.id for a in agents],
         {a.id: HALF * targets[a.id] for a in agents},
         {a.id: a.utility for a in agents},
-        reserve_last=True,
     )
     if not carve.assignments:
         raise StructuralError("carve made no progress on a terminal block")

@@ -24,13 +24,11 @@ def greedy_prefix_carve(
     pool: Sequence[int],
     thresholds: Mapping[int, Value],
     utilities: Mapping[int, Mapping[str, Value]],
-    reserve_last: bool = False,
 ) -> CarveResult:
     """Carve segments off `order` until the pool or the order runs out.
 
-    With reserve_last the final vertex is never scanned, so it always ends
-    up in the leftover suffix.  Unserved agents simply stay in the pool
-    through the end; the caller decides whether that is an error.
+    Unserved agents simply stay in the pool through the end; the caller
+    decides whether that is an error.
     """
     if len(set(order)) != len(order):
         raise InvalidInputError("carve order repeats a vertex")
@@ -41,8 +39,7 @@ def greedy_prefix_carve(
     running: dict[int, Value] = {aid: ZERO for aid in active}
     segment: list[str] = []
     assignments: list[tuple[int, frozenset[str]]] = []
-    scan = order[:-1] if reserve_last and order else order
-    for w in scan:
+    for w in order:
         if not active:
             break
         segment.append(w)

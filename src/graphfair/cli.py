@@ -1,8 +1,8 @@
 """Command-line surface: recognize, mms, allocate, verify, gen, batch.
 
 Exit codes: 0 success / certificate passed, 1 certificate failed, 2 parse
-or validation error, 3 unsupported class or infeasible parameters, 4
-exhaustive-search size cap exceeded.
+or validation error or a file that cannot be read or written, 3 unsupported
+class or infeasible parameters, 4 exhaustive-search size cap exceeded.
 """
 
 import argparse
@@ -10,6 +10,7 @@ import csv
 import json
 import sys
 import time
+from io import StringIO
 
 from . import generators, io, oracle
 from .blockcactus import allocate_block_cactus
@@ -85,6 +86,18 @@ def cmd_mms(args) -> int:
     return EXIT_OK
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write `text` to the file `out`, or to stdout when no file is named."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {out}: {exc}") from exc
+
+
 def _dispatch(inst: Instance, wanted: str):
     if wanted != "auto":
         for name, fn in ALLOCATORS:
@@ -104,13 +117,7 @@ def cmd_allocate(args) -> int:
     inst = _load_valid_instance(args.file)
     name, alloc = _dispatch(inst, getattr(args, "class"))
     cert = check_allocation(inst, alloc, alloc.target_alpha)
-    doc = io.allocation_to_doc(inst, cert)
-    text = io.canonical_dumps(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(io.canonical_dumps(io.allocation_to_doc(inst, cert)), args.out)
     status = "pass" if cert.passes else "FAIL"
     print(
         f"class={name} alpha={value_str(cert.alpha_target)} "
@@ -150,12 +157,7 @@ def cmd_gen(args) -> int:
     inst = _generate(getattr(args, "class"), args.seed, args.vertices, args.agents, args.max_utility)
     if inst is None:
         return EXIT_UNSUPPORTED
-    text = io.canonical_dumps(io.instance_to_doc(inst))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(io.canonical_dumps(io.instance_to_doc(inst)), args.out)
     return EXIT_OK
 
 
@@ -190,6 +192,8 @@ def cmd_batch(args) -> int:
             problem = f'unknown "class" {cls!r}' if "class" in trial else 'missing "class"'
             raise InvalidInputError(f"bad trial: {problem}, expected one of {classes}")
         count = _trial_int(trial, "count", 1)
+        if count < 0:
+            raise InvalidInputError(f"trial count must not be negative, got {count}")
         base_seed = _trial_int(trial, "seed", 0)
         vertices = _trial_int(trial, "vertices", 10)
         agents = _trial_int(trial, "agents", 2)
@@ -229,17 +233,11 @@ def cmd_batch(args) -> int:
         "pass",
         "runtime_ms",
     ]
-
-    def write_rows(fh) -> None:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_rows(fh)
-    else:
-        write_rows(sys.stdout)
+    text = StringIO()
+    writer = csv.DictWriter(text, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _emit(text.getvalue(), args.out)
     return EXIT_OK if all_passed else EXIT_CERT_FAIL
 
 

@@ -6,7 +6,7 @@ Fractions, or "p/q" strings.  Every container here is immutable after
 construction so that instances and results can be shared freely.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -231,25 +231,17 @@ class Packing:
 
 @dataclass(frozen=True)
 class Allocation:
-    """A packing together with the approximation it claims.
+    """A packing together with the approximation alpha it claims.
 
-    per_agent_ratio maps each agent to bundle value divided by her reference
-    share (maximin share for the public allocators, the caller's target for
-    oracle searches); agents whose reference share is 0 get ratio 1.
+    It carries no ratios: how each bundle measures against its agent's share
+    is for verify.check_allocation to say.
     """
 
     packing: Packing
     target_alpha: Value
-    per_agent_ratio: Mapping[int, Value] = field(default_factory=dict)
 
     def bundle_of(self, agent_id: int) -> frozenset[str]:
         for label, vs in self.packing.bundles:
             if label == agent_id:
                 return vs
         return frozenset()
-
-    @property
-    def min_ratio(self) -> Value:
-        if not self.per_agent_ratio:
-            return Fraction(1)
-        return min(self.per_agent_ratio.values())

@@ -175,7 +175,7 @@ def parse_allocation_doc(doc) -> tuple[Allocation, Value]:
         )
         pairs.append((aid, frozenset(verts)))
     packing = Packing(bundles=tuple(sorted(pairs)))
-    return Allocation(packing=packing, target_alpha=alpha, per_agent_ratio={}), alpha
+    return Allocation(packing=packing, target_alpha=alpha), alpha
 
 
 def load_allocation(path: str) -> tuple[Allocation, Value]:

@@ -91,7 +91,6 @@ def _carve_side(
         [a.id for a in members],
         {a.id: QUARTER * targets[a.id] for a in members},
         {a.id: a.utility for a in members},
-        reserve_last=False,
     )
     active = sorted(a.id for a in members)
     by_id = {a.id: a for a in members}

@@ -31,7 +31,7 @@ value/target is her ratio-weight sum over one common denominator; the whole
 search then compares ints.
 
 These routines are meant for desk-scale inputs; everything refuses graphs
-larger than the configured cap (default 14 vertices).
+with more than `MAX_VERTICES` vertices.
 """
 
 from dataclasses import dataclass
@@ -40,7 +40,6 @@ from math import lcm
 
 from .core import (
     Agent,
-    Allocation,
     GoodsGraph,
     InvalidInputError,
     Packing,
@@ -52,7 +51,7 @@ from .core import (
 )
 from .graphs import connected_components, is_connected
 
-DEFAULT_MAX_VERTICES = 14
+MAX_VERTICES = 14
 
 # Share cache: key -> MmsRecord, one key per utility function.
 _CACHE_LIMIT = 1024
@@ -63,11 +62,10 @@ def clear_cache() -> None:
     _cache.clear()
 
 
-def _cap(graph: GoodsGraph, max_vertices: int | None) -> None:
-    cap = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
-    if len(graph.vertices) > cap:
+def _cap(graph: GoodsGraph) -> None:
+    if len(graph.vertices) > MAX_VERTICES:
         raise SizeLimitError(
-            f"graph has {len(graph.vertices)} vertices, enumeration cap is {cap}"
+            f"graph has {len(graph.vertices)} vertices, enumeration cap is {MAX_VERTICES}"
         )
 
 
@@ -229,9 +227,7 @@ def _graph_key(graph: GoodsGraph):
     return (graph.vertices, tuple(sorted(graph.edges)))
 
 
-def _share(
-    graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None, cover: bool
-) -> MmsRecord:
+def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
     """The n-bundle share over packings, or over partitions when `cover` is set.
 
     A component given k bundles is worth its k-bundle maximin share; covering
@@ -239,7 +235,7 @@ def _share(
     """
     if n < 1:
         raise InvalidInputError(f"need at least one bundle, got n={n}")
-    _cap(graph, max_vertices)
+    _cap(graph)
     wts, scale = _weights_for(agent, list(graph.vertices))
     comps = connected_components(graph)
     key = (_graph_key(graph), tuple(wts), scale, n)
@@ -312,39 +308,39 @@ def _share(
     return record
 
 
-def mms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = None) -> MmsRecord:
+def mms(graph: GoodsGraph, agent: Agent, n: int) -> MmsRecord:
     """Exact maximin share over connected partitions into n bundles.
 
     Undefined (raises UndefinedMmsError) when the graph has more than n
     connected components, since no n-bundle partition covers V then.
     """
-    return _share(graph, agent, n, max_vertices, cover=True)
+    return _share(graph, agent, n, cover=True)
 
 
-def pmms(graph: GoodsGraph, agent: Agent, n: int, max_vertices: int | None = None) -> MmsRecord:
+def pmms(graph: GoodsGraph, agent: Agent, n: int) -> MmsRecord:
     """Exact maximin share over packings (bundles need not cover V).
 
     Defined for every graph.  On a connected graph it equals mms, and both
     return the same record.
     """
-    return _share(graph, agent, n, max_vertices, cover=False)
+    return _share(graph, agent, n, cover=False)
 
 
 def max_min_ratio_allocation(
     graph: GoodsGraph,
     agents: list[Agent],
     targets: dict[int, Value],
-    max_vertices: int | None = None,
-) -> Allocation:
+) -> dict[int, frozenset[str]]:
     """Among all n-bundle connected partitions, maximize min value/target.
 
-    Agents with target 0 are unconstrained (their ratio is reported as 1);
-    negative targets are rejected.  Ties keep the first optimum in canonical
-    enumeration order, so the result is deterministic.
+    Returns {agent id: bundle} for every agent, target-0 agents included,
+    and no ratios; a bundle may be empty.  Agents with target 0 are
+    unconstrained; negative targets are rejected.  Ties keep the first
+    optimum in canonical enumeration order, so the result is deterministic.
     """
     if not agents:
         raise InvalidInputError("no agents to allocate to")
-    _cap(graph, max_vertices)
+    _cap(graph)
     if not is_connected(graph):
         raise StructuralError("graph is disconnected")
     n = len(agents)
@@ -466,22 +462,4 @@ def max_min_ratio_allocation(
     if best_parts is None:
         raise StructuralError("no connected partition found")
 
-    bundle_sets = [mk.to_set(mask) for mask in best_parts]
-    by_agent: dict[int, frozenset[str]] = {}
-    ratios: dict[int, Value] = {}
-    for bi, ai in best_assign:
-        agent = agents[ai]
-        by_agent[agent.id] = bundle_sets[bi]
-        if tlist[ai] > 0:
-            ratios[agent.id] = Fraction(agent.value(bundle_sets[bi])) / tlist[ai]
-        else:
-            ratios[agent.id] = Fraction(1)
-    packing = Packing(
-        bundles=tuple((aid, by_agent[aid]) for aid in sorted(by_agent))
-    )
-    alloc = Allocation(
-        packing=packing,
-        target_alpha=min(ratios.values()),
-        per_agent_ratio=ratios,
-    )
-    return alloc
+    return {agents[ai].id: mk.to_set(best_parts[bi]) for bi, ai in best_assign}

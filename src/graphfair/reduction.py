@@ -4,7 +4,7 @@ Two stages.  First a peel: while some agent still values a single unassigned
 vertex at alpha times her share, the smallest-id such agent takes her best
 such vertex and leaves.  Agents with share 0 accept any vertex, so they peel
 whenever goods remain; if they are still active afterwards the pool must be
-empty and they receive empty bundles at ratio 1.
+empty and they receive empty bundles, which a zero share accepts.
 
 Second, the leftover graph splits into components and the remaining agents
 are distributed over them by witness counting: f(i, j) counts how many
@@ -22,7 +22,6 @@ raises when a bundle falls short of alpha times its target.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .core import (
@@ -112,11 +111,9 @@ def finish_allocation(
 ) -> Allocation:
     """Check every agent's bundle against alpha times her target and wrap up.
 
-    Ratios are bundle value over target, and 1 for a zero target.  A bundle
-    below alpha times its target means a bug, not a hard instance, so it
-    raises GuaranteeViolationError.
+    A bundle below alpha times its target means a bug, not a hard instance,
+    so it raises GuaranteeViolationError.  A zero target accepts anything.
     """
-    ratios: dict[int, Value] = {}
     for a in agents:
         got = a.value(bundles.get(a.id, frozenset()))
         t = targets[a.id]
@@ -124,9 +121,8 @@ def finish_allocation(
             raise GuaranteeViolationError(
                 f"agent {a.id} received {got}, below {alpha} of target {t}"
             )
-        ratios[a.id] = Fraction(got) / t if t > 0 else Fraction(1)
     packing = Packing(bundles=tuple((aid, bundles[aid]) for aid in sorted(bundles)))
-    return Allocation(packing=packing, target_alpha=alpha, per_agent_ratio=ratios)
+    return Allocation(packing=packing, target_alpha=alpha)
 
 
 def _bundles_inside(witness: Packing, comp: frozenset[str]) -> int:

@@ -308,14 +308,11 @@ def _allocate_bounded_split(
 
     kernel_targets = {a.id: oracle.mms(kern.graph, a, n).value for a in kern.agents}
     solved = oracle.max_min_ratio_allocation(kern.graph, list(kern.agents), kernel_targets)
-    if solved.min_ratio < THREE_QUARTERS:
-        raise GuaranteeViolationError(
-            f"complete-graph solve reached only {solved.min_ratio}, expected >= 3/4"
-        )
+    finish_allocation(kern.agents, kernel_targets, solved, THREE_QUARTERS)
 
     bundles: dict[int, frozenset[str]] = {}
     for a in agents:
-        core_part = solved.bundle_of(a.id)
+        core_part = solved[a.id]
         grown = set(core_part)
         grown.update(v for v, w in kern.anchors.items() if w in core_part)
         bundles[a.id] = frozenset(grown)

@@ -75,7 +75,7 @@ def test_single_block_is_solved_directly(record):
     solves, carves, absorbs = record_steps(record)
     alloc = allocate_bounded(g, agents, {1: Fraction(10), 2: Fraction(10)})
     assert (len(solves), carves, absorbs) == (1, [], [])
-    assert alloc.min_ratio >= HALF
+    assert all(a.value(alloc.bundle_of(a.id)) >= 5 for a in agents)
 
 
 def test_case_two_carves_the_terminal_cycle(record):
@@ -89,12 +89,34 @@ def test_case_two_carves_the_terminal_cycle(record):
     assert (solves, len(carves), absorbs) == ([], 1, [])
     assert alloc.bundle_of(1) == frozenset({"v1", "v2"})
     assert alloc.bundle_of(2) == frozenset({"v3", "v4"})
-    assert alloc.per_agent_ratio == {1: Fraction(4, 5), 2: Fraction(4, 5)}
+    # each piece is worth 20 against a target of 25
+    assert [a.value(alloc.bundle_of(a.id)) for a in agents] == [20, 20]
     # the recursive call after the carve: pieces and their owners are gone
     (call,) = rest
     rest_graph, rest_agents, _ = call.args
     assert set(rest_graph.vertices) == {"v5", "w"}
     assert list(rest_agents) == []
+
+
+def test_carve_never_hands_out_the_cut_vertex(record):
+    g = cycle_with_pendant()
+    agents = (
+        flat_agents(g, 1)[0],
+        Agent(
+            id=2,
+            type_id=2,
+            utility={**{v: Fraction(1) for v in g.vertices}, "v5": Fraction(10), "w": Fraction(100)},
+        ),
+    )
+    # Agent 1 carves v1-v2.  Agent 2 would cross half her target of 20 only
+    # by taking the cut vertex v5, which would cut w off from the rest.
+    _, carves, _ = record_steps(record)
+    alloc = allocate_bounded(g, agents, {1: Fraction(25), 2: Fraction(20)})
+    (carve,) = carves
+    assert carve.result.assignments == ((1, frozenset({"v1", "v2"})),)
+    assert alloc.bundle_of(1) == frozenset({"v1", "v2"})
+    # agent 2 is served with the rest of the graph, which keeps v5 and w
+    assert alloc.bundle_of(2) == frozenset({"v3", "v4", "v5", "w"})
 
 
 def test_case_one_absorbs_a_light_rim(record):
@@ -133,7 +155,7 @@ def test_single_agent_takes_everything():
     inst = Instance(graph=g, agents=flat_agents(g, 1))
     alloc = allocate_block_cactus(inst)
     assert alloc.bundle_of(1) == frozenset(g.vertices)
-    assert alloc.min_ratio == 1
+    assert check_allocation(inst, alloc, HALF).min_ratio == 1
 
 
 def test_single_agent_on_disconnected_graph_takes_best_component():
@@ -146,7 +168,6 @@ def test_single_agent_on_disconnected_graph_takes_best_component():
     inst = Instance(graph=g, agents=(only,))
     alloc = allocate_block_cactus(inst)
     assert alloc.bundle_of(1) == frozenset({"c", "d", "e"})
-    assert alloc.per_agent_ratio == {1: Fraction(1)}
     cert = check_allocation(inst, alloc, HALF)
     assert cert.passes and cert.min_ratio == 1
 

@@ -45,19 +45,6 @@ def test_unserved_agents_leave_leftover():
     assert res.leftover == ("a", "b")
 
 
-def test_reserve_last_never_scans_final_vertex():
-    order = ["a", "b", "c"]
-    utils = {1: {v: F(1) for v in order}}
-    res = greedy_prefix_carve(order, [1], {1: F(3)}, utils, reserve_last=True)
-    # only a and b are scanned, so the threshold is never reached
-    assert res.assignments == ()
-    assert res.leftover == ("a", "b", "c")
-
-    res = greedy_prefix_carve(order, [1], {1: F(2)}, utils, reserve_last=True)
-    assert res.assignments == ((1, frozenset({"a", "b"})),)
-    assert res.leftover == ("c",)
-
-
 def test_zero_threshold_takes_first_vertex():
     order = ["a", "b"]
     utils = {1: {"a": F(0), "b": F(0)}}

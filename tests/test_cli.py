@@ -266,3 +266,39 @@ def test_batch_unknown_class_exit_2(tmp_path, capsys):
     assert "unknown \"class\" 'auto'" in err
     for cls in ("block-cactus", "multipartite", "split"):
         assert cls in err
+
+
+def assert_cannot_write(argv: list[str], out: Path, capsys) -> None:
+    """`argv --out out` exits 2 and names the path, leaving no traceback."""
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert not out.exists()
+
+
+def test_allocate_unwritable_out_exit_2(tmp_path, capsys):
+    g = cycle(4)
+    f = tmp_path / "c4.json"
+    write_instance(f, g, [{v: 1 for v in g.vertices}, {v: 1 for v in g.vertices}])
+    assert_cannot_write(["allocate", str(f)], tmp_path / "missing" / "alloc.json", capsys)
+
+
+def test_gen_unwritable_out_exit_2(tmp_path, capsys):
+    gen = ["gen", "--class", "split", "--seed", "1", "--vertices", "6", "--agents", "2"]
+    assert_cannot_write(gen, tmp_path / "missing" / "inst.json", capsys)
+
+
+def test_batch_unwritable_out_exit_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"trials": []}), encoding="utf-8")
+    assert_cannot_write(["batch", "--config", str(config)], tmp_path / "missing" / "r.csv", capsys)
+
+
+def test_batch_negative_count_exit_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "report.csv"
+    trial = {"class": "block-cactus", "count": -1, "vertices": 8, "agents": 2}
+    config.write_text(json.dumps({"trials": [trial]}), encoding="utf-8")
+    assert cli.main(["batch", "--config", str(config), "--out", str(out)]) == 2
+    assert "trial count must not be negative, got -1" in capsys.readouterr().err
+    assert not out.exists()

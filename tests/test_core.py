@@ -149,11 +149,6 @@ def test_packing_structure():
 
 def test_allocation_accessors():
     p = Packing(bundles=((1, frozenset({"a"})),))
-    alloc = Allocation(
-        packing=p, target_alpha=Fraction(1, 2), per_agent_ratio={1: Fraction(2, 3)}
-    )
+    alloc = Allocation(packing=p, target_alpha=Fraction(1, 2))
     assert alloc.bundle_of(1) == frozenset({"a"})
     assert alloc.bundle_of(9) == frozenset()
-    assert alloc.min_ratio == Fraction(2, 3)
-    empty = Allocation(packing=Packing(bundles=()), target_alpha=Fraction(1), per_agent_ratio={})
-    assert empty.min_ratio == Fraction(1)

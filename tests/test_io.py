@@ -121,7 +121,6 @@ def test_allocation_doc_round_trip():
     alloc = Allocation(
         packing=Packing(bundles=((1, frozenset({"b"})), (2, frozenset({"c"})))),
         target_alpha=Fraction(1, 2),
-        per_agent_ratio={},
     )
     cert = check_allocation(inst, alloc, Fraction(1, 2))
     doc = io.allocation_to_doc(inst, cert)

@@ -132,7 +132,7 @@ def test_allocate_multipartite_single_agent():
     inst = Instance(graph=g, agents=flat_agents(g, 1))
     alloc = allocate_multipartite(inst)
     assert alloc.bundle_of(1) == frozenset(g.vertices)
-    assert alloc.min_ratio == 1
+    assert check_allocation(inst, alloc, Fraction(1)).min_ratio == 1
 
 
 def test_allocate_multipartite_rejects_other_graphs():

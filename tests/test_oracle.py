@@ -11,6 +11,7 @@ from graphfair.core import (
     Agent,
     GoodsGraph,
     InvalidInputError,
+    Packing,
     SizeLimitError,
     UndefinedMmsError,
 )
@@ -81,8 +82,6 @@ def test_size_cap():
     a = agent_with({v: 1 for v in names})
     with pytest.raises(SizeLimitError):
         oracle.mms(g, a, 2)
-    # an explicit cap overrides the default
-    assert oracle.mms(g, a, 2, max_vertices=15).value == 7
 
 
 def test_bad_n_rejected():
@@ -333,22 +332,25 @@ def test_max_min_ratio_allocation_exact():
     a1 = Agent(id=1, type_id=1, utility={"a": Fraction(4), "b": Fraction(1), "c": Fraction(1), "d": Fraction(1)})
     a2 = Agent(id=2, type_id=2, utility={"a": Fraction(1), "b": Fraction(1), "c": Fraction(1), "d": Fraction(4)})
     targets = {1: Fraction(4), 2: Fraction(4)}
-    alloc = oracle.max_min_ratio_allocation(g, [a1, a2], targets)
+    bundles = oracle.max_min_ratio_allocation(g, [a1, a2], targets)
     # opposite ends are worth 4 to each: both can hit their target exactly
-    assert alloc.min_ratio >= 1
-    assert "a" in alloc.bundle_of(1) and "d" in alloc.bundle_of(2)
-    assert is_partition_of(alloc.packing, g)
+    assert all(a.value(bundles[a.id]) >= targets[a.id] for a in (a1, a2))
+    assert "a" in bundles[1] and "d" in bundles[2]
+    assert is_partition_of(as_packing(bundles), g)
 
 
 def test_max_min_ratio_zero_target_unconstrained():
     g = GoodsGraph.build(["a", "b"], [("a", "b")])
     a1 = Agent(id=1, type_id=1, utility={"a": Fraction(1), "b": Fraction(1)})
     a2 = Agent(id=2, type_id=2, utility={"a": Fraction(1), "b": Fraction(1)})
-    alloc = oracle.max_min_ratio_allocation(g, [a1, a2], {1: Fraction(2), 2: Fraction(0)})
-    assert alloc.per_agent_ratio[2] == 1
-    assert alloc.bundle_of(1) == frozenset({"a", "b"})
+    bundles = oracle.max_min_ratio_allocation(g, [a1, a2], {1: Fraction(2), 2: Fraction(0)})
+    assert bundles == {1: frozenset({"a", "b"}), 2: frozenset()}
     with pytest.raises(InvalidInputError):
         oracle.max_min_ratio_allocation(g, [a1, a2], {1: Fraction(1), 2: Fraction(-1)})
+
+
+def as_packing(bundles: dict) -> Packing:
+    return Packing(bundles=tuple(sorted(bundles.items())))
 
 
 def brute_max_min_ratio(graph, agents, targets):
@@ -380,17 +382,34 @@ def test_max_min_ratio_brute_force_cross_check():
                 Agent(id=i, type_id=i, utility=random_profile(rng, graph.vertices))
                 for i in sorted(targets)
             ]
-            alloc = oracle.max_min_ratio_allocation(graph, agents, targets)
-            assert is_partition_of(alloc.packing, graph)
+            bundles = oracle.max_min_ratio_allocation(graph, agents, targets)
+            assert sorted(bundles) == sorted(targets)
+            assert is_partition_of(as_packing(bundles), graph)
             best = brute_max_min_ratio(graph, agents, targets)
-            for a in agents:
-                got = a.value(alloc.bundle_of(a.id))
-                if targets[a.id] > 0:
-                    assert alloc.per_agent_ratio[a.id] == got / targets[a.id]
-                else:
-                    assert alloc.per_agent_ratio[a.id] == 1
-            positive = [a for a in agents if targets[a.id] > 0]
-            assert min(alloc.per_agent_ratio[a.id] for a in positive) == best
+            got = min(
+                a.value(bundles[a.id]) / targets[a.id] for a in agents if targets[a.id] > 0
+            )
+            assert got == best
+
+
+def test_max_min_ratio_gives_every_agent_a_bundle():
+    g = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    agents = [
+        Agent(id=i, type_id=i, utility={"a": Fraction(i), "b": Fraction(1), "c": Fraction(3)})
+        for i in (1, 2, 3)
+    ]
+    for targets in (
+        {1: Fraction(0), 2: Fraction(2), 3: Fraction(0)},
+        {1: Fraction(0), 2: Fraction(0), 3: Fraction(0)},
+    ):
+        bundles = oracle.max_min_ratio_allocation(g, agents, targets)
+        assert sorted(bundles) == [1, 2, 3]
+        assert is_partition_of(as_packing(bundles), g)
+    # four agents on three goods: one of them holds the empty bundle
+    fourth = Agent(id=4, type_id=4, utility=dict(agents[0].utility))
+    bundles = oracle.max_min_ratio_allocation(g, agents + [fourth], {i: Fraction(0) for i in range(1, 5)})
+    assert sorted(bundles) == [1, 2, 3, 4]
+    assert sorted(map(len, bundles.values())) == [0, 1, 1, 1]
 
 
 def test_cache_round_trip():

@@ -19,6 +19,7 @@ from graphfair.reduction import (
     finish_allocation,
     peel_heavy_vertices,
 )
+from graphfair.verify import check_allocation
 
 
 def path(names: list[str]) -> GoodsGraph:
@@ -31,6 +32,12 @@ def inst_of(graph: GoodsGraph, *utils: dict) -> Instance:
         for i, u in enumerate(utils, start=1)
     )
     return Instance(graph=graph, agents=agents)
+
+
+def certified_ratios(inst: Instance, alloc: Allocation, records=None) -> dict:
+    """Each agent's bundle value over her share, as the certificate measures it."""
+    cert = check_allocation(inst, alloc, Fraction(0), records)
+    return {aid: ratio for aid, _, _, _, ratio in cert.per_agent}
 
 
 def halves_solver(graph: GoodsGraph, agents, targets) -> Allocation:
@@ -121,8 +128,7 @@ def test_allocate_reduction_peel_then_component(record):
     assert alloc.bundle_of(1) == frozenset({"f"})
     assert alloc.bundle_of(2) == frozenset({"a", "b", "c", "d", "e"})
     # ratios are against the original whole-graph shares (100/5 and 5/3)
-    assert alloc.per_agent_ratio[1] == Fraction(20)
-    assert alloc.per_agent_ratio[2] == Fraction(5, 3)
+    assert certified_ratios(inst, alloc) == {1: Fraction(20), 2: Fraction(5, 3)}
 
 
 def test_allocate_reduction_routes_two_components(record):
@@ -152,7 +158,7 @@ def test_allocate_reduction_routes_two_components(record):
     assert served == []
     assert alloc.bundle_of(1) == frozenset({"a", "b"})
     assert alloc.bundle_of(2) == frozenset({"x", "y"})
-    assert alloc.per_agent_ratio == {1: Fraction(10, 11), 2: Fraction(10, 11)}
+    assert certified_ratios(inst, alloc, fake) == {1: Fraction(10, 11), 2: Fraction(10, 11)}
 
 
 def test_allocate_reduction_solves_shared_components_and_serves_lone_agents_whole():
@@ -233,7 +239,7 @@ def test_allocate_reduction_zero_share_agents_get_nothing():
     # both shares are 0 (two bundles, one vertex); agent 1 peels the vertex
     assert alloc.bundle_of(1) == frozenset({"a"})
     assert alloc.bundle_of(2) == frozenset()
-    assert alloc.per_agent_ratio[2] == Fraction(1)
+    assert certified_ratios(inst, alloc)[2] == Fraction(1)
 
 
 def test_lone_agent_gets_her_own_id_from_a_shared_share_record():
@@ -246,7 +252,7 @@ def test_lone_agent_gets_her_own_id_from_a_shared_share_record():
     assert oracle.pmms(g, inst.agents[0], 1) is shared
     alloc = allocate_reduction(inst, Fraction(1, 2), halves_solver)
     assert alloc.packing.bundles == ((1, frozenset({"c"})),)
-    assert alloc.per_agent_ratio == {1: Fraction(1)}
+    assert certified_ratios(inst, alloc) == {1: Fraction(1)}
 
 
 def test_allocate_reduction_unroutable_agent_is_an_error():
@@ -261,14 +267,14 @@ def test_allocate_reduction_unroutable_agent_is_an_error():
         allocate_reduction(inst, Fraction(1, 2), halves_solver, share_records={1: bogus})
 
 
-def test_finish_allocation_reports_ratios_and_zero_targets():
+def test_finish_allocation_accepts_exactly_alpha_and_zero_targets():
     inst = inst_of(path(["a", "b", "c"]), {"a": 1, "b": 2, "c": 3}, {"a": 5, "b": 0, "c": 0})
     bundles = {1: frozenset({"b", "c"}), 2: frozenset()}
+    # agent 1 gets exactly half her target; agent 2 has target 0, so an
+    # empty bundle satisfies her
     alloc = finish_allocation(inst.agents, {1: Fraction(10), 2: Fraction(0)}, bundles, Fraction(1, 2))
     assert alloc.packing.bundles == ((1, frozenset({"b", "c"})), (2, frozenset()))
     assert alloc.target_alpha == Fraction(1, 2)
-    # agent 2 has target 0: an empty bundle satisfies her at ratio 1
-    assert alloc.per_agent_ratio == {1: Fraction(1, 2), 2: Fraction(1)}
 
 
 def test_finish_allocation_rejects_a_bundle_below_alpha():

@@ -137,15 +137,21 @@ def test_star_one_type_allocates_at_three_quarters():
     assert check_allocation(inst, alloc, Fraction(3, 4), records).passes
 
 
-def test_two_types_run_the_tournament(record):
+def two_flat_types() -> Instance:
+    """A 4-clique with one pendant per clique vertex, and two agent types of flat value."""
     verts = ["k1", "k2", "k3", "k4", "i1", "i2", "i3", "i4"]
     clique = [("k1", "k2"), ("k1", "k3"), ("k1", "k4"), ("k2", "k3"), ("k2", "k4"), ("k3", "k4")]
     g = GoodsGraph.build(verts, clique + [("k1", "i1"), ("k2", "i2"), ("k3", "i3"), ("k4", "i4")])
     u = {v: Fraction(10) for v in verts}
-    inst = Instance(
+    return Instance(
         graph=g,
         agents=(Agent(id=1, type_id=1, utility=u), Agent(id=2, type_id=2, utility=dict(u))),
     )
+
+
+def test_two_types_run_the_tournament(record):
+    inst = two_flat_types()
+    g = inst.graph
     steps = [
         record(splitgraph, name)
         for name in ("build_packing_sequence", "merge_packings", "contract_to_kernel")
@@ -155,9 +161,28 @@ def test_two_types_run_the_tournament(record):
     assert alloc.target_alpha == Fraction(3, 11)
     assert all(steps)
     (kernel_solve,) = solves
-    assert kernel_solve.result.min_ratio >= Fraction(3, 4)
+    _, kernel_agents, kernel_targets = kernel_solve.args
+    for a in kernel_agents:
+        got = a.value(kernel_solve.result[a.id])
+        assert got >= Fraction(3, 4) * kernel_targets[a.id]
     records = {a.id: oracle.pmms(g, a, 2) for a in inst.agents}
     assert check_allocation(inst, alloc, Fraction(3, 11), records).passes
+
+
+def test_kernel_solve_below_three_quarters_raises(monkeypatch):
+    inst = two_flat_types()
+    solve = oracle.max_min_ratio_allocation
+
+    def short_changed(graph, agents, targets):
+        bundles = solve(graph, agents, targets)
+        first, second = sorted(bundles)
+        return {first: frozenset(), second: bundles[first] | bundles[second]}
+
+    monkeypatch.setattr(oracle, "max_min_ratio_allocation", short_changed)
+    # two types give the whole allocation alpha 3/11, so only the kernel
+    # check can name 3/4
+    with pytest.raises(GuaranteeViolationError, match="agent 1 received 0, below 3/4 of target"):
+        allocate_split(inst)
 
 
 def test_single_agent_takes_everything():
@@ -167,7 +192,7 @@ def test_single_agent_takes_everything():
     )
     alloc = allocate_split(inst)
     assert alloc.bundle_of(1) == frozenset(g.vertices)
-    assert alloc.min_ratio == 1
+    assert check_allocation(inst, alloc, Fraction(1)).min_ratio == 1
     assert alloc.target_alpha == Fraction(3, 4)
 
 

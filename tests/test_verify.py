@@ -17,7 +17,7 @@ def path_instance() -> Instance:
 
 def alloc_of(*bundles: tuple[int, set]) -> Allocation:
     packing = Packing(bundles=tuple((aid, frozenset(vs)) for aid, vs in bundles))
-    return Allocation(packing=packing, target_alpha=Fraction(1), per_agent_ratio={})
+    return Allocation(packing=packing, target_alpha=Fraction(1))
 
 
 def test_ideal_split_passes_at_full_share():
