@@ -7,7 +7,6 @@ class or infeasible parameters, 4 exhaustive-search size cap exceeded.
 
 import argparse
 import csv
-import json
 import sys
 import time
 from io import StringIO
@@ -26,7 +25,7 @@ from .core import (
     validate_instance,
     value_str,
 )
-from .graphs import block_cut_tree, is_connected, recognize
+from .graphs import block_cut_tree, recognize
 from .multipartite import allocate_multipartite
 from .splitgraph import allocate_split
 from .verify import check_allocation
@@ -65,7 +64,7 @@ def cmd_recognize(args) -> int:
     if witness.split_pair is not None:
         k, i = witness.split_pair
         print(f"split clique={len(k)} independent={len(i)}")
-    if is_connected(inst.graph) and len(inst.graph) >= 1:
+    if witness.has("connected") and len(inst.graph) >= 1:
         tree = block_cut_tree(inst.graph)
         print(f"blocks={len(tree.blocks)} cut_vertices={len(tree.cut_vertices)}")
     return EXIT_OK
@@ -131,7 +130,7 @@ def cmd_allocate(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load_valid_instance(args.instance)
-    alloc, _claimed = io.load_allocation(args.allocation)
+    alloc = io.load_allocation(args.allocation)
     alpha = as_value(args.alpha)
     cert = check_allocation(inst, alloc, alpha)
     print(
@@ -161,43 +160,35 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _trial_int(trial: dict, name: str, default: int) -> int:
-    x = trial.get(name, default)
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise InvalidInputError(f"trial {name} must be an integer, got {x!r}")
-    return x
+def _trials(config) -> list[tuple[str, int, int, int, int, int]]:
+    """Every trial of a batch config, checked before any of them runs.
 
-
-def cmd_batch(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(
-            f"{args.config}: invalid JSON at line {exc.lineno}: {exc.msg}"
-        ) from exc
+    Each trial is (class, count, seed, vertices, agents, max_utility).
+    """
     if not isinstance(config, dict) or not isinstance(config.get("trials", []), list):
         raise InvalidInputError('batch config must be {"trials": [...]}')
-
-    rows = []
-    all_passed = True
+    classes = sorted(generators.GENERATORS)
+    trials = []
     for trial in config.get("trials", []):
         if not isinstance(trial, dict):
             raise InvalidInputError("each trial must be an object")
-        classes = sorted(generators.GENERATORS)
         cls = trial.get("class")
         if cls not in classes:
             problem = f'unknown "class" {cls!r}' if "class" in trial else 'missing "class"'
             raise InvalidInputError(f"bad trial: {problem}, expected one of {classes}")
-        count = _trial_int(trial, "count", 1)
+        count = io.require_int(trial.get("count", 1), "trial count")
         if count < 0:
             raise InvalidInputError(f"trial count must not be negative, got {count}")
-        base_seed = _trial_int(trial, "seed", 0)
-        vertices = _trial_int(trial, "vertices", 10)
-        agents = _trial_int(trial, "agents", 2)
-        max_utility = _trial_int(trial, "max_utility", 20)
+        defaults = [("seed", 0), ("vertices", 10), ("agents", 2), ("max_utility", 20)]
+        ints = [io.require_int(trial.get(k, d), f"trial {k}") for k, d in defaults]
+        trials.append((cls, count, *ints))
+    return trials
+
+
+def cmd_batch(args) -> int:
+    rows = []
+    all_passed = True
+    for cls, count, base_seed, vertices, agents, max_utility in _trials(io.read_json(args.config)):
         for t in range(count):
             seed = base_seed + t
             inst = _generate(cls, seed, vertices, agents, max_utility)

@@ -82,7 +82,8 @@ class GoodsGraph:
 
     Vertex ids are strings ordered lexicographically; that order is the
     canonical order used for every deterministic tie-break in the package.
-    Edges are stored as (a, b) pairs with a < b.
+    Edges are stored as (a, b) pairs with a < b.  Graphs compare and hash by
+    their vertices and edges, so a graph can key a cache.
     """
 
     vertices: tuple[str, ...]

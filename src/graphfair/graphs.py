@@ -17,25 +17,30 @@ from .core import (
 )
 
 
+def _reach(adjacency, root: str, within=None) -> set[str]:
+    """Vertices reachable from `root`, stepping only inside `within` when given."""
+    comp = {root}
+    frontier = [root]
+    while frontier:
+        nxt: list[str] = []
+        for v in frontier:
+            for w in adjacency[v]:
+                if w not in comp and (within is None or w in within):
+                    comp.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return comp
+
+
 def connected_components(graph: GoodsGraph) -> list[list[str]]:
     """Maximal connected vertex sets, each sorted, ordered by smallest member."""
     seen: set[str] = set()
     comps: list[list[str]] = []
     for root in graph.vertices:
-        if root in seen:
-            continue
-        comp = {root}
-        frontier = [root]
-        while frontier:
-            nxt: list[str] = []
-            for v in frontier:
-                for w in graph.adjacency[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        seen |= comp
-        comps.append(sorted(comp))
+        if root not in seen:
+            comp = _reach(graph.adjacency, root)
+            seen |= comp
+            comps.append(sorted(comp))
     return comps
 
 
@@ -46,20 +51,7 @@ def is_connected(graph: GoodsGraph) -> bool:
 def is_connected_subset(graph: GoodsGraph, subset) -> bool:
     """True when `subset` induces a connected subgraph; the empty set counts."""
     sub = set(subset)
-    if not sub:
-        return True
-    root = next(iter(sub))
-    comp = {root}
-    frontier = [root]
-    while frontier:
-        nxt: list[str] = []
-        for v in frontier:
-            for w in graph.adjacency[v]:
-                if w in sub and w not in comp:
-                    comp.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return comp == sub
+    return not sub or _reach(graph.adjacency, next(iter(sub)), sub) == sub
 
 
 @dataclass(frozen=True)
@@ -194,28 +186,8 @@ def _multipartite_parts(graph: GoodsGraph) -> tuple[frozenset[str], ...] | None:
     every within-part pair is a non-edge.
     """
     verts = graph.vertices
-    comp_adj: dict[str, set[str]] = {v: set() for v in verts}
-    for a, b in combinations(verts, 2):
-        if not graph.has_edge(a, b):
-            comp_adj[a].add(b)
-            comp_adj[b].add(a)
-    seen: set[str] = set()
-    parts: list[frozenset[str]] = []
-    for root in verts:
-        if root in seen:
-            continue
-        comp = {root}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in comp_adj[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        seen |= comp
-        parts.append(frozenset(comp))
+    non_edges = frozenset(e for e in combinations(verts, 2) if e not in graph.edges)
+    parts = [frozenset(comp) for comp in connected_components(GoodsGraph(verts, non_edges))]
     part_of = {v: i for i, p in enumerate(parts) for v in p}
     for a, b in combinations(verts, 2):
         same = part_of[a] == part_of[b]
@@ -243,7 +215,7 @@ def _maximal_cliques(graph: GoodsGraph):
     return out
 
 
-def _split_partition(graph: GoodsGraph) -> tuple[frozenset[str], frozenset[str]] | None:
+def split_partition(graph: GoodsGraph) -> tuple[frozenset[str], frozenset[str]] | None:
     """A (clique, independent set) partition when one exists.
 
     Every split graph has a maximum clique whose complement is independent;
@@ -299,7 +271,7 @@ def recognize(graph: GoodsGraph) -> ClassWitness:
     parts = _multipartite_parts(graph)
     if parts is not None:
         flags.add("complete_multipartite")
-    split_pair = _split_partition(graph)
+    split_pair = split_partition(graph)
     if split_pair is not None:
         flags.add("split")
 

@@ -55,9 +55,22 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidInputError(message)
 
 
-def _clean_int(x, what: str) -> int:
-    _require(isinstance(x, int) and not isinstance(x, bool), f"{what} must be an integer")
+def require_int(x, what: str) -> int:
+    """`x` itself when it is a JSON integer; booleans are refused."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidInputError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def read_json(path: str):
+    """The parsed contents of the JSON file at `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def parse_instance_doc(doc) -> tuple[Instance, dict[int, str]]:
@@ -91,7 +104,7 @@ def parse_instance_doc(doc) -> tuple[Instance, dict[int, str]]:
     labels = set()
     for entry in doc["agents"]:
         _require(isinstance(entry, dict), "agent entries must be objects")
-        aid = _clean_int(entry.get("id"), "agent id")
+        aid = require_int(entry.get("id"), "agent id")
         label = entry.get("type", str(aid))
         _require(isinstance(label, str), "agent type must be a string")
         utilities = entry.get("utilities")
@@ -117,14 +130,7 @@ def parse_instance_doc(doc) -> tuple[Instance, dict[int, str]]:
 
 
 def load_instance(path: str) -> tuple[Instance, dict[int, str]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_instance_doc(doc)
+    return parse_instance_doc(read_json(path))
 
 
 def save_instance(path: str, inst: Instance, type_names: Mapping[int, str] | None = None) -> None:
@@ -155,8 +161,8 @@ def allocation_to_doc(inst: Instance, cert: Certificate) -> dict:
     }
 
 
-def parse_allocation_doc(doc) -> tuple[Allocation, Value]:
-    """Rebuild an Allocation (bundles only) plus the claimed alpha target.
+def parse_allocation_doc(doc) -> Allocation:
+    """Rebuild an Allocation: the bundles and the claimed alpha target.
 
     Values, shares, and ratios in the file are claims; verification always
     recomputes them, so only the structure is read back.
@@ -167,7 +173,7 @@ def parse_allocation_doc(doc) -> tuple[Allocation, Value]:
     pairs = []
     for entry in doc["bundles"]:
         _require(isinstance(entry, dict), "bundle entries must be objects")
-        aid = _clean_int(entry.get("agent"), "bundle agent id")
+        aid = require_int(entry.get("agent"), "bundle agent id")
         verts = entry.get("vertices")
         _require(
             isinstance(verts, list) and all(isinstance(v, str) for v in verts),
@@ -175,18 +181,11 @@ def parse_allocation_doc(doc) -> tuple[Allocation, Value]:
         )
         pairs.append((aid, frozenset(verts)))
     packing = Packing(bundles=tuple(sorted(pairs)))
-    return Allocation(packing=packing, target_alpha=alpha), alpha
+    return Allocation(packing=packing, target_alpha=alpha)
 
 
-def load_allocation(path: str) -> tuple[Allocation, Value]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_allocation_doc(doc)
+def load_allocation(path: str) -> Allocation:
+    return parse_allocation_doc(read_json(path))
 
 
 def canonicalize_instance_text(text: str) -> str:

@@ -28,7 +28,7 @@ from .core import (
     Value,
     validate_instance,
 )
-from .graphs import is_connected, recognize
+from .graphs import recognize
 from .reduction import allocate_reduction, finish_allocation
 
 QUARTER = Fraction(1, 4)
@@ -166,8 +166,8 @@ def allocate_multipartite(inst: Instance) -> Allocation:
     problems = validate_instance(inst)
     if problems:
         raise InvalidInputError("; ".join(problems))
-    witness = recognize(inst.graph) if is_connected(inst.graph) else None
-    if witness is None or witness.parts is None or len(witness.parts) < 2:
+    witness = recognize(inst.graph)
+    if not witness.has("connected") or witness.parts is None or len(witness.parts) < 2:
         raise ClassMismatchError("graph is not connected complete multipartite")
 
     def solver(

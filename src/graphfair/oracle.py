@@ -156,10 +156,10 @@ def _weights_for(agent: Agent, ids: list[str]) -> tuple[list[int], int]:
 def _minmax_partition_search(adj: list[int], full: int, wts: list[int], n: int):
     """Best (max of min bundle weight) partition into at most n connected parts.
 
-    Partitions using fewer than n nonempty parts count as value 0 because the
-    missing bundles are empty.  Returns (value, parts) with value the int
-    optimum in the units of `wts` and parts a tuple of masks (no padding), or
-    (None, None) when no partition exists at all.
+    `full` must be non-empty.  Partitions using fewer than n nonempty parts
+    count as value 0 because the missing bundles are empty.  Returns (value,
+    parts) with value the int optimum in the units of `wts` and parts a tuple
+    of masks (no padding).
     """
     best_val = None
     best_parts = None
@@ -169,8 +169,6 @@ def _minmax_partition_search(adj: list[int], full: int, wts: list[int], n: int):
         nonlocal best_val, best_parts
         if remaining == 0:
             val = cur_min if len(acc) == n else 0
-            if cur_min is None:  # n bundles, all empty: only when full == 0
-                val = 0
             if best_val is None or val > best_val:
                 best_val = val
                 best_parts = acc
@@ -223,10 +221,6 @@ def _witness_packing(mk: _Mask, parts: tuple, n: int) -> Packing:
     return Packing(bundles=tuple(bundles))
 
 
-def _graph_key(graph: GoodsGraph):
-    return (graph.vertices, tuple(sorted(graph.edges)))
-
-
 def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
     """The n-bundle share over packings, or over partitions when `cover` is set.
 
@@ -238,7 +232,7 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
     _cap(graph)
     wts, scale = _weights_for(agent, list(graph.vertices))
     comps = connected_components(graph)
-    key = (_graph_key(graph), tuple(wts), scale, n)
+    key = (graph, tuple(wts), scale, n)
     if len(comps) > 1:
         # Only here can covering V change the share.
         key = (cover,) + key

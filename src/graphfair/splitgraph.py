@@ -32,7 +32,7 @@ from .core import (
     ZERO,
     validate_instance,
 )
-from .graphs import is_connected, recognize
+from .graphs import recognize, split_partition
 from .reduction import allocate_reduction, finish_allocation
 from . import oracle
 
@@ -282,10 +282,9 @@ def _allocate_bounded_split(
             raise InvalidInputError(f"negative target for agent {a.id}")
     n = len(agents)
 
-    witness = recognize(graph)
-    if witness.split_pair is None:
+    split_pair = split_partition(graph)
+    if split_pair is None:
         raise StructuralError("subgraph lost the split structure")
-    clique, independent = witness.split_pair
 
     types = sorted({a.type_id for a in agents})
     if len(types) > 2**k:
@@ -303,8 +302,8 @@ def _allocate_bounded_split(
     slots = types + [types[-1]] * (2**k - len(types))
     type_utilities = [rep[t].utility for t in slots]
     mms_partitions = [records[t].witness for t in slots]
-    seq = build_packing_sequence((clique, independent), type_utilities, mms_partitions)
-    kern = contract_to_kernel(graph, (clique, independent), seq, agents)
+    seq = build_packing_sequence(split_pair, type_utilities, mms_partitions)
+    kern = contract_to_kernel(graph, split_pair, seq, agents)
 
     kernel_targets = {a.id: oracle.mms(kern.graph, a, n).value for a in kern.agents}
     solved = oracle.max_min_ratio_allocation(kern.graph, list(kern.agents), kernel_targets)
@@ -329,8 +328,8 @@ def allocate_split(inst: Instance) -> Allocation:
     problems = validate_instance(inst)
     if problems:
         raise InvalidInputError("; ".join(problems))
-    witness = recognize(inst.graph) if is_connected(inst.graph) else None
-    if witness is None or not witness.has("split"):
+    witness = recognize(inst.graph)
+    if not (witness.has("connected") and witness.has("split")):
         raise ClassMismatchError("graph is not a connected split graph")
 
     p = len({a.type_id for a in inst.agents})

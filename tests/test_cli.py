@@ -302,3 +302,45 @@ def test_batch_negative_count_exit_2(tmp_path, capsys):
     assert cli.main(["batch", "--config", str(config), "--out", str(out)]) == 2
     assert "trial count must not be negative, got -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_batch_checks_every_trial_before_running_any(tmp_path, capsys, record):
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "report.csv"
+    trials = [
+        {"class": "multipartite", "count": 3, "vertices": 10, "agents": 2},
+        {"class": "split", "count": -1},
+    ]
+    config.write_text(json.dumps({"trials": trials}), encoding="utf-8")
+    generated = record(cli.generators, "generate")
+    assert cli.main(["batch", "--config", str(config), "--out", str(out)]) == 2
+    assert "trial count must not be negative, got -1" in capsys.readouterr().err
+    assert generated == []
+    assert not out.exists()
+
+
+def unreadable_file_commands(tmp_path, bad: Path) -> list[list[str]]:
+    """allocate, verify and batch, each reading `bad` as its last input file."""
+    g = cycle(4)
+    inst = tmp_path / "c4.json"
+    write_instance(inst, g, [{v: 1 for v in g.vertices}, {v: 1 for v in g.vertices}])
+    return [
+        ["allocate", str(bad)],
+        ["verify", str(inst), str(bad), "--alpha", "1/2"],
+        ["batch", "--config", str(bad)],
+    ]
+
+
+def test_missing_input_file_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    for argv in unreadable_file_commands(tmp_path, missing):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: "), argv
+
+
+def test_malformed_input_file_exit_2(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{\n  "trials": [\n', encoding="utf-8")
+    for argv in unreadable_file_commands(tmp_path, broken):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {broken}: invalid JSON at line 3"), argv

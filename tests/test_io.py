@@ -131,7 +131,7 @@ def test_allocation_doc_round_trip():
         for key in ("value", "mms", "ratio")
     )
     text = io.canonical_dumps(doc)
-    parsed, claimed = io.parse_allocation_doc(json.loads(text))
-    assert claimed == Fraction(1, 2)
+    parsed = io.parse_allocation_doc(json.loads(text))
+    assert parsed.target_alpha == Fraction(1, 2)
     assert parsed.bundle_of(1) == frozenset({"b"})
     assert parsed.bundle_of(2) == frozenset({"c"})

@@ -12,6 +12,7 @@ from graphfair.core import (
     InvalidInputError,
     StructuralError,
 )
+from graphfair.generators import gen_split
 from graphfair.splitgraph import (
     OwnedPacking,
     allocate_split,
@@ -205,3 +206,14 @@ def test_non_split_graph_rejected():
     inst = Instance(graph=c5, agents=(Agent(id=1, type_id=1, utility=u),))
     with pytest.raises(ClassMismatchError):
         allocate_split(inst)
+
+
+def test_allocate_split_recognizes_the_graph_once(record):
+    # The bounded solver reads only the split pair, so it asks for that alone.
+    recognized = record(splitgraph, "recognize")
+    solved = record(splitgraph, "_allocate_bounded_split")
+    seeds = range(12)
+    for seed in seeds:
+        allocate_split(gen_split(seed, 9, 3, 20))
+    assert solved, "no instance reached the bounded solver"
+    assert len(recognized) == len(seeds)
