@@ -29,7 +29,6 @@ from .core import (
     GoodsGraph,
     Instance,
     InvalidInputError,
-    Packing,
     StructuralError,
     Value,
     validate_instance,
@@ -68,7 +67,7 @@ def allocate_bounded(
     returned bundles are disjoint but need not cover the graph.
     """
     if not agents:
-        return Allocation(packing=Packing(bundles=()), target_alpha=HALF)
+        return finish_allocation(agents, targets, {}, HALF)
     for a in agents:
         if targets[a.id] < 0:
             raise InvalidInputError(f"negative target for agent {a.id}")

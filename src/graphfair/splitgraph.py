@@ -29,7 +29,6 @@ from .core import (
     Packing,
     StructuralError,
     Value,
-    ZERO,
     validate_instance,
 )
 from .graphs import recognize, split_partition
@@ -61,42 +60,28 @@ def beta(k: int, ell: int) -> Fraction:
     return b
 
 
-@dataclass
-class OwnedPacking:
-    """One connected packing owned by a slot of the tournament.
-
-    The owner's utility decides which contested vertex the packing keeps in
-    each merge round.  Bundles are mutable sets while the tournament runs.
-    """
-
-    slot: int
-    bundles: list[set[str]]
-
-    def copy(self) -> "OwnedPacking":
-        return OwnedPacking(slot=self.slot, bundles=[set(b) for b in self.bundles])
-
-
 def merge_packings(
-    left: list[OwnedPacking],
-    right: list[OwnedPacking],
-    utilities: Sequence[Mapping[str, Value]],
+    left: list[list[set[str]]],
+    right: list[list[set[str]]],
+    owners: Sequence[Agent],
     independent: frozenset[str],
-) -> list[OwnedPacking]:
+) -> list[list[set[str]]]:
     """Resolve I-vertices contested between two packing sequences.
 
-    A sequence lists the 2^ell packings left after ell merge rounds, and
-    each I-vertex sits in exactly one of them.  Each I-vertex must therefore
-    appear in exactly two packings of the concatenation,
+    A packing is its list of bundle sets, and owners[i] owns packing i of
+    left + right.  A sequence lists the 2^ell packings left after ell merge
+    rounds, and each I-vertex sits in exactly one of them.  Each I-vertex
+    must therefore appear in exactly two packings of the concatenation,
     one per side.  The resolution walks a chain: the current bundle keeps
     its most valuable (by its owner's utility, ties to the smaller id)
     contested vertex, the twin bundle holding the same vertex loses it and
     becomes current, so a bundle never loses twice without keeping once in
     between.  Value bounds are the caller's business; this only rewires.
     """
-    packs = [p.copy() for p in left + right]
+    packs = [[set(b) for b in pack] for pack in left + right]
     locs: dict[str, list[tuple[int, int]]] = {}
     for pi, pack in enumerate(packs):
-        for bi, bundle in enumerate(pack.bundles):
+        for bi, bundle in enumerate(pack):
             for v in bundle & independent:
                 locs.setdefault(v, []).append((pi, bi))
     for v in sorted(independent):
@@ -108,44 +93,39 @@ def merge_packings(
     contested = set(locs)
     current: tuple[int, int] | None = None
     while contested:
-        if current is None or not (packs[current[0]].bundles[current[1]] & contested):
+        if current is None or not (packs[current[0]][current[1]] & contested):
             current = next(
                 (pi, bi)
                 for pi, pack in enumerate(packs)
-                for bi, bundle in enumerate(pack.bundles)
+                for bi, bundle in enumerate(pack)
                 if bundle & contested
             )
         pi, bi = current
-        util = utilities[packs[pi].slot]
-        v = min(packs[pi].bundles[bi] & contested, key=lambda x: (-util[x], x))
+        util = owners[pi].utility
+        v = min(packs[pi][bi] & contested, key=lambda x: (-util[x], x))
         twin = next(loc for loc in locs[v] if loc != current)
-        packs[twin[0]].bundles[twin[1]].discard(v)
+        packs[twin[0]][twin[1]].discard(v)
         contested.discard(v)
         current = twin
 
     return packs
 
 
-def _bundle_value(util: Mapping[str, Value], bundle) -> Value:
-    total = ZERO
-    for v in bundle:
-        total += util[v]
-    return total
-
-
 def build_packing_sequence(
     split_pair: tuple[frozenset[str], frozenset[str]],
-    type_utilities: Sequence[Mapping[str, Value]],
+    owners: Sequence[Agent],
     mms_partitions: Sequence[Packing],
-) -> list[OwnedPacking]:
+) -> list[list[set[str]]]:
     """Run the full tournament over 2^k slots and check the retention floor.
 
-    Slot s starts from its own copy of mms_partitions[s].  After round ell
-    every bundle must still be worth, to its owner, at least beta(k, ell)
-    times the owner's original minimum bundle value; a miss means a bug in
-    the merge or an unbounded input and raises.
+    A slot is a position: slot s starts from its own copy of
+    mms_partitions[s], owners[s] owns it, and it stays at position s.  Round
+    ell merges adjacent blocks of 2^(ell-1) packings.  After it every bundle
+    must still be worth, to its owner, at least beta(k, ell) times the
+    owner's original minimum bundle value; a miss means a bug in the merge
+    or an unbounded input and raises.
     """
-    count = len(type_utilities)
+    count = len(owners)
     if count == 0 or count & (count - 1):
         raise InvalidInputError(f"slot count {count} is not a power of two")
     k = count.bit_length() - 1
@@ -153,47 +133,38 @@ def build_packing_sequence(
         raise InvalidInputError("need exactly one witness partition per slot")
     _, independent = split_pair
 
-    floors: list[Value] = []
-    seqs: list[list[OwnedPacking]] = []
-    for s in range(count):
-        bundles = [set(vs) for _, vs in mms_partitions[s].bundles]
-        floors.append(min(_bundle_value(type_utilities[s], b) for b in bundles))
-        seqs.append([OwnedPacking(s, bundles)])
-
-    level = 0
-    while len(seqs) > 1:
-        level += 1
-        seqs = [
-            merge_packings(seqs[i], seqs[i + 1], type_utilities, independent)
-            for i in range(0, len(seqs), 2)
-        ]
-        for seq in seqs:
-            _check_sequence(seq, type_utilities, independent, beta(k, level), floors)
-    final = seqs[0]
-    for pos, pack in enumerate(final):
-        if pack.slot != pos:
-            raise StructuralError("tournament reordered the packing slots")
-    return final
+    packs = [[set(vs) for _, vs in witness.bundles] for witness in mms_partitions]
+    floors = [min(o.value(b) for b in pack) for o, pack in zip(owners, packs)]
+    for level in range(1, k + 1):
+        width = 2 ** (level - 1)
+        for lo in range(0, count, 2 * width):
+            mid, hi = lo + width, lo + 2 * width
+            packs[lo:hi] = merge_packings(
+                packs[lo:mid], packs[mid:hi], owners[lo:hi], independent
+            )
+            _check_block(packs[lo:hi], lo, owners, floors, independent, beta(k, level))
+    return packs
 
 
-def _check_sequence(
-    seq: list[OwnedPacking],
-    utilities: Sequence[Mapping[str, Value]],
+def _check_block(
+    block: list[list[set[str]]],
+    first_slot: int,
+    owners: Sequence[Agent],
+    floors: Sequence[Value],
     independent: frozenset[str],
     scale: Fraction,
-    floors: Sequence[Value],
 ) -> None:
     seen: set[str] = set()
-    for pack in seq:
-        for bundle in pack.bundles:
+    for s, pack in enumerate(block, first_slot):
+        for bundle in pack:
             kept = bundle & independent
             dup = kept & seen
             if dup:
                 raise StructuralError(f"vertices {sorted(dup)} kept in two bundles")
             seen |= kept
-            if _bundle_value(utilities[pack.slot], bundle) < scale * floors[pack.slot]:
+            if owners[s].value(bundle) < scale * floors[s]:
                 raise GuaranteeViolationError(
-                    f"a bundle of slot {pack.slot} fell below {scale} of its floor"
+                    f"a bundle of slot {s} fell below {scale} of its floor"
                 )
     missing = independent - seen
     if missing:
@@ -204,34 +175,33 @@ def _check_sequence(
 class KernelInstance:
     """The contracted complete-graph instance plus the data to undo it.
 
-    anchors maps each I-vertex to the clique vertex absorbing its value;
-    slot_of names each agent's own packing inside the final sequence.
+    anchors maps each I-vertex to the clique vertex absorbing its value.
     """
 
     graph: GoodsGraph
     agents: tuple[Agent, ...]
     anchors: Mapping[str, str]
-    slot_of: Mapping[int, int]
 
 
 def contract_to_kernel(
     graph: GoodsGraph,
     split_pair: tuple[frozenset[str], frozenset[str]],
-    seq: list[OwnedPacking],
+    seq: list[list[set[str]]],
     agents: Sequence[Agent],
 ) -> KernelInstance:
     """Fold every surviving I-vertex into a clique neighbour in its bundle.
 
-    Each agent's modified utility folds only the I-vertices sitting in her
-    own packing, so the clique parts of her bundles are worth exactly what
-    the full bundles were.  The anchor map itself is global: expansion later
-    hands every I-vertex to whoever receives its anchor.
+    Packing s of seq is slot s, which belongs to the s-th agent type in
+    sorted order.  Each agent's modified utility folds only the I-vertices
+    sitting in her own packing, so the clique parts of her bundles are worth
+    exactly what the full bundles were.  The anchor map itself is global:
+    expansion later hands every I-vertex to whoever receives its anchor.
     """
     clique, independent = split_pair
     anchors: dict[str, str] = {}
     home_packing: dict[str, int] = {}
     for pi, pack in enumerate(seq):
-        for bundle in pack.bundles:
+        for bundle in pack:
             for v in sorted(bundle & independent):
                 if v in anchors:
                     raise StructuralError(f"vertex {v!r} sits in two bundles")
@@ -251,18 +221,14 @@ def contract_to_kernel(
     kernel_graph = GoodsGraph.build(sorted(clique), combinations(sorted(clique), 2))
 
     folded: list[Agent] = []
-    slot_of: dict[int, int] = {}
     for a in agents:
         s = slot_for_type[a.type_id]
-        slot_of[a.id] = s
         mod = {w: a.utility[w] for w in kernel_graph.vertices}
         for v, pi in home_packing.items():
             if pi == s:
                 mod[anchors[v]] = mod[anchors[v]] + a.utility[v]
         folded.append(Agent(id=a.id, type_id=a.type_id, utility=mod))
-    return KernelInstance(
-        graph=kernel_graph, agents=tuple(folded), anchors=anchors, slot_of=slot_of
-    )
+    return KernelInstance(graph=kernel_graph, agents=tuple(folded), anchors=anchors)
 
 
 def _allocate_bounded_split(
@@ -300,9 +266,9 @@ def _allocate_bounded_split(
             )
 
     slots = types + [types[-1]] * (2**k - len(types))
-    type_utilities = [rep[t].utility for t in slots]
+    owners = [rep[t] for t in slots]
     mms_partitions = [records[t].witness for t in slots]
-    seq = build_packing_sequence(split_pair, type_utilities, mms_partitions)
+    seq = build_packing_sequence(split_pair, owners, mms_partitions)
     kern = contract_to_kernel(graph, split_pair, seq, agents)
 
     kernel_targets = {a.id: oracle.mms(kern.graph, a, n).value for a in kern.agents}

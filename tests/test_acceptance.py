@@ -191,13 +191,13 @@ def test_criterion_6_split_suite(record):
     assert merges > 0 and kernels > 0, (merges, kernels)
 
     for call in merge_calls:
-        left, right, utilities, independent = call.args
+        left, right, owners, independent = call.args
         packs = left + right
-        assert [p.slot for p in call.result] == [p.slot for p in packs]
-        for old, new in zip(packs, call.result):
-            util = utilities[old.slot]
-            assert len(new.bundles) == len(old.bundles)
-            for was, now in zip(old.bundles, new.bundles):
+        assert len(call.result) == len(packs) == len(owners)
+        for old, new, owner in zip(packs, call.result, owners):
+            util = owner.utility
+            assert len(new) == len(old)
+            for was, now in zip(old, new):
                 assert now - independent == was - independent, (was, now)
                 assert now <= was, (was, now)
                 before = sorted((util[v] for v in was & independent), reverse=True)
@@ -213,9 +213,10 @@ def test_criterion_6_split_suite(record):
         _, _, seq, agents = call.args
         kern = call.result
         kernel_vertices = frozenset(kern.graph.vertices)
+        types = sorted({a.type_id for a in agents})
         for a, folded_agent in zip(agents, kern.agents):
             assert folded_agent.id == a.id
-            for bundle in seq[kern.slot_of[a.id]].bundles:
+            for bundle in seq[types.index(a.type_id)]:
                 folded = folded_agent.value(bundle & kernel_vertices)
                 assert folded == a.value(bundle), (a.id, bundle)
     assert len(kernel_solves) == kernels

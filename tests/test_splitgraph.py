@@ -10,13 +10,14 @@ from graphfair.core import (
     GuaranteeViolationError,
     Instance,
     InvalidInputError,
+    Packing,
     StructuralError,
 )
 from graphfair.generators import gen_split
 from graphfair.splitgraph import (
-    OwnedPacking,
     allocate_split,
     beta,
+    build_packing_sequence,
     contract_to_kernel,
     merge_packings,
     split_alpha,
@@ -55,34 +56,102 @@ def test_merge_resolves_contested_vertices_along_a_chain():
         {"k1": Fraction(0), "k2": Fraction(0), "i1": Fraction(5), "i2": Fraction(1)},
         {"k1": Fraction(0), "k2": Fraction(0), "i1": Fraction(1), "i2": Fraction(5)},
     ]
-    left = [OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2", "i2"}])]
-    right = [OwnedPacking(slot=1, bundles=[{"k1", "i1", "i2"}, {"k2"}])]
+    owners = [Agent(id=i, type_id=i, utility=u) for i, u in enumerate(utilities)]
+    left = [[{"k1", "i1"}, {"k2", "i2"}]]
+    right = [[{"k1", "i1", "i2"}, {"k2"}]]
     independent = frozenset({"i1", "i2"})
-    merged = merge_packings(left, right, utilities, independent)
-    assert [p.bundles for p in merged] == [
+    merged = merge_packings(left, right, owners, independent)
+    assert merged == [
         [{"k1", "i1"}, {"k2"}],
         [{"k1", "i2"}, {"k2"}],
     ]
     # inputs are untouched
-    assert left[0].bundles == [{"k1", "i1"}, {"k2", "i2"}]
-    before = [b & independent for p in left + right for b in p.bundles]
-    after = [b & independent for p in merged for b in p.bundles]
+    assert left[0] == [{"k1", "i1"}, {"k2", "i2"}]
+    before = [b & independent for p in left + right for b in p]
+    after = [b & independent for p in merged for b in p]
     assert after[before.index({"i1", "i2"})] == {"i2"}
 
 
 def test_merge_requires_each_vertex_in_exactly_two_packings():
-    utilities = [{"i1": Fraction(1)}, {"i1": Fraction(1)}]
-    once = [OwnedPacking(slot=0, bundles=[{"i1"}])]
-    never = [OwnedPacking(slot=1, bundles=[set()])]
+    owners = [Agent(id=i, type_id=i, utility={"i1": Fraction(1)}) for i in (0, 1)]
+    once = [[{"i1"}]]
+    never = [[set()]]
     with pytest.raises(StructuralError):
-        merge_packings(once, never, utilities, frozenset({"i1"}))
+        merge_packings(once, never, owners, frozenset({"i1"}))
+
+
+def four_slot_tournament():
+    """Four owners, one slot each, on clique k1..k3 and independent set i1..i6.
+
+    Slots 0 and 1 prize the low I-vertices and slots 2 and 3 the high ones,
+    so every merge depends on which owners it is handed.
+    """
+    clique = frozenset({"k1", "k2", "k3"})
+    independent = frozenset(f"i{j}" for j in range(1, 7))
+    rows = [[6, 5, 4, 3, 2, 1], [6, 6, 4, 4, 2, 2], [1, 2, 3, 4, 5, 6], [1, 3, 3, 5, 5, 7]]
+    owners = []
+    for s, row in enumerate(rows):
+        utility = {k: Fraction(4) for k in clique}
+        utility.update((f"i{j}", Fraction(x)) for j, x in enumerate(row, 1))
+        owners.append(Agent(id=s + 1, type_id=s + 1, utility=utility))
+    partitions = [
+        [{"k1", "i1", "i4", "i6"}, {"k2", "i2", "i3", "i5"}, {"k3"}],
+        [{"k1", "i1", "i2"}, {"k2", "i4", "i6"}, {"k3", "i3", "i5"}],
+        [{"k1", "i1", "i3", "i4"}, {"k2"}, {"k3", "i2", "i5", "i6"}],
+        [{"k1", "i2"}, {"k2", "i1", "i5", "i6"}, {"k3", "i3", "i4"}],
+    ]
+    witnesses = [
+        Packing(bundles=tuple((j, frozenset(b)) for j, b in enumerate(bundles, 1)))
+        for bundles in partitions
+    ]
+    return (clique, independent), owners, witnesses
+
+
+def test_four_slots_run_two_rounds(record):
+    split_pair, owners, witnesses = four_slot_tournament()
+    merges = record(splitgraph, "merge_packings")
+    final = build_packing_sequence(split_pair, owners, witnesses)
+    # round 1 merges slots 0-1 and slots 2-3, round 2 the two halves
+    assert [m.result for m in merges] == [
+        [[{"k1", "i1", "i4"}, {"k2", "i3"}, {"k3"}], [{"k1", "i2"}, {"k2", "i6"}, {"k3", "i5"}]],
+        [[{"k1", "i1", "i4"}, {"k2"}, {"k3", "i2", "i5"}], [{"k1"}, {"k2", "i6"}, {"k3", "i3"}]],
+        final,
+    ]
+    assert final == [
+        [{"k1", "i1"}, {"k2", "i3"}, {"k3"}],
+        [{"k1", "i2"}, {"k2", "i6"}, {"k3"}],
+        [{"k1", "i4"}, {"k2"}, {"k3", "i5"}],
+        [{"k1"}, {"k2"}, {"k3"}],
+    ]
+    assert [[o.id for o in m.args[2]] for m in merges] == [[1, 2], [3, 4], [1, 2, 3, 4]]
+
+
+def test_packing_sequence_input_checks():
+    split_pair, owners, witnesses = four_slot_tournament()
+    for count in (0, 3):
+        with pytest.raises(InvalidInputError, match=f"slot count {count} is not a power of two"):
+            build_packing_sequence(split_pair, owners[:count], witnesses[:count])
+    with pytest.raises(InvalidInputError, match="one witness partition per slot"):
+        build_packing_sequence(split_pair, owners, witnesses[:2])
+
+
+def test_packing_sequence_raises_below_the_retention_floor():
+    # slot 0 keeps the contested i1, leaving slot 1's only bundle worth 0 to
+    # its owner, below beta(1, 1) = 4/11 of her floor of 1
+    owners = [
+        Agent(id=i, type_id=i, utility={"k1": Fraction(0), "i1": Fraction(1)}) for i in (1, 2)
+    ]
+    witness = Packing(bundles=((1, frozenset({"k1", "i1"})),))
+    pair = (frozenset({"k1"}), frozenset({"i1"}))
+    with pytest.raises(GuaranteeViolationError, match="a bundle of slot 1 fell below 4/11"):
+        build_packing_sequence(pair, owners, [witness, witness])
 
 
 def test_contract_folds_into_own_slot_only():
     g = split_graph_2x2()
     seq = [
-        OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2"}]),
-        OwnedPacking(slot=1, bundles=[{"k1"}, {"k2", "i2"}]),
+        [{"k1", "i1"}, {"k2"}],
+        [{"k1"}, {"k2", "i2"}],
     ]
     u1 = {"k1": Fraction(2), "k2": Fraction(3), "i1": Fraction(7), "i2": Fraction(9)}
     u2 = {"k1": Fraction(1), "k2": Fraction(1), "i1": Fraction(1), "i2": Fraction(4)}
@@ -91,7 +160,6 @@ def test_contract_folds_into_own_slot_only():
 
     assert sorted(kern.graph.vertices) == ["k1", "k2"]
     assert kern.anchors == {"i1": "k1", "i2": "k2"}
-    assert kern.slot_of == {1: 0, 2: 1}
     m1 = kern.agents[0].utility
     m2 = kern.agents[1].utility
     # agent 1 owns slot 0, so only i1 folds for her; i2 lives in slot 1
@@ -107,15 +175,15 @@ def test_contract_rejects_stranded_vertices():
     pair = (frozenset({"k1", "k2"}), frozenset({"i1", "i2"}))
     agents = (Agent(id=1, type_id=1, utility={v: Fraction(1) for v in g.vertices}),)
 
-    lonely = [OwnedPacking(slot=0, bundles=[{"i1"}, {"k1", "k2", "i2"}])]
+    lonely = [[{"i1"}, {"k1", "k2", "i2"}]]
     with pytest.raises(GuaranteeViolationError):
         contract_to_kernel(g, pair, lonely, agents)
 
-    doubled = [OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2", "i1", "i2"}])]
+    doubled = [[{"k1", "i1"}, {"k2", "i1", "i2"}]]
     with pytest.raises(StructuralError):
         contract_to_kernel(g, pair, doubled, agents)
 
-    dropped = [OwnedPacking(slot=0, bundles=[{"k1", "i1"}, {"k2"}])]
+    dropped = [[{"k1", "i1"}, {"k2"}]]
     with pytest.raises(StructuralError):
         contract_to_kernel(g, pair, dropped, agents)
 
