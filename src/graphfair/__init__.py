@@ -18,7 +18,6 @@ from .core import (
     GuaranteeViolationError,
     Instance,
     InvalidInputError,
-    Packing,
     SizeLimitError,
     StructuralError,
     UndefinedMmsError,
@@ -49,7 +48,6 @@ __all__ = [
     "Instance",
     "InvalidInputError",
     "MmsRecord",
-    "Packing",
     "SizeLimitError",
     "StructuralError",
     "UndefinedMmsError",

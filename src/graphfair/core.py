@@ -1,4 +1,4 @@
-"""Shared data model: graphs of goods, agents, instances, packings, allocations.
+"""Shared data model: graphs of goods, agents, instances, allocations.
 
 All numeric work uses exact rationals (fractions.Fraction).  Floats are never
 accepted; utility values parsed from external input must arrive as ints,
@@ -218,31 +218,20 @@ def validate_instance(inst: Instance) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Packing:
-    """Pairwise disjoint connected bundles, labelled by agent id.
+class Allocation:
+    """Bundles labelled by agent id, with the alpha they claim.
 
-    A packing need not cover the whole vertex set; a partition is the special
-    case in which it does.  For maximin-share witnesses the labels are bundle
-    slots 1..n rather than real agent ids.  Connectivity is not checked here
-    (that requires graph context, see verify.check_allocation).
+    The bundles stay a tuple of (agent id, bundle) pairs, not a map, so that
+    a parsed allocation file keeps any repeated or unknown label for
+    verify.check_allocation to report.  It carries no ratios: how each bundle
+    measures against its agent's share is for the checker to say.
     """
 
     bundles: tuple[tuple[int, frozenset[str]], ...]
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """A packing together with the approximation alpha it claims.
-
-    It carries no ratios: how each bundle measures against its agent's share
-    is for verify.check_allocation to say.
-    """
-
-    packing: Packing
     target_alpha: Value
 
     def bundle_of(self, agent_id: int) -> frozenset[str]:
-        for label, vs in self.packing.bundles:
+        for label, vs in self.bundles:
             if label == agent_id:
                 return vs
         return frozenset()

@@ -15,7 +15,6 @@ from .core import (
     GoodsGraph,
     Instance,
     InvalidInputError,
-    Packing,
     Value,
     as_value,
     value_str,
@@ -133,11 +132,6 @@ def load_instance(path: str) -> tuple[Instance, dict[int, str]]:
     return parse_instance_doc(read_json(path))
 
 
-def save_instance(path: str, inst: Instance, type_names: Mapping[int, str] | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_dumps(instance_to_doc(inst, type_names)))
-
-
 def allocation_to_doc(inst: Instance, cert: Certificate) -> dict:
     """AllocationFile form of a certificate; all rationals as "p/q"."""
     assigned: set[str] = set()
@@ -180,19 +174,9 @@ def parse_allocation_doc(doc) -> Allocation:
             f"bundle of agent {aid} needs a vertex list",
         )
         pairs.append((aid, frozenset(verts)))
-    packing = Packing(bundles=tuple(sorted(pairs)))
-    return Allocation(packing=packing, target_alpha=alpha)
+    return Allocation(bundles=tuple(sorted(pairs)), target_alpha=alpha)
 
 
 def load_allocation(path: str) -> Allocation:
     return parse_allocation_doc(read_json(path))
 
-
-def canonicalize_instance_text(text: str) -> str:
-    """Parse instance JSON and re-emit it in canonical byte form."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    inst, names = parse_instance_doc(doc)
-    return canonical_dumps(instance_to_doc(inst, names))

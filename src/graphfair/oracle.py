@@ -42,7 +42,6 @@ from .core import (
     Agent,
     GoodsGraph,
     InvalidInputError,
-    Packing,
     SizeLimitError,
     StructuralError,
     UndefinedMmsError,
@@ -71,17 +70,17 @@ def _cap(graph: GoodsGraph) -> None:
 
 @dataclass(frozen=True)
 class MmsRecord:
-    """An exact share value with a witness packing.
+    """An exact share value with its witness: n connected bundles.
 
     A record belongs to a utility function, not to an agent: every agent with
     that utility function on that graph and bundle count n gets it.  The
-    witness has n bundles labelled with slots 1..n.  An `mms` witness covers
-    the whole vertex set; a `pmms` witness may not, except on a graph with at
-    most one component, where the two shares are one record.
+    witness lists the n bundles in search order, empty ones last.  An `mms`
+    witness covers the whole vertex set; a `pmms` witness may not, except on
+    a graph with at most one component, where the two shares are one record.
     """
 
     value: Value
-    witness: Packing
+    witness: tuple[frozenset[str], ...]
 
 
 def _store(key, record: MmsRecord) -> None:
@@ -214,13 +213,6 @@ def _minmax_partition_search(adj: list[int], full: int, wts: list[int], n: int):
     return best_val, best_parts
 
 
-def _witness_packing(mk: _Mask, parts: tuple, n: int) -> Packing:
-    bundles = [(i + 1, mk.to_set(mask)) for i, mask in enumerate(parts)]
-    for j in range(len(parts), n):
-        bundles.append((j + 1, frozenset()))
-    return Packing(bundles=tuple(bundles))
-
-
 def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
     """The n-bundle share over packings, or over partitions when `cover` is set.
 
@@ -297,7 +289,8 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
         # rest are empty, and the share is 0.
         value = ZERO
         parts = tuple(1 << i for i in range(mk.m))
-    record = MmsRecord(value=value, witness=_witness_packing(mk, parts, n))
+    witness = tuple(mk.to_set(mask) for mask in parts) + (frozenset(),) * (n - len(parts))
+    record = MmsRecord(value=value, witness=witness)
     _store(key, record)
     return record
 

@@ -30,7 +30,6 @@ from .core import (
     GoodsGraph,
     GuaranteeViolationError,
     Instance,
-    Packing,
     StructuralError,
     Value,
 )
@@ -121,12 +120,8 @@ def finish_allocation(
             raise GuaranteeViolationError(
                 f"agent {a.id} received {got}, below {alpha} of target {t}"
             )
-    packing = Packing(bundles=tuple((aid, bundles[aid]) for aid in sorted(bundles)))
-    return Allocation(packing=packing, target_alpha=alpha)
-
-
-def _bundles_inside(witness: Packing, comp: frozenset[str]) -> int:
-    return sum(1 for _, b in witness.bundles if b and b <= comp)
+    pairs = tuple((aid, bundles[aid]) for aid in sorted(bundles))
+    return Allocation(bundles=pairs, target_alpha=alpha)
 
 
 def allocate_reduction(
@@ -151,9 +146,7 @@ def allocate_reduction(
         if inst.n == 1:
             aid = inst.agents[0].id
             rec = share_records[aid]
-            return finish_allocation(
-                inst.agents, {aid: rec.value}, {aid: rec.witness.bundles[0][1]}, alpha
-            )
+            return finish_allocation(inst.agents, {aid: rec.value}, {aid: rec.witness[0]}, alpha)
     shares = {aid: rec.value for aid, rec in share_records.items()}
 
     state = peel_heavy_vertices(inst, alpha, shares)
@@ -174,7 +167,7 @@ def allocate_reduction(
     capacities: list[int] = []
     for comp in state.components:
         # f(i, j) of the module docstring, for this component j.
-        f = {aid: _bundles_inside(share_records[aid].witness, comp) for aid in pending}
+        f = {aid: sum(1 for b in share_records[aid].witness if b and b <= comp) for aid in pending}
         ranked = sorted(pending, key=lambda aid: (-f[aid], aid))
         k = compute_kj([f[aid] for aid in ranked])
         capacities.append(k)

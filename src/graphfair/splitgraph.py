@@ -26,7 +26,6 @@ from .core import (
     GuaranteeViolationError,
     Instance,
     InvalidInputError,
-    Packing,
     StructuralError,
     Value,
     validate_instance,
@@ -114,7 +113,7 @@ def merge_packings(
 def build_packing_sequence(
     split_pair: tuple[frozenset[str], frozenset[str]],
     owners: Sequence[Agent],
-    mms_partitions: Sequence[Packing],
+    mms_partitions: Sequence[Sequence[frozenset[str]]],
 ) -> list[list[set[str]]]:
     """Run the full tournament over 2^k slots and check the retention floor.
 
@@ -133,7 +132,7 @@ def build_packing_sequence(
         raise InvalidInputError("need exactly one witness partition per slot")
     _, independent = split_pair
 
-    packs = [[set(vs) for _, vs in witness.bundles] for witness in mms_partitions]
+    packs = [[set(vs) for vs in witness] for witness in mms_partitions]
     floors = [min(o.value(b) for b in pack) for o, pack in zip(owners, packs)]
     for level in range(1, k + 1):
         width = 2 ** (level - 1)
@@ -191,7 +190,7 @@ def contract_to_kernel(
 ) -> KernelInstance:
     """Fold every surviving I-vertex into a clique neighbour in its bundle.
 
-    Packing s of seq is slot s, which belongs to the s-th agent type in
+    Position s of seq is slot s, which belongs to the s-th agent type in
     sorted order.  Each agent's modified utility folds only the I-vertices
     sitting in her own packing, so the clique parts of her bundles are worth
     exactly what the full bundles were.  The anchor map itself is global:

@@ -51,7 +51,7 @@ def check_allocation(
     """
     notes: list[str] = []
     known = {a.id for a in inst.agents}
-    labels = [label for label, _ in alloc.packing.bundles]
+    labels = [label for label, _ in alloc.bundles]
     for label in labels:
         if label not in known:
             notes.append(f"bundle label {label} is not an agent id")
@@ -63,7 +63,7 @@ def check_allocation(
 
     vset = set(inst.graph.vertices)
     seen: set[str] = set()
-    for label, bundle in alloc.packing.bundles:
+    for label, bundle in alloc.bundles:
         unknown = bundle - vset
         if unknown:
             notes.append(f"bundle of {label} contains unknown vertices {sorted(unknown)}")

@@ -9,8 +9,9 @@ itself does not need.
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Iterable
 
-from graphfair.core import Agent, GoodsGraph, Instance, Packing, Value, ZERO
+from graphfair.core import Agent, GoodsGraph, Instance, Value, ZERO
 from graphfair.graphs import is_connected_subset
 
 
@@ -141,26 +142,29 @@ def random_profile(rng, vertices) -> dict[str, Fraction]:
     }
 
 
-def assigned_vertices(packing: Packing) -> frozenset[str]:
+def assigned_vertices(bundles: Iterable[frozenset[str]]) -> frozenset[str]:
     out: set[str] = set()
-    for _, vs in packing.bundles:
+    for vs in bundles:
         out |= vs
     return frozenset(out)
 
 
-def is_partition_of(packing: Packing, graph: GoodsGraph) -> bool:
-    return assigned_vertices(packing) == frozenset(graph.vertices)
+def is_partition_of(bundles: Iterable[frozenset[str]], graph: GoodsGraph) -> bool:
+    return assigned_vertices(bundles) == frozenset(graph.vertices)
 
 
-def packing_problems(packing: Packing, graph: GoodsGraph) -> list[str]:
+def packing_problems(
+    labelled: Iterable[tuple[int, frozenset[str]]], graph: GoodsGraph
+) -> list[str]:
     """Disjointness and label sanity; connectivity is checked separately."""
+    labelled = list(labelled)
     problems: list[str] = []
-    labels = [label for label, _ in packing.bundles]
+    labels = [label for label, _ in labelled]
     if len(set(labels)) != len(labels):
         problems.append("an agent label appears in two bundles")
     seen: set[str] = set()
     vset = set(graph.vertices)
-    for label, vs in packing.bundles:
+    for label, vs in labelled:
         unknown = vs - vset
         if unknown:
             problems.append(f"bundle of {label} contains unknown vertices {sorted(unknown)}")

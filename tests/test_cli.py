@@ -14,7 +14,8 @@ def write_instance(path, graph: GoodsGraph, utils: list[dict], types=None):
         Agent(id=i, type_id=(types[i - 1] if types else i), utility={v: Fraction(x) for v, x in u.items()})
         for i, u in enumerate(utils, start=1)
     )
-    io.save_instance(str(path), Instance(graph=graph, agents=agents))
+    doc = io.instance_to_doc(Instance(graph=graph, agents=agents))
+    Path(path).write_bytes(io.canonical_dumps(doc).encode("utf-8"))
 
 
 def complete_bipartite(a: int, b: int) -> GoodsGraph:
@@ -72,7 +73,8 @@ def test_gen_postconditions(tmp_path):
     inst, _ = io.load_instance(str(f))
     assert len(inst.graph) == 9 and inst.n == 3
     text = f.read_text(encoding="utf-8")
-    assert io.canonicalize_instance_text(text) == text
+    parsed, names = io.parse_instance_doc(json.loads(text))
+    assert io.canonical_dumps(io.instance_to_doc(parsed, names)) == text
 
 
 def test_gen_infeasible_parameters_exit_3(tmp_path):
@@ -155,6 +157,23 @@ def test_verify_failing_certificate_exit_1(tmp_path, capsys):
     # each agent holds 3 of 6, mms is 3, so min ratio 1: alpha 2 must fail
     assert cli.main(["verify", str(f), str(alloc), "--alpha", "2/1"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_reports_a_repeated_agent_exit_1(tmp_path, capsys):
+    g = cycle(6)
+    f = tmp_path / "c6.json"
+    write_instance(f, g, [{v: 1 for v in g.vertices}, {v: 1 for v in g.vertices}])
+    alloc = tmp_path / "alloc.json"
+    assert cli.main(["allocate", str(f), "--out", str(alloc)]) == 0
+    capsys.readouterr()
+    # a hand edit hands agent 2's bundle to agent 1 as well
+    doc = json.loads(alloc.read_text(encoding="utf-8"))
+    doc["bundles"][1]["agent"] = 1
+    alloc.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(f), str(alloc), "--alpha", "1/2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "structural_ok=false" in out[0]
+    assert "note: an agent id labels two bundles" in out
 
 
 def test_batch_csv(tmp_path, capsys):

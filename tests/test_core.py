@@ -8,7 +8,6 @@ from graphfair.core import (
     GoodsGraph,
     Instance,
     InvalidInputError,
-    Packing,
     as_value,
     validate_instance,
     value_str,
@@ -128,27 +127,26 @@ def test_is_alpha_bounded_is_strict():
 
 def test_packing_structure():
     g = triangle_pendant()
-    p = Packing(bundles=((1, frozenset({"a", "b"})), (2, frozenset({"c", "d"}))))
+    p = ((1, frozenset({"a", "b"})), (2, frozenset({"c", "d"})))
     assert packing_problems(p, g) == []
-    assert is_partition_of(p, g)
-    assert assigned_vertices(p) == frozenset(g.vertices)
-    assert dict(p.bundles)[2] == frozenset({"c", "d"})
+    assert is_partition_of([vs for _, vs in p], g)
+    assert assigned_vertices([vs for _, vs in p]) == frozenset(g.vertices)
+    assert dict(p)[2] == frozenset({"c", "d"})
 
-    overlap = Packing(bundles=((1, frozenset({"a"})), (2, frozenset({"a"}))))
+    overlap = ((1, frozenset({"a"})), (2, frozenset({"a"})))
     assert packing_problems(overlap, g)
 
-    relabeled = Packing(bundles=((1, frozenset({"a"})), (1, frozenset({"b"}))))
+    relabeled = ((1, frozenset({"a"})), (1, frozenset({"b"})))
     assert packing_problems(relabeled, g)
 
-    partial = Packing(bundles=((1, frozenset({"a", "d"})),))
+    partial = [frozenset({"a", "d"})]
     assert not is_partition_of(partial, g)
 
-    stray = Packing(bundles=((1, frozenset({"zz"})),))
+    stray = ((1, frozenset({"zz"})),)
     assert packing_problems(stray, g)
 
 
 def test_allocation_accessors():
-    p = Packing(bundles=((1, frozenset({"a"})),))
-    alloc = Allocation(packing=p, target_alpha=Fraction(1, 2))
+    alloc = Allocation(bundles=((1, frozenset({"a"})),), target_alpha=Fraction(1, 2))
     assert alloc.bundle_of(1) == frozenset({"a"})
     assert alloc.bundle_of(9) == frozenset()

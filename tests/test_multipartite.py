@@ -86,8 +86,8 @@ def test_bounded_call_serves_everyone_a_quarter(record):
     assert targets == {1: Fraction(50), 2: Fraction(50)}
     splits = record(mp, "make_bipart_split")
     alloc = allocate_bounded_multipartite(g, parts, agents, targets)
-    assert is_partition_of(alloc.packing, g)
-    assert packing_problems(alloc.packing, g) == []
+    assert is_partition_of([b for _, b in alloc.bundles], g)
+    assert packing_problems(alloc.bundles, g) == []
     for a in agents:
         assert a.value(alloc.bundle_of(a.id)) >= QUARTER * targets[a.id]
     (call,) = splits

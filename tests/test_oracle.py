@@ -11,7 +11,6 @@ from graphfair.core import (
     Agent,
     GoodsGraph,
     InvalidInputError,
-    Packing,
     SizeLimitError,
     UndefinedMmsError,
 )
@@ -57,12 +56,12 @@ def test_witnesses_are_valid_packings():
     a = agent_with({"a": 3, "b": 1, "c": 2, "d": 2})
     for n in (1, 2, 3):
         rec = oracle.mms(g, a, n)
-        assert len(rec.witness.bundles) == n
-        assert packing_problems(rec.witness, g) == []
+        assert len(rec.witness) == n
+        assert packing_problems(enumerate(rec.witness, 1), g) == []
         assert is_partition_of(rec.witness, g)
-        values = [a.value(b) for _, b in rec.witness.bundles if b]
+        values = [a.value(b) for b in rec.witness if b]
         assert min(values) == rec.value
-        for _, b in rec.witness.bundles:
+        for b in rec.witness:
             assert is_connected_subset(g, b)
 
 
@@ -70,10 +69,21 @@ def test_pmms_witness_may_skip_vertices():
     g = GoodsGraph.build(["x", "y", "z"], [("x", "y")])
     a = agent_with({"x": 2, "y": 2, "z": 1})
     rec = oracle.pmms(g, a, 2)
-    assert packing_problems(rec.witness, g) == []
+    assert packing_problems(enumerate(rec.witness, 1), g) == []
     covered = assigned_vertices(rec.witness)
     assert covered <= frozenset(g.vertices)
-    assert min(a.value(b) for _, b in rec.witness.bundles) == 2
+    assert min(a.value(b) for b in rec.witness) == 2
+
+
+def test_witness_lists_empty_bundles_last():
+    g = GoodsGraph.build(["x", "y"], [("x", "y")])
+    a = agent_with({"x": 1, "y": 1})
+    for share in (oracle.mms, oracle.pmms):
+        rec = share(g, a, 4)
+        assert rec.value == 0
+        assert len(rec.witness) == 4
+        assert set(rec.witness[:2]) == {frozenset({"x"}), frozenset({"y"})}
+        assert rec.witness[2:] == (frozenset(), frozenset())
 
 
 def test_size_cap():
@@ -132,8 +142,8 @@ def test_pmms_matches_naive_on_disconnected_graphs():
             for n in range(1, len(g.vertices) + 2):
                 rec = oracle.pmms(g, a, n)
                 assert rec.value == naive_pmms(g, a, n)
-                assert packing_problems(rec.witness, g) == []
-                assert min(a.value(b) for _, b in rec.witness.bundles) == rec.value
+                assert packing_problems(enumerate(rec.witness, 1), g) == []
+                assert min(a.value(b) for b in rec.witness) == rec.value
                 expected = naive_mms(g, a, n)
                 if expected is None:
                     with pytest.raises(UndefinedMmsError):
@@ -142,7 +152,7 @@ def test_pmms_matches_naive_on_disconnected_graphs():
                     rec = oracle.mms(g, a, n)
                     assert rec.value == expected
                     assert is_partition_of(rec.witness, g)
-                    assert min(a.value(b) for _, b in rec.witness.bundles) == rec.value
+                    assert min(a.value(b) for b in rec.witness) == rec.value
 
 
 def count_searches(monkeypatch) -> list[tuple[int, int]]:
@@ -336,7 +346,7 @@ def test_max_min_ratio_allocation_exact():
     # opposite ends are worth 4 to each: both can hit their target exactly
     assert all(a.value(bundles[a.id]) >= targets[a.id] for a in (a1, a2))
     assert "a" in bundles[1] and "d" in bundles[2]
-    assert is_partition_of(as_packing(bundles), g)
+    assert is_partition_of(bundles.values(), g)
 
 
 def test_max_min_ratio_zero_target_unconstrained():
@@ -347,10 +357,6 @@ def test_max_min_ratio_zero_target_unconstrained():
     assert bundles == {1: frozenset({"a", "b"}), 2: frozenset()}
     with pytest.raises(InvalidInputError):
         oracle.max_min_ratio_allocation(g, [a1, a2], {1: Fraction(1), 2: Fraction(-1)})
-
-
-def as_packing(bundles: dict) -> Packing:
-    return Packing(bundles=tuple(sorted(bundles.items())))
 
 
 def brute_max_min_ratio(graph, agents, targets):
@@ -384,7 +390,7 @@ def test_max_min_ratio_brute_force_cross_check():
             ]
             bundles = oracle.max_min_ratio_allocation(graph, agents, targets)
             assert sorted(bundles) == sorted(targets)
-            assert is_partition_of(as_packing(bundles), graph)
+            assert is_partition_of(bundles.values(), graph)
             best = brute_max_min_ratio(graph, agents, targets)
             got = min(
                 a.value(bundles[a.id]) / targets[a.id] for a in agents if targets[a.id] > 0
@@ -404,7 +410,7 @@ def test_max_min_ratio_gives_every_agent_a_bundle():
     ):
         bundles = oracle.max_min_ratio_allocation(g, agents, targets)
         assert sorted(bundles) == [1, 2, 3]
-        assert is_partition_of(as_packing(bundles), g)
+        assert is_partition_of(bundles.values(), g)
     # four agents on three goods: one of them holds the empty bundle
     fourth = Agent(id=4, type_id=4, utility=dict(agents[0].utility))
     bundles = oracle.max_min_ratio_allocation(g, agents + [fourth], {i: Fraction(0) for i in range(1, 5)})

@@ -10,7 +10,6 @@ from graphfair.core import (
     GoodsGraph,
     GuaranteeViolationError,
     Instance,
-    Packing,
     StructuralError,
 )
 from graphfair.reduction import (
@@ -168,8 +167,8 @@ def test_allocate_reduction_solves_shared_components_and_serves_lone_agents_whol
     # Shares of 11 keep every vertex below half a share, so nobody peels;
     # the witnesses put two bundles of agents 1 and 2 on the path and one of
     # agent 3 on the edge.
-    on_path_witness = Packing(bundles=((1, frozenset("ab")), (2, frozenset("cd")), (3, frozenset())))
-    on_edge_witness = Packing(bundles=((1, frozenset("xy")),))
+    on_path_witness = (frozenset("ab"), frozenset("cd"), frozenset())
+    on_edge_witness = (frozenset("xy"),)
     records = {
         aid: oracle.MmsRecord(value=Fraction(11), witness=witness)
         for aid, witness in ((1, on_path_witness), (2, on_path_witness), (3, on_edge_witness))
@@ -251,7 +250,7 @@ def test_lone_agent_gets_her_own_id_from_a_shared_share_record():
     inst = Instance(graph=g, agents=(Agent(id=1, type_id=1, utility=dict(util)),))
     assert oracle.pmms(g, inst.agents[0], 1) is shared
     alloc = allocate_reduction(inst, Fraction(1, 2), halves_solver)
-    assert alloc.packing.bundles == ((1, frozenset({"c"})),)
+    assert alloc.bundles == ((1, frozenset({"c"})),)
     assert certified_ratios(inst, alloc) == {1: Fraction(1)}
 
 
@@ -261,7 +260,7 @@ def test_allocate_reduction_unroutable_agent_is_an_error():
     # witness bundle straddles both components, so no component counts it
     bogus = oracle.MmsRecord(
         value=Fraction(10),
-        witness=Packing(bundles=((1, frozenset({"b", "c"})),)),
+        witness=(frozenset({"b", "c"}),),
     )
     with pytest.raises(StructuralError):
         allocate_reduction(inst, Fraction(1, 2), halves_solver, share_records={1: bogus})
@@ -273,7 +272,7 @@ def test_finish_allocation_accepts_exactly_alpha_and_zero_targets():
     # agent 1 gets exactly half her target; agent 2 has target 0, so an
     # empty bundle satisfies her
     alloc = finish_allocation(inst.agents, {1: Fraction(10), 2: Fraction(0)}, bundles, Fraction(1, 2))
-    assert alloc.packing.bundles == ((1, frozenset({"b", "c"})), (2, frozenset()))
+    assert alloc.bundles == ((1, frozenset({"b", "c"})), (2, frozenset()))
     assert alloc.target_alpha == Fraction(1, 2)
 
 

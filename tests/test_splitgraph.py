@@ -10,7 +10,6 @@ from graphfair.core import (
     GuaranteeViolationError,
     Instance,
     InvalidInputError,
-    Packing,
     StructuralError,
 )
 from graphfair.generators import gen_split
@@ -100,10 +99,7 @@ def four_slot_tournament():
         [{"k1", "i1", "i3", "i4"}, {"k2"}, {"k3", "i2", "i5", "i6"}],
         [{"k1", "i2"}, {"k2", "i1", "i5", "i6"}, {"k3", "i3", "i4"}],
     ]
-    witnesses = [
-        Packing(bundles=tuple((j, frozenset(b)) for j, b in enumerate(bundles, 1)))
-        for bundles in partitions
-    ]
+    witnesses = [tuple(frozenset(b) for b in bundles) for bundles in partitions]
     return (clique, independent), owners, witnesses
 
 
@@ -141,7 +137,7 @@ def test_packing_sequence_raises_below_the_retention_floor():
     owners = [
         Agent(id=i, type_id=i, utility={"k1": Fraction(0), "i1": Fraction(1)}) for i in (1, 2)
     ]
-    witness = Packing(bundles=((1, frozenset({"k1", "i1"})),))
+    witness = (frozenset({"k1", "i1"}),)
     pair = (frozenset({"k1"}), frozenset({"i1"}))
     with pytest.raises(GuaranteeViolationError, match="a bundle of slot 1 fell below 4/11"):
         build_packing_sequence(pair, owners, [witness, witness])

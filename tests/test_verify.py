@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from graphfair.core import Agent, Allocation, GoodsGraph, Instance, Packing
+from graphfair.core import Agent, Allocation, GoodsGraph, Instance
 from graphfair.oracle import MmsRecord
 from graphfair.verify import check_allocation
 
@@ -16,8 +16,8 @@ def path_instance() -> Instance:
 
 
 def alloc_of(*bundles: tuple[int, set]) -> Allocation:
-    packing = Packing(bundles=tuple((aid, frozenset(vs)) for aid, vs in bundles))
-    return Allocation(packing=packing, target_alpha=Fraction(1))
+    pairs = tuple((aid, frozenset(vs)) for aid, vs in bundles)
+    return Allocation(bundles=pairs, target_alpha=Fraction(1))
 
 
 def test_ideal_split_passes_at_full_share():
@@ -69,6 +69,21 @@ def test_structural_failures_are_reported():
     assert not cert.structural_ok
 
 
+def test_label_checks_name_the_fault():
+    # Allocation.bundles keeps (label, bundle) pairs so that these survive.
+    inst = path_instance()
+
+    repeated = alloc_of((1, {"a"}), (1, {"b"}), (2, {"c", "d"}))
+    cert = check_allocation(inst, repeated, Fraction(0))
+    assert not cert.structural_ok
+    assert cert.notes == ("an agent id labels two bundles",)
+
+    invented = alloc_of((1, {"a", "b"}), (2, {"c"}), (9, {"d"}))
+    cert = check_allocation(inst, invented, Fraction(0))
+    assert not cert.structural_ok
+    assert cert.notes == ("bundle label 9 is not an agent id",)
+
+
 def test_alpha_zero_accepts_any_sound_packing():
     inst = path_instance()
     # empty bundles and uncovered vertices are fine; only soundness matters
@@ -94,7 +109,7 @@ def test_caller_supplied_share_values():
     alloc = alloc_of((1, {"a", "b"}), (2, {"c", "d"}))
     # records with caller-chosen values replace the oracle's shares
     records = {
-        aid: MmsRecord(value=value, witness=Packing(bundles=()))
+        aid: MmsRecord(value=value, witness=())
         for aid, value in ((1, Fraction(8)), (2, Fraction(2)))
     }
     cert = check_allocation(inst, alloc, Fraction(1), records)
