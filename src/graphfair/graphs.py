@@ -3,8 +3,8 @@
 Everything here is deterministic.  Components are reported sorted by their
 smallest member, blocks are sorted by their sorted vertex tuples, and the
 split partition is the lexicographically least one among the valid choices.
-Inputs are desk scale, so the clique search may be exponential in the worst
-case without being a problem in practice.
+The class recognizers read degrees and neighbourhoods only, so they run in
+polynomial time on any input.
 """
 
 from dataclasses import dataclass
@@ -181,65 +181,36 @@ def _is_cycle_set(graph: GoodsGraph, vs: frozenset[str]) -> bool:
 def _multipartite_parts(graph: GoodsGraph) -> tuple[frozenset[str], ...] | None:
     """Parts of a complete multipartite graph, or None.
 
-    The parts are the connected components of the complement; the graph is
-    complete multipartite exactly when every cross-part pair is an edge and
-    every within-part pair is a non-edge.
+    Vertices are grouped by neighbourhood; the graph is complete multipartite
+    exactly when each group's neighbourhood is every vertex outside the group.
+    Walking vertices in id order lists the groups by smallest vertex.
     """
-    verts = graph.vertices
-    non_edges = frozenset(e for e in combinations(verts, 2) if e not in graph.edges)
-    parts = [frozenset(comp) for comp in connected_components(GoodsGraph(verts, non_edges))]
-    part_of = {v: i for i, p in enumerate(parts) for v in p}
-    for a, b in combinations(verts, 2):
-        same = part_of[a] == part_of[b]
-        if same == graph.has_edge(a, b):
-            return None
-    return tuple(parts)
-
-
-def _maximal_cliques(graph: GoodsGraph):
-    """Bron-Kerbosch with pivoting; fine at desk scale."""
-    adj = graph.adjacency
-    out: list[frozenset[str]] = []
-
-    def expand(r: set[str], p: set[str], x: set[str]) -> None:
-        if not p and not x:
-            out.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda v: len(adj[v] & p))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & set(adj[v]), x & set(adj[v]))
-            p.remove(v)
-            x.add(v)
-
-    expand(set(), set(graph.vertices), set())
-    return out
+    groups: dict[frozenset[str], set[str]] = {}
+    for v in graph.vertices:
+        groups.setdefault(graph.adjacency[v], set()).add(v)
+    everything = frozenset(graph.vertices)
+    if any(nbrs != everything - part for nbrs, part in groups.items()):
+        return None
+    return tuple(frozenset(part) for part in groups.values())
 
 
 def split_partition(graph: GoodsGraph) -> tuple[frozenset[str], frozenset[str]] | None:
     """A (clique, independent set) partition when one exists.
 
-    Every split graph has a maximum clique whose complement is independent;
-    among those the lexicographically least clique is chosen.
+    Hammer and Simeone's degree test: with degrees d_1 >= ... >= d_n and
+    m = max{i : d_i >= i - 1}, the graph is split exactly when the m largest
+    degrees sum to m(m - 1) plus the rest, and then those m vertices are a
+    maximum clique with an independent complement.  Any other such clique
+    trades a clique vertex for an outside one, both of degree m - 1, so
+    breaking degree ties by id makes this the lexicographically least one.
     """
-    if not graph.vertices:
-        return frozenset(), frozenset()
-    cliques = _maximal_cliques(graph)
-    omega = max(len(c) for c in cliques)
-    vset = set(graph.vertices)
-    best: tuple[str, ...] | None = None
-    for c in cliques:
-        if len(c) != omega:
-            continue
-        rest = vset - c
-        if any(graph.has_edge(a, b) for a, b in combinations(sorted(rest), 2)):
-            continue
-        key = tuple(sorted(c))
-        if best is None or key < best:
-            best = key
-    if best is None:
+    adj = graph.adjacency
+    order = sorted(graph.vertices, key=lambda v: (-len(adj[v]), v))
+    degs = [len(adj[v]) for v in order]
+    m = sum(1 for i, d in enumerate(degs) if d >= i)
+    if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
         return None
-    clique = frozenset(best)
-    return clique, frozenset(vset - clique)
+    return frozenset(order[:m]), frozenset(order[m:])
 
 
 def recognize(graph: GoodsGraph) -> ClassWitness:

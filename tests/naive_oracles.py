@@ -8,7 +8,7 @@ itself does not need.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable
 
 from graphfair.core import Agent, GoodsGraph, Instance, Value, ZERO
@@ -63,6 +63,29 @@ def connected_subsets(graph: GoodsGraph):
         if is_connected_subset(graph, sub):
             out.append(sub)
     return out
+
+
+def naive_split_partition(graph: GoodsGraph):
+    """The largest clique whose complement is independent, least sorted tuple first.
+
+    Every vertex subset is tried.  Returns None when no subset qualifies, that
+    is, when the graph is not split.
+    """
+    verts = graph.vertices
+    valid = [
+        clique
+        for size in range(len(verts) + 1)
+        for clique in combinations(verts, size)
+        if all(graph.has_edge(a, b) for a, b in combinations(clique, 2))
+        and not any(
+            graph.has_edge(a, b)
+            for a, b in combinations([v for v in verts if v not in clique], 2)
+        )
+    ]
+    if not valid:
+        return None
+    best = frozenset(min(valid, key=lambda clique: (-len(clique), clique)))
+    return best, frozenset(verts) - best
 
 
 def naive_pmms(graph: GoodsGraph, agent: Agent, n: int) -> Fraction:

@@ -331,8 +331,11 @@ def test_criterion_9_cli_round_trip(tmp_path):
             text = inst_path.read_text(encoding="utf-8")
             parsed, names = io.parse_instance_doc(json.loads(text))
             assert io.canonical_dumps(io.instance_to_doc(parsed, names)) == text
-            # scrambling key order must not change the canonical bytes
-            scrambled = json.dumps(json.loads(text), sort_keys=False)
+            # reversing every object's key order must not change the canonical bytes
+            scrambled = json.dumps(
+                json.loads(text, object_pairs_hook=lambda kv: dict(reversed(kv)))
+            )
+            assert list(json.loads(scrambled)) == ["graph", "agents"]
             parsed, names = io.parse_instance_doc(json.loads(scrambled))
             assert io.canonical_dumps(io.instance_to_doc(parsed, names)) == text
 

@@ -147,6 +147,21 @@ def test_size_cap_exit_4(tmp_path):
     assert cli.main(["mms", str(f)]) == 4
 
 
+def test_cocktail_party_graph_with_60_vertices_is_recognized_then_capped(tmp_path, capsys):
+    # K_{2,...,2} with 30 parts; recognizing it once took exponential time
+    names = [f"x{i:02d}{side}" for i in range(30) for side in "ab"]
+    g = GoodsGraph.build(names, [(a, b) for a in names for b in names if a[:3] < b[:3]])
+    f = tmp_path / "cocktail.json"
+    write_instance(f, g, [{v: 1 for v in names}, {v: 1 for v in names}])
+    assert cli.main(["recognize", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "complete_multipartite connected" in out
+    assert f"parts=[{','.join(['2'] * 30)}]" in out
+    assert "split" not in out
+    assert cli.main(["allocate", str(f), "--out", str(tmp_path / "alloc.json")]) == 4
+    assert "size cap exceeded" in capsys.readouterr().err
+
+
 def test_verify_failing_certificate_exit_1(tmp_path, capsys):
     g = cycle(6)
     f = tmp_path / "c6.json"

@@ -22,6 +22,12 @@ def cycle(n: int) -> GoodsGraph:
     return GoodsGraph.build(names, edges)
 
 
+def cocktail_party(parts: int) -> GoodsGraph:
+    """K_{2,...,2}: part i is {x<i>a, x<i>b}, and every cross-part pair is an edge."""
+    names = [f"x{i:02d}{side}" for i in range(parts) for side in "ab"]
+    return GoodsGraph.build(names, [(a, b) for a in names for b in names if a[:3] < b[:3]])
+
+
 def complete(n: int) -> GoodsGraph:
     names = [f"k{i}" for i in range(n)]
     edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
@@ -140,7 +146,20 @@ def test_recognize_non_block_cactus():
     w = recognize(g)
     assert w.has("connected")
     assert not w.has("block_cactus")
-    assert w.has("split")  # clique {a,b,c} or {a,c,d}, the last vertex alone
+    assert w.has("split")
+    # {a,b,c} and {a,c,d} are both valid cliques; the least sorted one wins
+    assert w.split_pair == (frozenset("abc"), frozenset("d"))
+
+
+def test_recognize_cocktail_party_graph_with_60_vertices():
+    # K_{2,...,2} with 30 parts: exponentially many maximal cliques, so only
+    # a recognizer that never lists them finishes
+    g = cocktail_party(30)
+    w = recognize(g)
+    assert w.has("complete_multipartite") and w.has("connected")
+    assert not w.has("split")
+    assert w.split_pair is None
+    assert w.parts == tuple(frozenset({f"x{i:02d}a", f"x{i:02d}b"}) for i in range(30))
 
 
 def test_hamiltonian_path_in_clique_block():

@@ -16,7 +16,9 @@ from graphfair.graphs import (
     connected_components,
     is_connected_subset,
     recognize,
+    split_partition,
 )
+from naive_oracles import naive_split_partition
 
 
 def name(i: int) -> str:
@@ -97,3 +99,19 @@ def test_split_flag_matches_the_degree_test_and_the_pair_is_valid():
         assert not clique & independent, index
         assert all(ours.has_edge(a, b) for a, b in combinations(sorted(clique), 2)), index
         assert not any(ours.has_edge(a, b) for a, b in combinations(sorted(independent), 2)), index
+
+
+def test_split_partition_matches_brute_force_under_relabelling():
+    # vertex ids decide ties between valid cliques, so each graph is also
+    # tried under three seeded renamings of its vertices
+    for index, g, ours in atlas():
+        rng = random.Random(index)
+        relabelled = [ours]
+        for _ in range(3):
+            ids = [name(i) for i in range(g.number_of_nodes())]
+            rng.shuffle(ids)
+            relabelled.append(
+                GoodsGraph.build(ids, [(ids[a], ids[b]) for a, b in g.edges])
+            )
+        for graph in relabelled:
+            assert split_partition(graph) == naive_split_partition(graph), (index, graph)

@@ -108,7 +108,9 @@ def test_file_round_trip(tmp_path):
 def test_canonicalize_normalizes_key_order(tmp_path):
     inst = sample_instance()
     text = io.canonical_dumps(io.instance_to_doc(inst))
-    shuffled = json.dumps(json.loads(text), sort_keys=False, indent=None)
+    # every object's keys in reverse order, so only re-canonicalizing sorts them
+    shuffled = json.dumps(json.loads(text, object_pairs_hook=lambda kv: dict(reversed(kv))))
+    assert list(json.loads(shuffled)) == ["graph", "agents"]
     parsed, names = io.parse_instance_doc(json.loads(shuffled))
     assert io.canonical_dumps(io.instance_to_doc(parsed, names)) == text
     broken = tmp_path / "broken.json"
