@@ -7,9 +7,15 @@ standard no-duplicate connected-subset expansion.  Vertex sets are bitmasks.
 Values are Fractions at the API only.  Inside the searches every utility is a
 plain int: an agent's utilities are multiplied by the least common multiple of
 their denominators, and the search result is divided back once at the end.
-Branches are cut by two bounds: the running minimum can only drop, and no
-completion can beat the remaining weight spread evenly over the remaining
-bundles, tested as `remaining <= best * bundles` so that no division happens.
+A branch of the share search must still be able to beat the best value found:
+the running minimum can only drop, and with weights in ints a completion
+beats `best` only if each remaining bundle is worth `best + 1` or more,
+tested as `remaining < (best + 1) * bundles` so that no division happens.
+With one bundle left, the whole remainder closes the partition in one step,
+since no other subset could.  No partition's smallest bundle is worth more
+than total // n, so the search returns at the first partition that reaches
+it: later ones can only tie, and the first optimum in canonical order stays
+the witness.
 
 `mms` and `pmms` run one component DP: bundles never cross components, so
 the n bundles are spread over the components, at least one per component for
@@ -28,7 +34,9 @@ cache holds at most `_CACHE_LIMIT` records and drops the oldest first.
 The max-min ratio search compares value/target across agents.  It gives each
 agent ratio weights, her scaled utilities multiplied so that every agent's
 value/target is her ratio-weight sum over one common denominator; the whole
-search then compares ints.
+search then compares ints.  It closes the last bundle in one step too, but
+has no ceiling: agents who value different goods can all get more than the
+least of their total // n.
 
 These routines are meant for desk-scale inputs; everything refuses graphs
 with more than `MAX_VERTICES` vertices.
@@ -152,48 +160,59 @@ def _weights_for(agent: Agent, ids: list[str]) -> tuple[list[int], int]:
     return [val.numerator * (scale // val.denominator) for val in vals], scale
 
 
+class _Ceiling(Exception):
+    """The share search reached a value no partition can exceed."""
+
+
 def _minmax_partition_search(adj: list[int], full: int, wts: list[int], n: int):
     """Best (max of min bundle weight) partition into at most n connected parts.
 
-    `full` must be non-empty.  Partitions using fewer than n nonempty parts
-    count as value 0 because the missing bundles are empty.  Returns (value,
-    parts) with value the int optimum in the units of `wts` and parts a tuple
-    of masks (no padding).
+    `full` must be non-empty, `wts` nonnegative and n at least 1.  Partitions
+    using fewer than n nonempty parts count as value 0 because the missing
+    bundles are empty.  Returns (value, parts) with value the int optimum in
+    the units of `wts` and parts a tuple of masks (no padding).
     """
     best_val = None
     best_parts = None
     total = sum(wts[i] for i in _bits(full))
+    ceiling = total // n
 
     def rec(remaining, parts_left, cur_min, acc, rem_weight):
         nonlocal best_val, best_parts
         if remaining == 0:
-            val = cur_min if len(acc) == n else 0
-            if best_val is None or val > best_val:
-                best_val = val
+            # Fewer than n bundles, so the value is 0.  Only the first leaf
+            # can get here: once best is set, grow skips a bundle that
+            # leaves nothing for the bundles after it.
+            if best_val is None:
+                best_val = 0
                 best_parts = acc
+                if best_val >= ceiling:
+                    raise _Ceiling
             return
-        if parts_left == 0:
-            return
-        # No completion beats min(cur_min, rem_weight / parts_left).
+        # A completion beats best only if each of its parts_left bundles
+        # is worth best + 1 or more, and the running minimum already is.
         if best_val is not None and (
-            rem_weight <= best_val * parts_left
+            rem_weight < (best_val + 1) * parts_left
             or (cur_min is not None and cur_min <= best_val)
         ):
             return
         if _component_count(adj, remaining) > parts_left:
+            return
+        if parts_left == 1:
+            # Only the whole remainder, connected, closes the partition.
+            best_val = rem_weight if cur_min is None or rem_weight < cur_min else cur_min
+            best_parts = acc + (remaining,)
+            if best_val >= ceiling:
+                raise _Ceiling
             return
         seed = (remaining & -remaining).bit_length() - 1
         seed_mask = 1 << seed
 
         def grow(s_mask, s_weight, cand, banned):
             close_min = s_weight if cur_min is None or s_weight < cur_min else cur_min
-            skip = (
-                best_val is not None
-                and parts_left > 1
-                and (
-                    rem_weight - s_weight <= best_val * (parts_left - 1)
-                    or close_min <= best_val
-                )
+            skip = best_val is not None and (
+                rem_weight - s_weight < (best_val + 1) * (parts_left - 1)
+                or close_min <= best_val
             )
             if not skip:
                 rec(remaining ^ s_mask, parts_left - 1, close_min, acc + (s_mask,), rem_weight - s_weight)
@@ -209,7 +228,10 @@ def _minmax_partition_search(adj: list[int], full: int, wts: list[int], n: int):
 
         grow(seed_mask, wts[seed], adj[seed] & remaining & ~seed_mask, 0)
 
-    rec(full, n, None, (), total)
+    try:
+        rec(full, n, None, (), total)
+    except _Ceiling:
+        pass
     return best_val, best_parts
 
 
@@ -396,8 +418,6 @@ def max_min_ratio_allocation(
         if remaining == 0:
             leaf(closed_masks, closed_vals)
             return
-        if parts_left == 0:
-            return
         if best_score is not None and constrained:
             # Agent a can reach at most max(best closed bundle, everything left).
             bound = top
@@ -410,6 +430,11 @@ def max_min_ratio_allocation(
             if bound <= best_score:
                 return
         if _component_count(adj, remaining) > parts_left:
+            return
+        if parts_left == 1:
+            # Only the whole remainder, connected, closes the partition, and
+            # rem_wt is its weight for every agent.
+            leaf(closed_masks + [remaining], closed_vals + [rem_wt])
             return
         seed = (remaining & -remaining).bit_length() - 1
         seed_mask = 1 << seed

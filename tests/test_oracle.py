@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from graphfair import generators as gen
 from graphfair import oracle
 from graphfair.core import (
     Agent,
@@ -232,6 +233,27 @@ def test_shares_stay_apart_on_two_components(monkeypatch):
         assert is_partition_of(by_share[oracle.mms].witness, g)
 
 
+def test_search_stops_at_the_ceiling_on_a_flat_multipartite_graph(monkeypatch):
+    # A flat 12-vertex complete multipartite instance whose three-bundle
+    # share is total // 3, the most any three bundles can give.  The search
+    # returns at the first partition that reaches it; without that stop and
+    # the integer cut it ran 54 connectivity checks here.
+    g = gen.gen_multipartite(13, 12, 3, 20).graph
+    rng = random.Random(13)
+    a = agent_with({v: rng.randint(8, 12) for v in g.vertices})
+    checks = []
+    count = oracle._component_count
+
+    def counted(adj, mask):
+        checks.append(mask)
+        return count(adj, mask)
+
+    monkeypatch.setattr(oracle, "_component_count", counted)
+    rec = oracle.pmms(g, a, 3)
+    assert rec.value == sum(a.utility.values()) // 3 == 37
+    assert len(checks) == 12
+
+
 def test_agents_of_one_type_share_records(monkeypatch):
     calls = count_searches(monkeypatch)
     path = [("a", "b"), ("b", "c"), ("c", "d")]
@@ -347,6 +369,18 @@ def test_max_min_ratio_allocation_exact():
     assert all(a.value(bundles[a.id]) >= targets[a.id] for a in (a1, a2))
     assert "a" in bundles[1] and "d" in bundles[2]
     assert is_partition_of(bundles.values(), g)
+
+
+def test_max_min_ratio_has_no_ceiling_at_the_least_even_split():
+    # Each agent's share of the path is 1 = total // 2, but the two agents
+    # want opposite ends, so both can get 2.  A search that stopped once the
+    # score reached min over agents of total // n would return its first
+    # leaf, {1: {a}, 2: {b, c, d}}, with score 1.
+    g = GoodsGraph.build(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    a1 = agent_with({"a": 1, "b": 1, "c": 0, "d": 0})
+    a2 = Agent(id=2, type_id=2, utility={"a": Fraction(0), "b": Fraction(0), "c": Fraction(1), "d": Fraction(1)})
+    bundles = oracle.max_min_ratio_allocation(g, [a1, a2], {1: Fraction(1), 2: Fraction(1)})
+    assert bundles == {1: frozenset({"a", "b"}), 2: frozenset({"c", "d"})}
 
 
 def test_max_min_ratio_zero_target_unconstrained():
