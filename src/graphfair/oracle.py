@@ -27,16 +27,23 @@ search.
 
 Shares are cached per utility function: the key is the graph, the int
 weights, their scale and n, never the agent, and which share was asked for
-only when the graph has two or more components.  A record names no agent, so
-agents of one type share one search and receive the same record object.  The
-cache holds at most `_CACHE_LIMIT` records and drops the oldest first.
+only when the graph has two or more components.  The components are walked
+only after the key without that flag misses, so a hit on a connected graph
+costs the weight scaling alone.  A record names no agent, so agents of one
+type share one search and receive the same record object.  The cache holds
+at most `_CACHE_LIMIT` records and drops the oldest first.
 
 The max-min ratio search compares value/target across agents.  It gives each
 agent ratio weights, her scaled utilities multiplied so that every agent's
 value/target is her ratio-weight sum over one common denominator; the whole
-search then compares ints.  It closes the last bundle in one step too, but
-has no ceiling: agents who value different goods can all get more than the
-least of their total // n.
+search then compares ints.  When every agent has a positive target and all
+share one ratio-weight row, the agents are one group: the rows are one
+positive multiple of the first agent's scaled weights, which moves no
+optimum, so the first optimum is her n-bundle share witness, read from the
+share cache, and bundle i goes to agent i as the search would assign it.
+Any other call runs the search.  It closes the last bundle in one step too,
+but has no ceiling: agents who value different goods can all get more than
+the least of their total // n.
 
 These routines are meant for desk-scale inputs; everything refuses graphs
 with more than `MAX_VERTICES` vertices.
@@ -245,14 +252,19 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
         raise InvalidInputError(f"need at least one bundle, got n={n}")
     _cap(graph)
     wts, scale = _weights_for(agent, list(graph.vertices))
-    comps = connected_components(graph)
     key = (graph, tuple(wts), scale, n)
-    if len(comps) > 1:
-        # Only here can covering V change the share.
-        key = (cover,) + key
+    # Only a graph with at most one component stores this key, so a hit
+    # needs no component walk.
     hit = _cache.get(key)
     if hit is not None:
         return hit
+    comps = connected_components(graph)
+    if len(comps) > 1:
+        # Only here can covering V change the share.
+        key = (cover,) + key
+        hit = _cache.get(key)
+        if hit is not None:
+            return hit
     if cover and len(comps) > n:
         raise UndefinedMmsError(
             f"graph has more than {n} components; no {n}-bundle partition covers it"
@@ -371,6 +383,12 @@ def max_min_ratio_allocation(
     for a, d in zip(constrained, denoms):
         factor = tlist[a].denominator * (common // d)
         wts[a] = [w * factor for w in scaled[a][0]]
+    if len(constrained) == n and all(row == wts[0] for row in wts):
+        # One group: every row is the same positive multiple of the first
+        # agent's scaled weights, so the first optimum is her share witness,
+        # and assign would give bundle i to agent i.
+        witness = _share(graph, agents[0], n, cover=True).witness
+        return {a.id: bundle for a, bundle in zip(agents, witness)}
     totals = [sum(w) for w in wts]
     # Above every reachable ratio weight: the ratio of a target-0 agent.
     top = 1 + max(totals)
@@ -390,17 +408,17 @@ def max_min_ratio_allocation(
         ]
         memo: dict[int, tuple] = {}
 
-        def assign(used: int):
-            if used == (1 << n) - 1:
+        def assign(used: int, bi: int):
+            # Bundles 0..bi-1 went to the agents in `used`; bundle bi is next.
+            if bi == n:
                 return top, ()
-            bi = bin(used).count("1")
             if used in memo:
                 return memo[used]
             best = None
             for a in range(n):
                 if used >> a & 1:
                     continue
-                sub, rest = assign(used | (1 << a))
+                sub, rest = assign(used | (1 << a), bi + 1)
                 r = ratio[bi][a]
                 cand = r if r < sub else sub
                 if best is None or cand > best[0]:
@@ -408,7 +426,7 @@ def max_min_ratio_allocation(
             memo[used] = best
             return best
 
-        score, pairs = assign(0)
+        score, pairs = assign(0, 0)
         if best_score is None or score > best_score:
             best_score = score
             best_parts = tuple(bundle_masks) + (0,) * (n - nb)

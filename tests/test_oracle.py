@@ -416,10 +416,25 @@ def test_max_min_ratio_brute_force_cross_check():
         {1: Fraction(5, 2), 2: Fraction(0), 3: Fraction(9, 7)},
         {1: Fraction(4), 2: Fraction(13, 6), 3: Fraction(5, 3)},
     ]
-    for targets in target_cases:
+    cases = [(targets, {i: i for i in targets}) for targets in target_cases]
+    # Agents of one type share a utility function but may have different
+    # targets; only equal targets with no target-0 agent make one group.
+    cases += [
+        ({1: Fraction(3), 2: Fraction(3)}, {1: 1, 2: 1}),
+        ({1: Fraction(3), 2: Fraction(3), 3: Fraction(3)}, {1: 1, 2: 1, 3: 1}),
+        ({1: Fraction(2), 2: Fraction(9, 2)}, {1: 1, 2: 1}),
+        ({1: Fraction(7, 2), 2: Fraction(0), 3: Fraction(7, 2)}, {1: 1, 2: 1, 3: 1}),
+        ({1: Fraction(4), 2: Fraction(4), 3: Fraction(5, 3)}, {1: 1, 2: 1, 3: 2}),
+        ({1: Fraction(5, 2), 2: Fraction(11, 3), 3: Fraction(6)}, {1: 1, 2: 2, 3: 1}),
+    ]
+    for targets, type_of in cases:
         for graph in connected_graphs_up_to(4)[-6:]:
+            profiles: dict[int, dict] = {}
+            for i in sorted(targets):
+                if type_of[i] not in profiles:
+                    profiles[type_of[i]] = random_profile(rng, graph.vertices)
             agents = [
-                Agent(id=i, type_id=i, utility=random_profile(rng, graph.vertices))
+                Agent(id=i, type_id=type_of[i], utility=profiles[type_of[i]])
                 for i in sorted(targets)
             ]
             bundles = oracle.max_min_ratio_allocation(graph, agents, targets)

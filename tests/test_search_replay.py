@@ -17,7 +17,9 @@ allocation runs is recorded, then one cold `pmms` per agent.  Corner inputs
 add what the generators never produce: `p/q` utilities, integers near 2^64,
 all-zero and mostly-zero weights, disconnected vertex sets, n above the
 vertex count (value 0, where leaves with fewer parts decide the witness),
-and the block-cactus solver's single-block ratio call.
+ratio calls whose agents share one ratio-weight row (which read the share
+witness instead of searching), and the block-cactus solver's single-block
+ratio call.
 """
 
 import random
@@ -174,6 +176,52 @@ def test_corner_ratio_searches_match_the_frozen_search():
         }
         got = oracle.max_min_ratio_allocation(graph, agents, targets)
         assert got == frozen_max_min_ratio_allocation(graph, agents, targets), (graph, targets)
+
+
+def path_graph(size: int) -> GoodsGraph:
+    names = [f"v{i}" for i in range(size)]
+    return GoodsGraph.build(names, list(zip(names, names[1:])))
+
+
+def shared_row_calls(case: str, rng: random.Random):
+    """Ratio calls, as (graph, [(utility, target), ...]), whose agents share a row."""
+    graphs = [
+        path_graph(5),
+        GoodsGraph.build([f"v{i}" for i in range(6)], [(f"v{i}", f"v{(i + 1) % 6}") for i in range(6)]),
+        random_graph(rng, 6, 1.0),
+    ]
+    for graph, kind in zip(graphs, ("pq", "huge", "flat")):
+        u = corner_utility(rng, kind, graph.vertices)
+        t = Fraction(rng.randint(1, 30), rng.randint(1, 4))
+        if case == "identical":
+            yield graph, [(u, t)] * 3
+        elif case == "proportional":
+            yield graph, [(u, t), ({v: 2 * x for v, x in u.items()}, 2 * t)]
+        elif case == "all zero":
+            zero = corner_utility(rng, "zero", graph.vertices)
+            yield graph, [(zero, t), (zero, 3 * t + 1)]
+        elif case == "n above the vertex count":
+            small = path_graph(3)
+            yield small, [(corner_utility(rng, kind, small.vertices), t)] * 5
+        else:
+            yield graph, [(u, t), (u, t), (u, Fraction(0))]
+
+
+@pytest.mark.parametrize(
+    "case", ("identical", "proportional", "all zero", "n above the vertex count", "target 0")
+)
+def test_shared_row_ratio_calls_match_the_frozen_search(case, record):
+    # Agents with one ratio-weight row and positive targets get the share
+    # witness of the first of them; a target-0 agent keeps the full search.
+    rng = random.Random(f"search-replay:shared-row:{case}")
+    shares = record(oracle, "_share")
+    for graph, rows in shared_row_calls(case, rng):
+        before = len(shares)
+        agents = [Agent(id=i, type_id=1, utility=u) for i, (u, _) in enumerate(rows, 1)]
+        targets = {a.id: t for a, (_, t) in zip(agents, rows)}
+        got = oracle.max_min_ratio_allocation(graph, agents, targets)
+        assert got == frozen_max_min_ratio_allocation(graph, agents, targets), (graph, targets)
+        assert len(shares) - before == (case != "target 0")
 
 
 def test_single_block_ratio_calls_match_the_frozen_search(record):

@@ -250,6 +250,39 @@ def test_kernel_solve_below_three_quarters_raises(monkeypatch):
         allocate_split(inst)
 
 
+def test_one_type_kernel_solve_runs_no_search(monkeypatch):
+    # Four agents of one type on a 14-vertex split graph: the kernel solve
+    # reads the share record its targets just cached instead of searching.
+    inst = gen_split(2, 14, 4, 20, 1)
+    assert len({a.type_id for a in inst.agents}) == 1
+    solve = oracle.max_min_ratio_allocation
+    search = oracle._minmax_partition_search
+    kernels: list[int] = []
+    inside = False
+    searches_inside = 0
+
+    def counted_solve(graph, agents, targets):
+        nonlocal inside
+        kernels.append(len(graph.vertices))
+        inside = True
+        try:
+            return solve(graph, agents, targets)
+        finally:
+            inside = False
+
+    def counted_search(*args):
+        nonlocal searches_inside
+        searches_inside += inside
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "max_min_ratio_allocation", counted_solve)
+    monkeypatch.setattr(oracle, "_minmax_partition_search", counted_search)
+    alloc = allocate_split(inst)
+    assert kernels == [12]
+    assert searches_inside == 0
+    assert check_allocation(inst, alloc, alloc.target_alpha).passes
+
+
 def test_single_agent_takes_everything():
     g = star(3)
     inst = Instance(
