@@ -1,4 +1,4 @@
-"""Exact maximin-share computations by pruned exhaustive search.
+"""Exact maximin shares by pruned exhaustive search, or by a DP on small blocks.
 
 The searches run over connected partitions enumerated canonically: the first
 bundle always contains the smallest unassigned vertex, and bundles grow by a
@@ -21,9 +21,30 @@ the witness.
 the n bundles are spread over the components, at least one per component for
 `mms` (the bundles must cover V) and possibly none for `pmms`.  On a connected
 graph the two shares are therefore one search and one record.  A component's
-k-bundle share is searched only when the DP first reads it, so a connected
-graph searches k = n alone, and one bundle, the component itself, needs no
+k-bundle share is worked out only when the DP first reads it, so a connected
+graph needs k = n alone, and one bundle, the component itself, needs no
 search.
+
+A component whose blocks all have at most 4 vertices, as on block graphs and
+cacti of small blocks, gets its k-bundle value from a threshold DP instead
+of the search: Perl and Schach's max-min tree partitioning, lifted from
+edges to the blocks of the block-cut tree.  P(t), the most disjoint
+connected sets each worth t or more, is computed bottom-up on the tree
+rooted at the component's smallest vertex, and the share is the largest t
+in [0, total // k] with P(t) >= k, found by binary search.  Each block
+enumerates the few ways its children can join the parent or form a set of
+their own, and those layouts are kept per block shape.  Before the blocks
+are computed, a component with more than 2(|C| - 1) edges is turned away,
+since blocks of at most 4 vertices allow no more; every other component
+keeps the search.  Block-cut plans are cached per graph and component, and
+clear_cache() drops them with the records.
+
+A record whose value came from the DP builds its witness the first time it
+is read, by a search that knows the value: it starts from best = value - 1
+and stops at the first partition worth the value, which is the first
+optimum in canonical order, the witness the full search returns.  A caller
+that reads only values, as the certificate does, runs no search on such a
+graph.
 
 Shares are cached per utility function: the key is the graph, the int
 weights, their scale and n, never the agent, and which share was asked for
@@ -51,11 +72,13 @@ with more than `MAX_VERTICES` vertices.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .core import (
     Agent,
     GoodsGraph,
+    GuaranteeViolationError,
     InvalidInputError,
     SizeLimitError,
     StructuralError,
@@ -63,17 +86,24 @@ from .core import (
     Value,
     ZERO,
 )
-from .graphs import connected_components, is_connected
+from .graphs import block_cut_tree, connected_components, is_connected
 
 MAX_VERTICES = 14
 
-# Share cache: key -> MmsRecord, one key per utility function.
+# Share cache: key -> MmsRecord, one key per utility function.  Plan cache:
+# (graph, component mask) -> block DP plan, or None for a component the DP
+# does not serve.  Shape cache: adjacent pairs of a block -> its layouts; a
+# block of at most 4 vertices has few shapes, so it needs no limit.
 _CACHE_LIMIT = 1024
 _cache: dict = {}
+_plans: dict = {}
+_shapes: dict = {}
 
 
 def clear_cache() -> None:
     _cache.clear()
+    _plans.clear()
+    _shapes.clear()
 
 
 def _cap(graph: GoodsGraph) -> None:
@@ -92,16 +122,37 @@ class MmsRecord:
     witness lists the n bundles in search order, empty ones last.  An `mms`
     witness covers the whole vertex set; a `pmms` witness may not, except on
     a graph with at most one component, where the two shares are one record.
+    A record whose value the threshold DP gave builds its witness on first
+    read and keeps it; it compares, hashes and prints like any other.
     """
 
     value: Value
     witness: tuple[frozenset[str], ...]
 
+    def __getattr__(self, name):
+        # Reached only for an attribute the record lacks: the witness of a
+        # record made by _lazy_record, before its first read.
+        build = self.__dict__.get("_build")
+        if name != "witness" or build is None:
+            raise AttributeError(name)
+        witness = build()
+        object.__setattr__(self, "witness", witness)
+        del self.__dict__["_build"]
+        return witness
 
-def _store(key, record: MmsRecord) -> None:
-    if len(_cache) >= _CACHE_LIMIT:
-        del _cache[next(iter(_cache))]
-    _cache[key] = record
+
+def _lazy_record(value: Value, build) -> MmsRecord:
+    """A record whose witness `build()` makes on first read, then keeps."""
+    record = object.__new__(MmsRecord)
+    object.__setattr__(record, "value", value)
+    object.__setattr__(record, "_build", build)
+    return record
+
+
+def _store(table: dict, key, entry) -> None:
+    if len(table) >= _CACHE_LIMIT:
+        del table[next(iter(table))]
+    table[key] = entry
 
 
 class _Mask:
@@ -171,18 +222,29 @@ class _Ceiling(Exception):
     """The share search reached a value no partition can exceed."""
 
 
-def _minmax_partition_search(adj: list[int], full: int, wts: list[int], n: int):
+def _minmax_partition_search(
+    adj: list[int], full: int, wts: list[int], n: int, floor: int | None = None
+):
     """Best (max of min bundle weight) partition into at most n connected parts.
 
     `full` must be non-empty, `wts` nonnegative and n at least 1.  Partitions
     using fewer than n nonempty parts count as value 0 because the missing
     bundles are empty.  Returns (value, parts) with value the int optimum in
     the units of `wts` and parts a tuple of masks (no padding).
+
+    `floor`, when given, must be that optimum, known beforehand.  The search
+    then starts from best = floor - 1 and stops at the first partition worth
+    floor.  No branch that leads to such a partition is cut while best is
+    below floor, so that partition is the first optimum in canonical order,
+    the one the full search returns.  A floor of 0 seeds nothing and stops at
+    the first leaf.
     """
     best_val = None
     best_parts = None
     total = sum(wts[i] for i in _bits(full))
-    ceiling = total // n
+    ceiling = total // n if floor is None else floor
+    if floor:
+        best_val = floor - 1
 
     def rec(remaining, parts_left, cur_min, acc, rem_weight):
         nonlocal best_val, best_parts
@@ -242,6 +304,166 @@ def _minmax_partition_search(adj: list[int], full: int, wts: list[int], n: int):
     return best_val, best_parts
 
 
+def _connected(adj: list[int], vertices) -> bool:
+    return _component_count(adj, sum(1 << v for v in vertices)) == 1
+
+
+def _layouts(size: int, pairs: tuple[int, ...]) -> tuple:
+    """The ways a block's children can meet its parent vertex, as (join, group).
+
+    The block's `size` vertices are the parent and then its children, and
+    `pairs` holds 1 for each adjacent pair of them, in combinations order.
+    Layouts name children by their index among the children.  The children
+    in `join` add their open sets to the parent's, so join plus the parent
+    must be connected.  Of the other children, a `group` of two or more,
+    connected without the parent, may finish a set of its own; a block of at
+    most 4 vertices has at most 3 children, so there is at most one such
+    group.  A lone child needs no group: had its open set reached the
+    threshold, it would have closed it.  The empty group is listed only when
+    no other group exists.  Layouts are kept per `pairs` until clear_cache().
+    """
+    if pairs in _shapes:
+        return _shapes[pairs]
+    adj = [0] * size
+    for (a, b), edge in zip(combinations(range(size), 2), pairs):
+        if edge:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    kids = range(1, size)
+    layouts = []
+    for r in range(size):
+        for join in combinations(kids, r):
+            if not _connected(adj, (0,) + join):
+                continue
+            rest = [x for x in kids if x not in join]
+            groups = [
+                group
+                for g in range(2, len(rest) + 1)
+                for group in combinations(rest, g)
+                if _connected(adj, group)
+            ]
+            for group in groups or [()]:
+                layouts.append((tuple(x - 1 for x in join), tuple(x - 1 for x in group)))
+    _shapes[pairs] = layouts = tuple(layouts)
+    return layouts
+
+
+def _block_plan(graph: GoodsGraph, comp: list[str], mk: _Mask, mask: int):
+    """The threshold DP's plan for one component, or None if a block is too big.
+
+    The DP serves components whose blocks have at most 4 vertices.  The plan
+    walks the block-cut tree rooted at the component's first vertex and
+    lists every vertex after the vertices below it, each with its child
+    blocks as (children, layouts).  Plans are cached per graph and component
+    until clear_cache().
+    """
+    # A block of b <= 4 vertices has at most 2(b - 1) edges, and the b - 1
+    # add up to |C| - 1 over the blocks, so a denser component is turned away
+    # before its blocks are computed.
+    whole = len(comp) == mk.m
+    if whole:
+        edges = len(graph.edges)
+    else:
+        edges = sum((mk.adj[i] & mask).bit_count() for i in _bits(mask)) // 2
+    if edges > 2 * (len(comp) - 1):
+        return None
+    key = (graph, mask)
+    if key in _plans:
+        return _plans[key]
+    tree = block_cut_tree(graph if whole else graph.induced(comp))
+    plan = None
+    if all(len(block) <= 4 for block in tree.blocks):
+        blocks = [[mk.pos[v] for v in block] for block in tree.blocks]
+        blocks_of: dict[int, list[int]] = {}
+        for bi, block in enumerate(blocks):
+            for v in block:
+                blocks_of.setdefault(v, []).append(bi)
+        order = [(mask & -mask).bit_length() - 1]
+        placed: set[int] = set()
+        steps = []
+        for v in order:
+            below = []
+            for bi in blocks_of[v]:
+                if bi not in placed:
+                    placed.add(bi)
+                    kids = tuple(sorted(x for x in blocks[bi] if x != v))
+                    order.extend(kids)
+                    pairs = tuple(
+                        mk.adj[a] >> b & 1 for a, b in combinations((v,) + kids, 2)
+                    )
+                    layouts = _layouts(len(kids) + 1, pairs)
+                    below.append((kids, layouts))
+            steps.append((v, tuple(below)))
+        plan = tuple(reversed(steps))
+    _store(_plans, key, plan)
+    return plan
+
+
+def _set_count(plan: tuple, wts: list[int], total: int, t: int) -> int:
+    """P(t): the most disjoint connected sets, each worth t or more (t >= 1).
+
+    Each vertex, after the vertices below it, holds the number of sets
+    finished below it and the weight of its open set, the connected set
+    through it that is still growing.  States rank by finished count, then
+    by open weight; a closed vertex, one whose set is finished, ranks below
+    any open weight.  That order is safe: an open set can finish at most one
+    set higher up, and nothing above sees more of it than its weight.  Each
+    child block takes its best layout in that order, and a vertex whose open
+    weight reaches t closes a set.  A closed vertex's open weight is
+    -(total + 1), so every sum that includes one is negative.
+    """
+    shut = -(total + 1)
+    count = [0] * len(wts)
+    weight = [0] * len(wts)
+    for v, below in plan:
+        c = 0
+        w = wts[v]
+        for kids, layouts in below:
+            best_got = best_add = -1
+            for join, group in layouts:
+                add = 0
+                for i in join:
+                    add += weight[kids[i]]
+                if add < 0:
+                    continue
+                got = 0
+                if group:
+                    s = 0
+                    for i in group:
+                        s += weight[kids[i]]
+                    if s >= t:
+                        got = 1
+                if got > best_got or (got == best_got and add > best_add):
+                    best_got, best_add = got, add
+            for x in kids:
+                c += count[x]
+            c += best_got
+            w += best_add
+        if w >= t:
+            c += 1
+            w = shut
+        count[v] = c
+        weight[v] = w
+    return c
+
+
+def _threshold_share(plan: tuple, wts: list[int], mask: int, k: int) -> int:
+    """The k-bundle share of component `mask`: the largest t with P(t) >= k.
+
+    k connected sets worth t each grow into k connected bundles that cover
+    the component and are worth t each, and no share exceeds total // k.
+    """
+    total = sum(wts[i] for i in _bits(mask))
+    lo, hi = 0, total // k
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _set_count(plan, wts, total, mid) >= k:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
     """The n-bundle share over packings, or over partitions when `cover` is set.
 
@@ -277,15 +499,20 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
     table: dict[tuple[int, int], tuple[int, tuple]] = {}
 
     def comp_split(j: int, k: int):
-        # Best k-bundle split of component j, searched on first use only.  One
-        # bundle needs no search: it is the component itself.
+        # Best k-bundle split of component j, worked out on first use only:
+        # (value, parts), with parts None when the threshold DP gave the
+        # value.  One bundle needs neither: it is the component itself.
         state = (j, k)
         if state not in table:
             mask = comp_masks[j]
             if k == 1:
                 table[state] = sum(wts[i] for i in _bits(mask)), (mask,)
             else:
-                table[state] = _minmax_partition_search(mk.adj, mask, wts, k)
+                plan = _block_plan(graph, comps[j], mk, mask)
+                if plan is None:
+                    table[state] = _minmax_partition_search(mk.adj, mask, wts, k)
+                else:
+                    table[state] = _threshold_share(plan, wts, mask, k), None
         return table[state]
 
     memo: dict[tuple[int, int], tuple] = {}
@@ -317,15 +544,30 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
     feasible, best_val, picks = dp(0, n)
     if feasible:
         value = Fraction(best_val, scale)
-        parts = tuple(p for j, k in enumerate(picks) if k for p in comp_split(j, k)[1])
+        splits = [(comp_masks[j], k) + comp_split(j, k) for j, k in enumerate(picks) if k]
     else:
         # More bundles than vertices: each vertex is a bundle of its own, the
         # rest are empty, and the share is 0.
         value = ZERO
-        parts = tuple(1 << i for i in range(mk.m))
-    witness = tuple(mk.to_set(mask) for mask in parts) + (frozenset(),) * (n - len(parts))
-    record = MmsRecord(value=value, witness=witness)
-    _store(key, record)
+        splits = [(1 << i, 1, wts[i], (1 << i,)) for i in range(mk.m)]
+
+    def witness():
+        parts = []
+        for mask, k, v, found in splits:
+            if found is None:
+                got, found = _minmax_partition_search(mk.adj, mask, wts, k, floor=v)
+                if got != v:
+                    raise GuaranteeViolationError(
+                        f"the share search found {got}, the threshold DP {v}"
+                    )
+            parts += found
+        return tuple(mk.to_set(mask) for mask in parts) + (frozenset(),) * (n - len(parts))
+
+    if any(found is None for *_, found in splits):
+        record = _lazy_record(value, witness)
+    else:
+        record = MmsRecord(value=value, witness=witness())
+    _store(_cache, key, record)
     return record
 
 

@@ -161,9 +161,9 @@ def count_searches(monkeypatch) -> list[tuple[int, int]]:
     calls: list[tuple[int, int]] = []
     search = oracle._minmax_partition_search
 
-    def counted(adj, full, wts, n):
+    def counted(adj, full, wts, n, floor=None):
         calls.append((full, n))
-        return search(adj, full, wts, n)
+        return search(adj, full, wts, n, floor=floor)
 
     monkeypatch.setattr(oracle, "_minmax_partition_search", counted)
     return calls
@@ -178,12 +178,16 @@ def test_pmms_runs_only_the_searches_it_reads(monkeypatch):
     a = agent_with({v: i + 1 for i, v in enumerate(names)})
     for n in range(1, len(names) + 2):
         calls.clear()
-        oracle.pmms(g, a, n)
-        # One search for the whole graph at k = n; none for one bundle or for
-        # more bundles than vertices.
+        rec = oracle.pmms(g, a, n)
+        # Every block has at most 4 vertices, so the threshold DP gives the
+        # value and the share runs no search.
+        assert calls == [], n
+        rec.witness
+        # Reading the witness runs one search for the whole graph at k = n;
+        # none for one bundle or for more bundles than vertices.
         assert calls == ([(0b111111, n)] if 2 <= n <= len(names) else []), n
     calls.clear()
-    oracle.mms(g, a, 1)
+    oracle.mms(g, a, 1).witness
     assert calls == []
 
     disc = GoodsGraph.build(
@@ -193,7 +197,9 @@ def test_pmms_runs_only_the_searches_it_reads(monkeypatch):
     a = agent_with({v: 1 for v in disc.vertices})
     for n in range(1, len(disc.vertices) + 2):
         calls.clear()
-        oracle.pmms(disc, a, n)
+        rec = oracle.pmms(disc, a, n)
+        assert calls == [], n
+        rec.witness
         assert len(calls) == len(set(calls)), n
         assert all(k >= 2 for _, k in calls), n
 
@@ -209,8 +215,9 @@ def test_connected_graph_runs_one_search_for_both_shares(monkeypatch):
             calls.clear()
             rec = first(g, a, n)
             assert second(g, a, n) is rec
-            assert calls == [(0b11111, n)]
+            assert calls == []
             assert is_partition_of(rec.witness, g)
+            assert calls == [(0b11111, n)]
 
 
 def test_shares_stay_apart_on_two_components(monkeypatch):
@@ -225,8 +232,10 @@ def test_shares_stay_apart_on_two_components(monkeypatch):
         other = second(g, a, 2)
         assert one is not other
         by_share = {first: one, second: other}
-        # Only pmms searches, for two bundles in {x, y}; mms gives each
-        # component one bundle, which needs no search.
+        assert calls == []
+        one.witness, other.witness
+        # Only the pmms witness searches, for two bundles in {x, y}; mms gives
+        # each component one bundle, which needs no search.
         assert calls == [(0b011, 2)]
         assert by_share[oracle.mms].value == 1
         assert by_share[oracle.pmms].value == 2

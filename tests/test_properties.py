@@ -12,18 +12,15 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from graphfair import io, oracle
-from graphfair.core import Agent, Instance
-from graphfair.generators import gen_split
+from graphfair.blockcactus import allocate_block_cactus
+from graphfair.core import Agent, GuaranteeViolationError, Instance
+from graphfair.generators import gen_block_cactus, gen_split
 from graphfair.splitgraph import allocate_split, split_alpha
 from graphfair.verify import check_allocation
 
 
-@st.composite
-def split_instances(draw) -> Instance:
-    vertices = draw(st.integers(3, 9))
-    agents = draw(st.integers(1, 4))
-    types = draw(st.integers(1, agents))
-    inst = gen_split(draw(st.integers(0, 10**6)), vertices, agents, 20, n_types=types)
+def reshape(draw, inst: Instance) -> Instance:
+    """The instance with one drawn regime of utilities, one profile per type."""
     regime = draw(st.sampled_from(["int", "p/q", "near 2^64", "flat"]))
     names = sorted(inst.graph.vertices)
     shared: dict[int, dict[str, Fraction]] = {}
@@ -45,9 +42,33 @@ def split_instances(draw) -> Instance:
     )
 
 
-def canonical_split_bytes(inst: Instance) -> tuple[str, Fraction]:
+@st.composite
+def split_instances(draw) -> Instance:
+    vertices = draw(st.integers(3, 9))
+    agents = draw(st.integers(1, 4))
+    types = draw(st.integers(1, agents))
+    inst = gen_split(draw(st.integers(0, 10**6)), vertices, agents, 20, n_types=types)
+    return reshape(draw, inst)
+
+
+@st.composite
+def block_cactus_instances(draw) -> Instance:
+    vertices = draw(st.integers(1, 12))
+    agents = draw(st.integers(1, 4))
+    types = draw(st.integers(1, agents))
+    inst = gen_block_cactus(draw(st.integers(0, 10**6)), vertices, agents, 20)
+    # The generator gives every agent a type of her own; fold them into
+    # `types` types, each keeping its first agent's utilities.
+    agents = tuple(
+        Agent(id=a.id, type_id=1 + (a.id - 1) % types, utility=inst.agents[(a.id - 1) % types].utility)
+        for a in inst.agents
+    )
+    return reshape(draw, Instance(graph=inst.graph, agents=agents))
+
+
+def canonical_bytes(inst: Instance, allocate) -> tuple[str, Fraction]:
     oracle.clear_cache()
-    alloc = allocate_split(inst)
+    alloc = allocate(inst)
     cert = check_allocation(inst, alloc, alloc.target_alpha)
     assert cert.passes, cert.notes
     return io.canonical_dumps(io.allocation_to_doc(inst, cert)), alloc.target_alpha
@@ -57,7 +78,19 @@ def canonical_split_bytes(inst: Instance) -> tuple[str, Fraction]:
 @given(split_instances())
 def test_split_allocations_certify_at_the_class_alpha_and_repeat_byte_for_byte(inst):
     p = len({a.type_id for a in inst.agents})
-    first, alpha = canonical_split_bytes(inst)
+    first, alpha = canonical_bytes(inst, allocate_split)
     assert alpha == split_alpha((p - 1).bit_length())
-    second, _ = canonical_split_bytes(inst)
+    second, _ = canonical_bytes(inst, allocate_split)
+    assert second == first
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(block_cactus_instances())
+def test_block_cactus_allocations_certify_at_one_half_and_repeat_byte_for_byte(inst):
+    try:
+        first, alpha = canonical_bytes(inst, allocate_block_cactus)
+        second, _ = canonical_bytes(inst, allocate_block_cactus)
+    except GuaranteeViolationError as exc:
+        raise AssertionError(f"the allocator broke its own guarantee: {exc}") from exc
+    assert alpha == Fraction(1, 2)
     assert second == first

@@ -89,8 +89,11 @@ def ceiling(adj, full, wts, n) -> int:
 
 
 def assert_share_calls_match(calls) -> None:
+    # A witness read after the threshold DP passes the known optimum as
+    # `floor`; the frozen search takes no floor and must return the same
+    # first optimum.
     for call in calls:
-        assert frozen_minmax_partition_search(*call.args) == call.result, call.args
+        assert frozen_minmax_partition_search(*call.args[:4]) == call.result, call
 
 
 def assert_ratio_calls_match(calls) -> None:
@@ -111,8 +114,12 @@ def test_allocation_and_share_searches_match_the_frozen_searches(record):
     assert_ratio_calls_match(ratios)
     # The sample reaches both exits of the share search: a value equal to
     # the ceiling total // n, and a search that has to prove a lower one.
-    at_ceiling = [call.result[0] == ceiling(*call.args) for call in shares]
+    at_ceiling = [call.result[0] == ceiling(*call.args[:4]) for call in shares]
     assert any(at_ceiling) and not all(at_ceiling), len(shares)
+    # It reaches both kinds of search too: witnesses read after the DP, with
+    # a floor, and full searches on components with a block of 5+ vertices.
+    floored = ["floor" in call.kwargs for call in shares]
+    assert any(floored) and not all(floored), len(shares)
     assert len(ratios) >= 8, len(ratios)
 
 
