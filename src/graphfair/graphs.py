@@ -54,6 +54,35 @@ def is_connected_subset(graph: GoodsGraph, subset) -> bool:
     return not sub or _reach(graph.adjacency, next(iter(sub)), sub) == sub
 
 
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def _component_count(adj: list[int], mask: int) -> int:
+    """Components of the vertex set `mask` in a bitmask adjacency list."""
+    count = 0
+    rest = mask
+    while rest:
+        count += 1
+        comp = rest & -rest
+        frontier = comp
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                b = f & -f
+                f ^= b
+                nxt |= adj[b.bit_length() - 1]
+            frontier = nxt & mask & ~comp
+            comp |= frontier
+        rest &= ~comp
+    return count
+
+
 @dataclass(frozen=True)
 class BlockCutTree:
     """Blocks and cut vertices of a connected graph.

@@ -26,18 +26,12 @@ graph needs k = n alone, and one bundle, the component itself, needs no
 search.
 
 A component whose blocks all have at most 4 vertices, as on block graphs and
-cacti of small blocks, gets its k-bundle value from a threshold DP instead
-of the search: Perl and Schach's max-min tree partitioning, lifted from
-edges to the blocks of the block-cut tree.  P(t), the most disjoint
-connected sets each worth t or more, is computed bottom-up on the tree
-rooted at the component's smallest vertex, and the share is the largest t
-in [0, total // k] with P(t) >= k, found by binary search.  Each block
-enumerates the few ways its children can join the parent or form a set of
-their own, and those layouts are kept per block shape.  Before the blocks
-are computed, a component with more than 2(|C| - 1) edges is turned away,
-since blocks of at most 4 vertices allow no more; every other component
-keeps the search.  Block-cut plans are cached per graph and component, and
-clear_cache() drops them with the records.
+cacti of small blocks, gets its k-bundle value from the threshold DP of
+`blockdp` instead of the search.  Before its blocks are computed, a
+component with more than 2(|C| - 1) edges is turned away, since blocks of
+at most 4 vertices allow no more; every other component keeps the search.
+Block-cut plans are cached per graph and component, and clear_cache() drops
+them with the records.
 
 A record whose value came from the DP builds its witness the first time it
 is read, by a search that knows the value: it starts from best = value - 1
@@ -72,7 +66,6 @@ with more than `MAX_VERTICES` vertices.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 from .core import (
@@ -86,24 +79,29 @@ from .core import (
     Value,
     ZERO,
 )
-from .graphs import block_cut_tree, connected_components, is_connected
+from .blockdp import _layouts, _plan, _threshold_share
+from .graphs import (
+    _bits,
+    _component_count,
+    block_cut_tree,
+    connected_components,
+    is_connected,
+)
 
 MAX_VERTICES = 14
 
 # Share cache: key -> MmsRecord, one key per utility function.  Plan cache:
 # (graph, component mask) -> block DP plan, or None for a component the DP
-# does not serve.  Shape cache: adjacent pairs of a block -> its layouts; a
-# block of at most 4 vertices has few shapes, so it needs no limit.
+# does not serve.
 _CACHE_LIMIT = 1024
 _cache: dict = {}
 _plans: dict = {}
-_shapes: dict = {}
 
 
 def clear_cache() -> None:
     _cache.clear()
     _plans.clear()
-    _shapes.clear()
+    _layouts.cache_clear()
 
 
 def _cap(graph: GoodsGraph) -> None:
@@ -173,33 +171,6 @@ class _Mask:
 
     def to_set(self, mask: int) -> frozenset[str]:
         return frozenset(self.ids[i] for i in _bits(mask))
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
-def _component_count(adj: list[int], mask: int) -> int:
-    count = 0
-    rest = mask
-    while rest:
-        count += 1
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & mask & ~comp
-            comp |= frontier
-        rest &= ~comp
-    return count
 
 
 def _weights_for(agent: Agent, ids: list[str]) -> tuple[list[int], int]:
@@ -304,58 +275,11 @@ def _minmax_partition_search(
     return best_val, best_parts
 
 
-def _connected(adj: list[int], vertices) -> bool:
-    return _component_count(adj, sum(1 << v for v in vertices)) == 1
-
-
-def _layouts(size: int, pairs: tuple[int, ...]) -> tuple:
-    """The ways a block's children can meet its parent vertex, as (join, group).
-
-    The block's `size` vertices are the parent and then its children, and
-    `pairs` holds 1 for each adjacent pair of them, in combinations order.
-    Layouts name children by their index among the children.  The children
-    in `join` add their open sets to the parent's, so join plus the parent
-    must be connected.  Of the other children, a `group` of two or more,
-    connected without the parent, may finish a set of its own; a block of at
-    most 4 vertices has at most 3 children, so there is at most one such
-    group.  A lone child needs no group: had its open set reached the
-    threshold, it would have closed it.  The empty group is listed only when
-    no other group exists.  Layouts are kept per `pairs` until clear_cache().
-    """
-    if pairs in _shapes:
-        return _shapes[pairs]
-    adj = [0] * size
-    for (a, b), edge in zip(combinations(range(size), 2), pairs):
-        if edge:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    kids = range(1, size)
-    layouts = []
-    for r in range(size):
-        for join in combinations(kids, r):
-            if not _connected(adj, (0,) + join):
-                continue
-            rest = [x for x in kids if x not in join]
-            groups = [
-                group
-                for g in range(2, len(rest) + 1)
-                for group in combinations(rest, g)
-                if _connected(adj, group)
-            ]
-            for group in groups or [()]:
-                layouts.append((tuple(x - 1 for x in join), tuple(x - 1 for x in group)))
-    _shapes[pairs] = layouts = tuple(layouts)
-    return layouts
-
-
 def _block_plan(graph: GoodsGraph, comp: list[str], mk: _Mask, mask: int):
-    """The threshold DP's plan for one component, or None if a block is too big.
+    """The block DP's plan for one component, or None if a block is too big.
 
-    The DP serves components whose blocks have at most 4 vertices.  The plan
-    walks the block-cut tree rooted at the component's first vertex and
-    lists every vertex after the vertices below it, each with its child
-    blocks as (children, layouts).  Plans are cached per graph and component
-    until clear_cache().
+    The DP serves components whose blocks have at most 4 vertices.  Plans
+    are cached per graph and component until clear_cache().
     """
     # A block of b <= 4 vertices has at most 2(b - 1) edges, and the b - 1
     # add up to |C| - 1 over the blocks, so a denser component is turned away
@@ -374,94 +298,9 @@ def _block_plan(graph: GoodsGraph, comp: list[str], mk: _Mask, mask: int):
     plan = None
     if all(len(block) <= 4 for block in tree.blocks):
         blocks = [[mk.pos[v] for v in block] for block in tree.blocks]
-        blocks_of: dict[int, list[int]] = {}
-        for bi, block in enumerate(blocks):
-            for v in block:
-                blocks_of.setdefault(v, []).append(bi)
-        order = [(mask & -mask).bit_length() - 1]
-        placed: set[int] = set()
-        steps = []
-        for v in order:
-            below = []
-            for bi in blocks_of[v]:
-                if bi not in placed:
-                    placed.add(bi)
-                    kids = tuple(sorted(x for x in blocks[bi] if x != v))
-                    order.extend(kids)
-                    pairs = tuple(
-                        mk.adj[a] >> b & 1 for a, b in combinations((v,) + kids, 2)
-                    )
-                    layouts = _layouts(len(kids) + 1, pairs)
-                    below.append((kids, layouts))
-            steps.append((v, tuple(below)))
-        plan = tuple(reversed(steps))
+        plan = _plan(blocks, (mask & -mask).bit_length() - 1, mk.adj)
     _store(_plans, key, plan)
     return plan
-
-
-def _set_count(plan: tuple, wts: list[int], total: int, t: int) -> int:
-    """P(t): the most disjoint connected sets, each worth t or more (t >= 1).
-
-    Each vertex, after the vertices below it, holds the number of sets
-    finished below it and the weight of its open set, the connected set
-    through it that is still growing.  States rank by finished count, then
-    by open weight; a closed vertex, one whose set is finished, ranks below
-    any open weight.  That order is safe: an open set can finish at most one
-    set higher up, and nothing above sees more of it than its weight.  Each
-    child block takes its best layout in that order, and a vertex whose open
-    weight reaches t closes a set.  A closed vertex's open weight is
-    -(total + 1), so every sum that includes one is negative.
-    """
-    shut = -(total + 1)
-    count = [0] * len(wts)
-    weight = [0] * len(wts)
-    for v, below in plan:
-        c = 0
-        w = wts[v]
-        for kids, layouts in below:
-            best_got = best_add = -1
-            for join, group in layouts:
-                add = 0
-                for i in join:
-                    add += weight[kids[i]]
-                if add < 0:
-                    continue
-                got = 0
-                if group:
-                    s = 0
-                    for i in group:
-                        s += weight[kids[i]]
-                    if s >= t:
-                        got = 1
-                if got > best_got or (got == best_got and add > best_add):
-                    best_got, best_add = got, add
-            for x in kids:
-                c += count[x]
-            c += best_got
-            w += best_add
-        if w >= t:
-            c += 1
-            w = shut
-        count[v] = c
-        weight[v] = w
-    return c
-
-
-def _threshold_share(plan: tuple, wts: list[int], mask: int, k: int) -> int:
-    """The k-bundle share of component `mask`: the largest t with P(t) >= k.
-
-    k connected sets worth t each grow into k connected bundles that cover
-    the component and are worth t each, and no share exceeds total // k.
-    """
-    total = sum(wts[i] for i in _bits(mask))
-    lo, hi = 0, total // k
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _set_count(plan, wts, total, mid) >= k:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
@@ -512,7 +351,8 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
                 if plan is None:
                     table[state] = _minmax_partition_search(mk.adj, mask, wts, k)
                 else:
-                    table[state] = _threshold_share(plan, wts, mask, k), None
+                    total = sum(wts[i] for i in _bits(mask))
+                    table[state] = _threshold_share(plan, wts, total, k), None
         return table[state]
 
     memo: dict[tuple[int, int], tuple] = {}

@@ -128,7 +128,9 @@ def allocate_reduction(
     inst: Instance,
     alpha: Value,
     connected_solver: ConnectedSolver,
-    share_records: Mapping[int, oracle.MmsRecord] | None = None,
+    # Quoted, so that typing's subscription cache never holds MmsRecord:
+    # through it, every copy of oracle ever imported would stay alive.
+    share_records: "Mapping[int, oracle.MmsRecord] | None" = None,
 ) -> Allocation:
     """Full pipeline: peel, split into components, serve each via the solver.
 

@@ -39,7 +39,9 @@ def check_allocation(
     inst: Instance,
     alloc: Allocation,
     alpha: Value,
-    mms_records: Mapping[int, oracle.MmsRecord] | None = None,
+    # Quoted, so that typing's subscription cache never holds MmsRecord:
+    # through it, every copy of oracle ever imported would stay alive.
+    mms_records: "Mapping[int, oracle.MmsRecord] | None" = None,
 ) -> Certificate:
     """Certify `alloc` against exact shares at guarantee level `alpha`.
 
