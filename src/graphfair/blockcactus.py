@@ -13,13 +13,14 @@ terminal block B with cut vertex v in one of two ways:
   targets are cut greedily from a Hamiltonian path of B ending at v, the
   served agents leave, and the rest of the graph is unchanged.
 
-Targets are fixed by the caller and threaded through unchanged; each step
-preserves "the graph still admits an n-bundle partition giving every active
-agent her target" and every served agent walks away with at least half hers.
+Targets are fixed by the caller and threaded through unchanged, the absorb
+passing them to the reduction as its targets; each step preserves "the graph
+still admits an n-bundle partition giving every active agent her target" and
+every served agent walks away with at least half hers.
 """
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .carve import greedy_prefix_carve
 from .core import (
@@ -100,15 +101,11 @@ def allocate_bounded(
             utility = dict(a.utility)
             utility[v] = a.value(block)
             folded.append(Agent(id=a.id, type_id=a.type_id, utility=utility))
-        records = {
-            a.id: oracle.MmsRecord(value=targets[a.id], witness=oracle.mms(sub_graph, a, n).witness)
-            for a in folded
-        }
         inner = allocate_reduction(
             Instance(graph=sub_graph, agents=tuple(folded)),
             HALF,
             allocate_bounded,
-            share_records=records,
+            targets=targets,
         )
         out = {a.id: inner.bundle_of(a.id) for a in agents}
         for aid, bundle in out.items():

@@ -7,8 +7,8 @@ Consecutive positions along a path give connected segments, but this module
 does not check connectivity; that is the caller's contract.
 """
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .core import InvalidInputError, Value, ZERO
 

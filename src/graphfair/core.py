@@ -6,10 +6,10 @@ Fractions, or "p/q" strings.  Every container here is immutable after
 construction so that instances and results can be shared freely.
 """
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
 Value = Fraction
 

@@ -15,8 +15,8 @@ lost per peel cannot strand the bisection.
 """
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .core import Agent, GoodsGraph, Instance, InvalidInputError
 

@@ -7,7 +7,7 @@ newline, so re-serializing a canonical file is byte-stable.
 """
 
 import json
-from typing import Mapping
+from collections.abc import Mapping
 
 from .core import (
     Agent,

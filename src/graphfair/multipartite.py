@@ -12,9 +12,9 @@ and enough opposite-side vertices survive to act as spares; a failed
 assertion here means a bug, not a hard instance.
 """
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .carve import greedy_prefix_carve
 from .core import (

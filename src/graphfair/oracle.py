@@ -33,12 +33,13 @@ at most 4 vertices allow no more; every other component keeps the search.
 Block-cut plans are cached per graph and component, and clear_cache() drops
 them with the records.
 
-A record whose value came from the DP builds its witness the first time it
-is read, by a search that knows the value: it starts from best = value - 1
-and stops at the first partition worth the value, which is the first
-optimum in canonical order, the witness the full search returns.  A caller
-that reads only values, as the certificate does, runs no search on such a
-graph.
+Share records are made here and nowhere else, all one way: a record builds
+its witness the first time it is read, and keeps it.  A searched component
+gives the parts its search found.  A component whose value came from the DP
+runs a search that knows the value: it starts from best = value - 1 and
+stops at the first partition worth the value, which is the first optimum in
+canonical order, the witness the full search returns.  A caller that reads
+only values, as the certificate does, runs no search on such a graph.
 
 Shares are cached per utility function: the key is the graph, the int
 weights, their scale and n, never the agent, and which share was asked for
@@ -120,8 +121,8 @@ class MmsRecord:
     witness lists the n bundles in search order, empty ones last.  An `mms`
     witness covers the whole vertex set; a `pmms` witness may not, except on
     a graph with at most one component, where the two shares are one record.
-    A record whose value the threshold DP gave builds its witness on first
-    read and keeps it; it compares, hashes and prints like any other.
+    The oracle's records build their witness on first read and keep it;
+    they compare, hash and print like a record built with both fields.
     """
 
     value: Value
@@ -229,13 +230,6 @@ def _minmax_partition_search(
                 if best_val >= ceiling:
                     raise _Ceiling
             return
-        # A completion beats best only if each of its parts_left bundles
-        # is worth best + 1 or more, and the running minimum already is.
-        if best_val is not None and (
-            rem_weight < (best_val + 1) * parts_left
-            or (cur_min is not None and cur_min <= best_val)
-        ):
-            return
         if _component_count(adj, remaining) > parts_left:
             return
         if parts_left == 1:
@@ -250,6 +244,9 @@ def _minmax_partition_search(
 
         def grow(s_mask, s_weight, cand, banned):
             close_min = s_weight if cur_min is None or s_weight < cur_min else cur_min
+            # A completion beats best only if each of its parts_left - 1
+            # later bundles is worth best + 1 or more, and the running
+            # minimum already is.
             skip = best_val is not None and (
                 rem_weight - s_weight < (best_val + 1) * (parts_left - 1)
                 or close_min <= best_val
@@ -403,10 +400,7 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
             parts += found
         return tuple(mk.to_set(mask) for mask in parts) + (frozenset(),) * (n - len(parts))
 
-    if any(found is None for *_, found in splits):
-        record = _lazy_record(value, witness)
-    else:
-        record = MmsRecord(value=value, witness=witness())
+    record = _lazy_record(value, witness)
     _store(_cache, key, record)
     return record
 

@@ -19,10 +19,14 @@ which is the most valuable component whole.  Likewise a component that
 serves one agent is hers whole, so the solvers only ever see two or more
 agents.  Every allocator ends with the same check, finish_allocation, which
 raises when a bundle falls short of alpha times its target.
+
+A caller may fix the targets, as the block-cactus absorb does: they replace
+the shares in the peel and in the final check, and the routing still counts
+the bundles of each agent's pmms witness.
 """
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
 
 from .core import (
     Agent,
@@ -128,40 +132,35 @@ def allocate_reduction(
     inst: Instance,
     alpha: Value,
     connected_solver: ConnectedSolver,
-    # Quoted, so that typing's subscription cache never holds MmsRecord:
-    # through it, every copy of oracle ever imported would stay alive.
-    share_records: "Mapping[int, oracle.MmsRecord] | None" = None,
+    targets: Mapping[int, Value] | None = None,
 ) -> Allocation:
     """Full pipeline: peel, split into components, serve each via the solver.
 
-    Guarantees every agent a connected bundle worth alpha times her share
-    (pmms by default; callers may supply their own share records to thread
-    externally fixed targets).  Without supplied records a lone agent takes
+    Guarantees every agent a connected bundle worth alpha times her target,
+    her pmms unless `targets` fixes it.  Without targets a lone agent takes
     the witness bundle of her pmms, the most valuable component whole.
     Input validation is the caller's job; the public allocators do it at
     entry, so recursive re-entries with partial agent sets stay cheap.
     """
-    if share_records is None:
-        share_records = {
-            a.id: oracle.pmms(inst.graph, a, inst.n) for a in inst.agents
-        }
+    records = {a.id: oracle.pmms(inst.graph, a, inst.n) for a in inst.agents}
+    if targets is None:
         if inst.n == 1:
             aid = inst.agents[0].id
-            rec = share_records[aid]
+            rec = records[aid]
             return finish_allocation(inst.agents, {aid: rec.value}, {aid: rec.witness[0]}, alpha)
-    shares = {aid: rec.value for aid, rec in share_records.items()}
+        targets = {aid: rec.value for aid, rec in records.items()}
 
-    state = peel_heavy_vertices(inst, alpha, shares)
+    state = peel_heavy_vertices(inst, alpha, targets)
 
     bundles: dict[int, frozenset[str]] = {aid: frozenset({v}) for v, aid in state.heavy}
     pending = list(state.residual_agents)
 
     if not state.components:
-        # Pool exhausted; every leftover agent has share 0 and takes nothing.
+        # Pool exhausted; every leftover agent has target 0 and takes nothing.
         for aid in pending:
-            if shares[aid] > 0:
+            if targets[aid] > 0:
                 raise StructuralError(
-                    f"agent {aid} has positive share but the peel consumed all goods"
+                    f"agent {aid} has a positive target but the peel consumed all goods"
                 )
             bundles[aid] = frozenset()
         pending = []
@@ -169,7 +168,7 @@ def allocate_reduction(
     capacities: list[int] = []
     for comp in state.components:
         # f(i, j) of the module docstring, for this component j.
-        f = {aid: sum(1 for b in share_records[aid].witness if b and b <= comp) for aid in pending}
+        f = {aid: sum(1 for b in records[aid].witness if b and b <= comp) for aid in pending}
         ranked = sorted(pending, key=lambda aid: (-f[aid], aid))
         k = compute_kj([f[aid] for aid in ranked])
         capacities.append(k)
@@ -182,8 +181,8 @@ def allocate_reduction(
             bundles[chosen[0].id] = comp
             continue
         sub_graph = inst.graph.induced(comp)
-        targets = {a.id: oracle.mms(sub_graph, a, k).value for a in chosen}
-        sub_alloc = connected_solver(sub_graph, chosen, targets)
+        sub_targets = {a.id: oracle.mms(sub_graph, a, k).value for a in chosen}
+        sub_alloc = connected_solver(sub_graph, chosen, sub_targets)
         for a in chosen:
             bundles[a.id] = sub_alloc.bundle_of(a.id)
     if pending:
@@ -192,4 +191,4 @@ def allocate_reduction(
             f"component capacities were {capacities}"
         )
 
-    return finish_allocation(inst.agents, shares, bundles, alpha)
+    return finish_allocation(inst.agents, targets, bundles, alpha)

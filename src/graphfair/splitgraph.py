@@ -13,10 +13,10 @@ With p agent types and k = ceil(log2 p) merge rounds the end-to-end
 guarantee is alpha = 3/(7*2^k - 3) of each agent's share.
 """
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
 
 from .core import (
     Agent,

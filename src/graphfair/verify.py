@@ -6,9 +6,9 @@ by the caller (or recomputed from the oracle when omitted).  Exact
 rationals throughout, so a certificate either passes or it does not.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .core import Allocation, Instance, Value
 from .graphs import is_connected_subset
@@ -39,9 +39,7 @@ def check_allocation(
     inst: Instance,
     alloc: Allocation,
     alpha: Value,
-    # Quoted, so that typing's subscription cache never holds MmsRecord:
-    # through it, every copy of oracle ever imported would stay alive.
-    mms_records: "Mapping[int, oracle.MmsRecord] | None" = None,
+    mms_records: Mapping[int, oracle.MmsRecord] | None = None,
 ) -> Certificate:
     """Certify `alloc` against exact shares at guarantee level `alpha`.
 

@@ -120,15 +120,10 @@ def test_criterion_4_block_cactus_suite(record):
         # Replay the recursion: every bounded call, including the one after
         # each carve, and every absorb's re-entry into the reduction with
         # the rim folded in, must still let every agent reach her unchanged
-        # target.  Only an absorb passes share records to the reduction.
-        folds = [c for c in reductions if c.kwargs.get("share_records") is not None]
+        # target.  Only an absorb passes targets to the reduction.
+        folds = [c for c in reductions if c.kwargs.get("targets") is not None]
         states = [c.args for c in bounded] + [
-            (
-                c.args[0].graph,
-                c.args[0].agents,
-                {aid: rec.value for aid, rec in c.kwargs["share_records"].items()},
-            )
-            for c in folds
+            (c.args[0].graph, c.args[0].agents, c.kwargs["targets"]) for c in folds
         ]
         for graph, agents, targets in states:
             for a in agents:

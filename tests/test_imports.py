@@ -62,3 +62,19 @@ def test_unused_import_check_sees_what_it_should():
     )
     unused = set(imported_names(tree)) - used_names(tree)
     assert unused == {"os", "bee", "d"}
+
+
+def test_no_module_imports_from_typing():
+    # typing's subscription cache keeps every class it was subscripted with
+    # alive, and through it every re-imported copy of the package; the
+    # collections.abc generics cache nothing.
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "typing":
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Import) and any(
+                alias.name == "typing" for alias in node.names
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == [], f"imports from typing: {offenders}"

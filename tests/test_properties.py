@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from graphfair import io, oracle
 from graphfair.blockcactus import allocate_block_cactus
 from graphfair.core import Agent, GuaranteeViolationError, Instance
-from graphfair.generators import gen_block_cactus, gen_split
+from graphfair.generators import gen_block_cactus, gen_multipartite, gen_split
+from graphfair.multipartite import allocate_multipartite
 from graphfair.splitgraph import allocate_split, split_alpha
 from graphfair.verify import check_allocation
 
@@ -42,6 +43,19 @@ def reshape(draw, inst: Instance) -> Instance:
     )
 
 
+def folded(inst: Instance, types: int) -> Instance:
+    """The instance with its agents folded into `types` types.
+
+    The generators give every agent a type of her own; agent i joins type
+    1 + (i - 1) % types and takes the utilities of that type's first agent.
+    """
+    agents = tuple(
+        Agent(id=a.id, type_id=1 + (a.id - 1) % types, utility=inst.agents[(a.id - 1) % types].utility)
+        for a in inst.agents
+    )
+    return Instance(graph=inst.graph, agents=agents)
+
+
 @st.composite
 def split_instances(draw) -> Instance:
     vertices = draw(st.integers(3, 9))
@@ -57,13 +71,17 @@ def block_cactus_instances(draw) -> Instance:
     agents = draw(st.integers(1, 4))
     types = draw(st.integers(1, agents))
     inst = gen_block_cactus(draw(st.integers(0, 10**6)), vertices, agents, 20)
-    # The generator gives every agent a type of her own; fold them into
-    # `types` types, each keeping its first agent's utilities.
-    agents = tuple(
-        Agent(id=a.id, type_id=1 + (a.id - 1) % types, utility=inst.agents[(a.id - 1) % types].utility)
-        for a in inst.agents
-    )
-    return reshape(draw, Instance(graph=inst.graph, agents=agents))
+    return reshape(draw, folded(inst, types))
+
+
+@st.composite
+def multipartite_instances(draw) -> Instance:
+    agents = draw(st.integers(1, 4))
+    # The generator's fewest vertices for each agent count.
+    vertices = draw(st.integers({1: 2, 2: 10, 3: 11, 4: 12}[agents], 13))
+    types = draw(st.integers(1, agents))
+    inst = gen_multipartite(draw(st.integers(0, 10**6)), vertices, agents, 20)
+    return reshape(draw, folded(inst, types))
 
 
 def canonical_bytes(inst: Instance, allocate) -> tuple[str, Fraction]:
@@ -93,4 +111,16 @@ def test_block_cactus_allocations_certify_at_one_half_and_repeat_byte_for_byte(i
     except GuaranteeViolationError as exc:
         raise AssertionError(f"the allocator broke its own guarantee: {exc}") from exc
     assert alpha == Fraction(1, 2)
+    assert second == first
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(multipartite_instances())
+def test_multipartite_allocations_certify_at_one_quarter_and_repeat_byte_for_byte(inst):
+    try:
+        first, alpha = canonical_bytes(inst, allocate_multipartite)
+        second, _ = canonical_bytes(inst, allocate_multipartite)
+    except GuaranteeViolationError as exc:
+        raise AssertionError(f"the allocator broke its own guarantee: {exc}") from exc
+    assert alpha == Fraction(1, 4)
     assert second == first

@@ -137,20 +137,17 @@ def test_allocate_reduction_routes_two_components(record):
         {"a": 5, "b": 5, "x": 0, "y": 0},
         {"a": 0, "b": 0, "x": 5, "y": 5},
     )
-    records = {
-        1: oracle.pmms(g, inst.agent(1), 2),
-        2: oracle.pmms(g, inst.agent(2), 2),
-    }
-    # inflate the shares above 2 * max vertex so nobody peels, keeping the
-    # real witnesses for the component routing
+    # targets above 2 * max vertex so nobody peels; the routing still reads
+    # the real pmms witnesses
+    targets = {1: Fraction(11), 2: Fraction(11)}
     fake = {
-        aid: oracle.MmsRecord(value=Fraction(11), witness=rec.witness)
-        for aid, rec in records.items()
+        aid: oracle.MmsRecord(value=t, witness=oracle.pmms(g, inst.agent(aid), 2).witness)
+        for aid, t in targets.items()
     }
     peels = record(reduction, "peel_heavy_vertices")
     served: list = []
     solver = recording(halves_solver, served)
-    alloc = allocate_reduction(inst, Fraction(1, 2), solver, share_records=fake)
+    alloc = allocate_reduction(inst, Fraction(1, 2), solver, targets=targets)
     assert peels[0].result.heavy == []
     assert len(peels[0].result.components) == 2
     # each component serves one agent, who takes it whole
@@ -160,11 +157,11 @@ def test_allocate_reduction_routes_two_components(record):
     assert certified_ratios(inst, alloc, fake) == {1: Fraction(10, 11), 2: Fraction(10, 11)}
 
 
-def test_allocate_reduction_solves_shared_components_and_serves_lone_agents_whole():
+def test_allocate_reduction_solves_shared_components_and_serves_lone_agents_whole(monkeypatch):
     g = GoodsGraph.build(list("abcdxy"), [("a", "b"), ("b", "c"), ("c", "d"), ("x", "y")])
     on_path = {"a": 5, "b": 5, "c": 5, "d": 5, "x": 0, "y": 0}
     inst = inst_of(g, on_path, dict(on_path), {"a": 0, "b": 0, "c": 0, "d": 0, "x": 5, "y": 5})
-    # Shares of 11 keep every vertex below half a share, so nobody peels;
+    # Targets of 11 keep every vertex below half a target, so nobody peels;
     # the witnesses put two bundles of agents 1 and 2 on the path and one of
     # agent 3 on the edge.
     on_path_witness = (frozenset("ab"), frozenset("cd"), frozenset())
@@ -173,9 +170,13 @@ def test_allocate_reduction_solves_shared_components_and_serves_lone_agents_whol
         aid: oracle.MmsRecord(value=Fraction(11), witness=witness)
         for aid, witness in ((1, on_path_witness), (2, on_path_witness), (3, on_edge_witness))
     }
+    monkeypatch.setattr(oracle, "pmms", lambda graph, agent, n: records[agent.id])
     served: list = []
     alloc = allocate_reduction(
-        inst, Fraction(1, 2), recording(halves_solver, served), share_records=records
+        inst,
+        Fraction(1, 2),
+        recording(halves_solver, served),
+        targets=dict.fromkeys(records, Fraction(11)),
     )
     ((graph, agents, targets),) = served
     assert sorted(graph.vertices) == ["a", "b", "c", "d"]
@@ -254,7 +255,7 @@ def test_lone_agent_gets_her_own_id_from_a_shared_share_record():
     assert certified_ratios(inst, alloc) == {1: Fraction(1)}
 
 
-def test_allocate_reduction_unroutable_agent_is_an_error():
+def test_allocate_reduction_unroutable_agent_is_an_error(monkeypatch):
     g = GoodsGraph.build(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     inst = inst_of(g, {"a": 1, "b": 1, "c": 1, "d": 1})
     # witness bundle straddles both components, so no component counts it
@@ -262,8 +263,9 @@ def test_allocate_reduction_unroutable_agent_is_an_error():
         value=Fraction(10),
         witness=(frozenset({"b", "c"}),),
     )
+    monkeypatch.setattr(oracle, "pmms", lambda graph, agent, n: bogus)
     with pytest.raises(StructuralError):
-        allocate_reduction(inst, Fraction(1, 2), halves_solver, share_records={1: bogus})
+        allocate_reduction(inst, Fraction(1, 2), halves_solver, targets={1: Fraction(10)})
 
 
 def test_finish_allocation_accepts_exactly_alpha_and_zero_targets():
