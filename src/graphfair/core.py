@@ -123,11 +123,13 @@ class GoodsGraph:
         return e in self.edges
 
     def induced(self, subset: Iterable[str]) -> "GoodsGraph":
-        """The subgraph induced by `subset` (which must be known vertices)."""
+        """The subgraph induced by `subset` (known vertices); all of them give back `self`."""
         sub = set(subset)
         unknown = sub - set(self.vertices)
         if unknown:
             raise InvalidInputError(f"unknown vertices: {sorted(unknown)}")
+        if len(sub) == len(self.vertices):
+            return self
         kept = frozenset(e for e in self.edges if e[0] in sub and e[1] in sub)
         return GoodsGraph(vertices=tuple(sorted(sub)), edges=kept)
 

@@ -97,14 +97,12 @@ class BlockCutTree:
 
 
 def block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
-    """Biconnected components via an iterative lowpoint search.
+    """Biconnected components via one iterative lowpoint search.
 
-    Raises StructuralError on disconnected or empty input.
+    Raises StructuralError on empty or disconnected input, the latter found by the search.
     """
     if not graph.vertices:
         raise StructuralError("empty graph has no block structure")
-    if not is_connected(graph):
-        raise StructuralError("graph is disconnected")
     if len(graph.vertices) == 1:
         only = frozenset(graph.vertices)
         return BlockCutTree(
@@ -165,6 +163,8 @@ def block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
                 raw_blocks.append(frozenset(members))
                 if u != root or root_children > 1:
                     cuts.add(u)
+    if len(index) < len(graph.vertices):
+        raise StructuralError("graph is disconnected")
 
     blocks = tuple(sorted(raw_blocks, key=lambda b: tuple(sorted(b))))
     terminal = frozenset(i for i, b in enumerate(blocks) if len(b & cuts) <= 1)
@@ -249,7 +249,7 @@ def recognize(graph: GoodsGraph) -> ClassWitness:
     connected = is_connected(graph)
     if connected:
         flags.add("connected")
-    if all(graph.has_edge(a, b) for a, b in combinations(graph.vertices, 2)):
+    if 2 * len(graph.edges) == n * (n - 1):
         flags.add("complete")
     if connected and n >= 3 and all(len(graph.adjacency[v]) == 2 for v in graph.vertices):
         flags.add("cycle")

@@ -86,7 +86,6 @@ from .graphs import (
     _component_count,
     block_cut_tree,
     connected_components,
-    is_connected,
 )
 
 MAX_VERTICES = 14
@@ -280,18 +279,14 @@ def _block_plan(graph: GoodsGraph, comp: list[str], mk: _Mask, mask: int):
     """
     # A block of b <= 4 vertices has at most 2(b - 1) edges, and the b - 1
     # add up to |C| - 1 over the blocks, so a denser component is turned away
-    # before its blocks are computed.
-    whole = len(comp) == mk.m
-    if whole:
-        edges = len(graph.edges)
-    else:
-        edges = sum((mk.adj[i] & mask).bit_count() for i in _bits(mask)) // 2
-    if edges > 2 * (len(comp) - 1):
+    # before its blocks are computed.  One induced graph serves both steps.
+    sub = graph.induced(comp)
+    if len(sub.edges) > 2 * (len(comp) - 1):
         return None
     key = (graph, mask)
     if key in _plans:
         return _plans[key]
-    tree = block_cut_tree(graph if whole else graph.induced(comp))
+    tree = block_cut_tree(sub)
     plan = None
     if all(len(block) <= 4 for block in tree.blocks):
         blocks = [[mk.pos[v] for v in block] for block in tree.blocks]
@@ -438,11 +433,11 @@ def max_min_ratio_allocation(
     if not agents:
         raise InvalidInputError("no agents to allocate to")
     _cap(graph)
-    if not is_connected(graph):
-        raise StructuralError("graph is disconnected")
-    n = len(agents)
     mk = _Mask(graph)
     adj = mk.adj
+    if _component_count(adj, mk.full) > 1:
+        raise StructuralError("graph is disconnected")
+    n = len(agents)
     for a in agents:
         t = targets.get(a.id, ZERO)
         if t < 0:

@@ -75,10 +75,9 @@ def peel_heavy_vertices(
         for aid in unmatched:
             agent = inst.agent(aid)
             cut = alpha * pmms_values[aid]
-            best: str | None = None
-            for v in sorted(pool):
-                if agent.utility[v] >= cut and (best is None or agent.utility[v] > agent.utility[best]):
-                    best = v
+            # Graph vertices are sorted and max keeps the first maximum.
+            acceptable = [v for v in inst.graph.vertices if v in pool and agent.utility[v] >= cut]
+            best = max(acceptable, key=agent.utility.__getitem__, default=None)
             if best is not None:
                 matched = (best, aid)
                 break

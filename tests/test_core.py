@@ -66,6 +66,18 @@ def test_induced_subgraph():
         g.induced({"a", "zz"})
 
 
+def test_induced_on_every_vertex_is_the_graph_itself():
+    g = triangle_pendant()
+    assert g.induced(g.vertices) is g
+    assert g.induced(frozenset(g.vertices)) is g
+    sub = g.induced(["d", "c", "a"])
+    assert sub is not g
+    assert sub == GoodsGraph.build(["a", "c", "d"], [("a", "c"), ("c", "d")])
+    # as many ids as the graph has vertices, one of them unknown
+    with pytest.raises(InvalidInputError):
+        g.induced({"a", "b", "c", "zz"})
+
+
 def two_agent_instance() -> Instance:
     g = triangle_pendant()
     u1 = {v: Fraction(1) for v in g.vertices}

@@ -9,8 +9,9 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import pytest
 
-from graphfair.core import GoodsGraph
+from graphfair.core import GoodsGraph, StructuralError
 from graphfair.graphs import (
     block_cut_tree,
     connected_components,
@@ -71,6 +72,20 @@ def test_blocks_and_cut_vertices_match_networkx():
         assert set(tree.blocks) == expected, index
         assert len(tree.blocks) == len(expected), index
         assert tree.cut_vertices == names(nx.articulation_points(g)), index
+
+
+def test_block_cut_tree_rejects_every_disconnected_graph():
+    for index, g, ours in atlas():
+        if nx.is_connected(g):
+            continue
+        with pytest.raises(StructuralError, match="graph is disconnected"):
+            block_cut_tree(ours)
+
+
+def test_complete_flag_matches_a_pairwise_edge_test():
+    for index, g, ours in atlas():
+        pairwise = all(ours.has_edge(a, b) for a, b in combinations(ours.vertices, 2))
+        assert recognize(ours).has("complete") == pairwise, index
 
 
 def test_multipartite_parts_are_the_complement_components():

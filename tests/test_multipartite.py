@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphfair import multipartite as mp, oracle
+from graphfair import io, multipartite as mp, oracle
 from graphfair.core import (
     Agent,
     ClassMismatchError,
@@ -11,6 +11,7 @@ from graphfair.core import (
     Instance,
     InvalidInputError,
 )
+from graphfair.generators import gen_multipartite
 from graphfair.graphs import recognize
 from graphfair.multipartite import (
     allocate_bounded_multipartite,
@@ -166,3 +167,42 @@ def test_components_get_the_top_level_parts_restricted(record):
     graph, parts = call.args[:2]
     assert "v00" not in graph.vertices
     assert order(parts) == order(recognize(graph).parts)
+
+
+def zero_first(inst: Instance) -> tuple[Agent, ...]:
+    zero = dict.fromkeys(inst.graph.vertices, Fraction(0))
+    first, *rest = inst.agents
+    return (Agent(id=first.id, type_id=first.type_id, utility=zero), *rest)
+
+
+def zero_all(inst: Instance) -> tuple[Agent, ...]:
+    zero = dict.fromkeys(inst.graph.vertices, Fraction(0))
+    return tuple(Agent(id=a.id, type_id=a.type_id, utility=zero) for a in inst.agents)
+
+
+def one_type(inst: Instance) -> tuple[Agent, ...]:
+    first = inst.agents[0]
+    return tuple(Agent(id=a.id, type_id=first.type_id, utility=first.utility) for a in inst.agents)
+
+
+@pytest.mark.parametrize("variant", [zero_first, zero_all, one_type])
+@pytest.mark.parametrize("n, vertices", [(2, 10), (3, 11), (4, 12), (2, 13), (3, 13)])
+def test_zero_and_single_type_profiles_certify_and_repeat_byte_for_byte(variant, n, vertices):
+    # Generator seeds 0-9 at the fewest vertices the generator allows for n
+    # agents and at 13 vertices, with agent 1 valuing nothing, every agent
+    # valuing nothing, or every agent of agent 1's type.
+    for seed in range(10):
+        generated = gen_multipartite(seed, vertices, n, 20)
+        inst = Instance(graph=generated.graph, agents=variant(generated))
+        runs = []
+        for _ in range(2):
+            oracle.clear_cache()
+            try:
+                alloc = allocate_multipartite(inst)
+            except GuaranteeViolationError as exc:
+                raise AssertionError(f"seed {seed}: the allocator broke its guarantee: {exc}") from exc
+            assert alloc.target_alpha == QUARTER, seed
+            cert = check_allocation(inst, alloc, QUARTER)
+            assert cert.passes, (seed, cert.notes)
+            runs.append(io.canonical_dumps(io.allocation_to_doc(inst, cert)))
+        assert runs[0] == runs[1], seed

@@ -13,6 +13,7 @@ from graphfair.core import (
     GoodsGraph,
     InvalidInputError,
     SizeLimitError,
+    StructuralError,
     UndefinedMmsError,
 )
 from graphfair.graphs import is_connected_subset
@@ -400,6 +401,20 @@ def test_max_min_ratio_zero_target_unconstrained():
     assert bundles == {1: frozenset({"a", "b"}), 2: frozenset()}
     with pytest.raises(InvalidInputError):
         oracle.max_min_ratio_allocation(g, [a1, a2], {1: Fraction(1), 2: Fraction(-1)})
+
+
+def test_max_min_ratio_rejects_a_disconnected_graph():
+    # the size cap is checked first, then connectivity, then the targets
+    g = GoodsGraph.build(["a", "b", "c"], [("a", "b")])
+    a1 = Agent(id=1, type_id=1, utility=dict.fromkeys(g.vertices, Fraction(1)))
+    a2 = Agent(id=2, type_id=2, utility=dict.fromkeys(g.vertices, Fraction(1)))
+    for targets in ({1: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)}):
+        with pytest.raises(StructuralError, match="graph is disconnected"):
+            oracle.max_min_ratio_allocation(g, [a1, a2], targets)
+    big = GoodsGraph.build([f"v{i:02d}" for i in range(oracle.MAX_VERTICES + 1)], [])
+    wide = Agent(id=1, type_id=1, utility=dict.fromkeys(big.vertices, Fraction(1)))
+    with pytest.raises(SizeLimitError):
+        oracle.max_min_ratio_allocation(big, [wide], {1: Fraction(1)})
 
 
 def brute_max_min_ratio(graph, agents, targets):
