@@ -13,9 +13,12 @@ beats `best` only if each remaining bundle is worth `best + 1` or more,
 tested as `remaining < (best + 1) * bundles` so that no division happens.
 With one bundle left, the whole remainder closes the partition in one step,
 since no other subset could.  No partition's smallest bundle is worth more
-than total // n, so the search returns at the first partition that reaches
-it: later ones can only tie, and the first optimum in canonical order stays
-the witness.
+than (total - top_j) // (n - j) for any j < n, top_j being the weight of
+the j heaviest vertices: they lie in at most j bundles, and the other n - j
+share the rest.  The least of these bounds is total // n (j = 0) unless a
+vertex outweighs total / n, and only then are the weights sorted.  The
+search returns at the first partition that reaches the bound: later ones
+can only tie, and the first optimum in canonical order stays the witness.
 
 `mms` and `pmms` run one component DP: bundles never cross components, so
 the n bundles are spread over the components, at least one per component for
@@ -203,6 +206,11 @@ def _minmax_partition_search(
     bundles are empty.  Returns (value, parts) with value the int optimum in
     the units of `wts` and parts a tuple of masks (no padding).
 
+    Without `floor`, the search stops at the first partition worth the
+    heavy-vertex ceiling, the least over j < n of (total - top_j) // (n - j)
+    with top_j the weight of the j heaviest vertices; no partition is worth
+    more, so that partition is the first optimum.
+
     `floor`, when given, must be that optimum, known beforehand.  The search
     then starts from best = floor - 1 and stops at the first partition worth
     floor.  No branch that leads to such a partition is cut while best is
@@ -212,8 +220,22 @@ def _minmax_partition_search(
     """
     best_val = None
     best_parts = None
-    total = sum(wts[i] for i in _bits(full))
-    ceiling = total // n if floor is None else floor
+    ws = [wts[i] for i in _bits(full)]
+    total = sum(ws)
+    if floor is not None:
+        ceiling = floor
+    elif max(ws) * n > total:
+        # Taking the heaviest vertex off lowers the bound while w * k > rest;
+        # after the first vertex that fails, lighter ones only raise it.
+        rest, k = total, n
+        for w in sorted(ws, reverse=True):
+            if w * k <= rest:
+                break
+            rest -= w
+            k -= 1
+        ceiling = rest // k
+    else:
+        ceiling = total // n
     if floor:
         best_val = floor - 1
 

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from graphfair import io, multipartite as mp, oracle
+from graphfair import io, multipartite as mp, oracle, reduction
 from graphfair.core import (
     Agent,
     ClassMismatchError,
@@ -185,6 +186,22 @@ def one_type(inst: Instance) -> tuple[Agent, ...]:
     return tuple(Agent(id=a.id, type_id=first.type_id, utility=first.utility) for a in inst.agents)
 
 
+def certify_twice(inst: Instance, label) -> None:
+    """Two cold runs certify at 1/4, raise no guarantee error and give one output."""
+    runs = []
+    for _ in range(2):
+        oracle.clear_cache()
+        try:
+            alloc = allocate_multipartite(inst)
+        except GuaranteeViolationError as exc:
+            raise AssertionError(f"{label}: the allocator broke its guarantee: {exc}") from exc
+        assert alloc.target_alpha == QUARTER, label
+        cert = check_allocation(inst, alloc, QUARTER)
+        assert cert.passes, (label, cert.notes)
+        runs.append(io.canonical_dumps(io.allocation_to_doc(inst, cert)))
+    assert runs[0] == runs[1], label
+
+
 @pytest.mark.parametrize("variant", [zero_first, zero_all, one_type])
 @pytest.mark.parametrize("n, vertices", [(2, 10), (3, 11), (4, 12), (2, 13), (3, 13)])
 def test_zero_and_single_type_profiles_certify_and_repeat_byte_for_byte(variant, n, vertices):
@@ -193,16 +210,75 @@ def test_zero_and_single_type_profiles_certify_and_repeat_byte_for_byte(variant,
     # valuing nothing, or every agent of agent 1's type.
     for seed in range(10):
         generated = gen_multipartite(seed, vertices, n, 20)
-        inst = Instance(graph=generated.graph, agents=variant(generated))
-        runs = []
-        for _ in range(2):
-            oracle.clear_cache()
-            try:
-                alloc = allocate_multipartite(inst)
-            except GuaranteeViolationError as exc:
-                raise AssertionError(f"seed {seed}: the allocator broke its guarantee: {exc}") from exc
-            assert alloc.target_alpha == QUARTER, seed
-            cert = check_allocation(inst, alloc, QUARTER)
-            assert cert.passes, (seed, cert.notes)
-            runs.append(io.canonical_dumps(io.allocation_to_doc(inst, cert)))
-        assert runs[0] == runs[1], seed
+        certify_twice(Instance(graph=generated.graph, agents=variant(generated)), seed)
+
+
+def favourite_only(agent: Agent) -> Agent:
+    """The agent valuing only her first most valuable vertex: a zero share for n >= 2."""
+    top = max(sorted(agent.utility), key=agent.utility.__getitem__)
+    utility = {v: (x if v == top else Fraction(0)) for v, x in agent.utility.items()}
+    return Agent(id=agent.id, type_id=agent.type_id, utility=utility)
+
+
+@pytest.mark.parametrize("n, vertices", [(2, 10), (3, 11), (4, 12), (2, 13), (3, 13), (4, 13)])
+def test_mixed_zero_and_positive_shares_certify_and_repeat_byte_for_byte(n, vertices):
+    # Every even-numbered agent values one vertex alone, so her share is 0
+    # although her utility is not; the others keep the generator's profiles
+    # and positive shares.  Zero-share agents peel whenever goods remain.
+    for seed in range(10):
+        generated = gen_multipartite(seed, vertices, n, 20)
+        agents = tuple(a if a.id % 2 else favourite_only(a) for a in generated.agents)
+        inst = Instance(graph=generated.graph, agents=agents)
+        shares = {a.id: oracle.pmms(inst.graph, a, n).value for a in agents}
+        assert all((shares[a.id] > 0) == (a.id % 2 == 1) for a in agents), (seed, shares)
+        certify_twice(inst, seed)
+
+
+# Two-agent instances (generator seed, vertices, profile) in which agent 1's
+# heaviest vertex crosses the peel threshold: worth x, it is at least a
+# quarter of her share, and worth x - 1 it is not, while still her heaviest.
+# Found by scaling that vertex and recomputing her share.  With three or
+# more agents on at most 13 vertices, a quarter share is below the other
+# vertices' values, so the heaviest vertex alone cannot cross it.
+PEEL_THRESHOLD = [
+    (0, 10, "flat", "v05", 14),
+    (1, 10, "flat", "v02", 13),
+    (3, 10, "flat", "v02", 14),
+    (0, 13, "flat", "v05", 18),
+    (1, 13, "flat", "v02", 17),
+    (2, 13, "flat", "v08", 16),
+    (3, 13, "flat", "v02", 18),
+    (2, 13, "raw", "v06", 21),
+]
+
+
+@pytest.mark.parametrize("side", ["under", "over"])
+@pytest.mark.parametrize("seed, vertices, profile, vertex, x", PEEL_THRESHOLD)
+def test_heaviest_vertex_at_the_peel_threshold(seed, vertices, profile, vertex, x, side, record):
+    generated = gen_multipartite(seed, vertices, 2, 20)
+    graph = generated.graph
+    first, second = generated.agents
+    if profile == "flat":
+        # Near-equal 8..12 utilities, drawn for agent 1, then agent 2.
+        rng = random.Random(seed)
+        first, second = (
+            Agent(
+                id=a.id,
+                type_id=a.type_id,
+                utility={v: Fraction(rng.randint(8, 12)) for v in graph.vertices},
+            )
+            for a in (first, second)
+        )
+    over = side == "over"
+    worth = x if over else x - 1
+    utility = {**first.utility, vertex: Fraction(worth)}
+    agent = Agent(id=first.id, type_id=first.type_id, utility=utility)
+    inst = Instance(graph=graph, agents=(agent, second))
+    assert all(u < worth for v, u in utility.items() if v != vertex)
+    assert (4 * worth >= oracle.pmms(inst.graph, agent, 2).value) == over
+    peels = record(reduction, "peel_heavy_vertices")
+    certify_twice(inst, (seed, side))
+    # Over the threshold agent 1 peels the vertex; under it she peels nothing.
+    assert len(peels) == 2
+    for call in peels:
+        assert [v for v, aid in call.result.heavy if aid == 1] == ([vertex] if over else [])

@@ -264,6 +264,30 @@ def test_search_stops_at_the_ceiling_on_a_flat_multipartite_graph(monkeypatch):
     assert len(checks) == 12
 
 
+def test_search_stops_at_the_heavy_vertex_ceiling(monkeypatch):
+    # Agent 1 of this 11-vertex, 3-agent instance has one vertex worth 81 of
+    # 161.  Whichever bundle holds it, the other two share at most 80, so no
+    # partition reaches total // 3 = 53 and the share is (161 - 81) // 2.
+    # Stopping there takes 10 connectivity checks; stopping only at
+    # total // 3 ran the search to exhaustion in 258.
+    inst = gen.gen_multipartite(0, 11, 3, 20)
+    a = inst.agents[0]
+    total = sum(a.utility.values())
+    heaviest = max(a.utility.values())
+    assert heaviest * 3 > total
+    checks = []
+    count = oracle._component_count
+
+    def counted(adj, mask):
+        checks.append(mask)
+        return count(adj, mask)
+
+    monkeypatch.setattr(oracle, "_component_count", counted)
+    rec = oracle.pmms(inst.graph, a, 3)
+    assert rec.value == (total - heaviest) // 2 == 40 < total // 3
+    assert len(checks) == 10
+
+
 def test_agents_of_one_type_share_records(monkeypatch):
     calls = count_searches(monkeypatch)
     path = [("a", "b"), ("b", "c"), ("c", "d")]

@@ -88,6 +88,16 @@ def ceiling(adj, full, wts, n) -> int:
     return sum(w for i, w in enumerate(wts) if full >> i & 1) // n
 
 
+def heavy_ceiling(adj, full, wts, n) -> int:
+    """The least over j < n of (total - top_j) // (n - j).
+
+    top_j is the weight of the j heaviest vertices of `full`.  They lie in
+    at most j bundles, so n - j bundles share at most the rest.
+    """
+    ws = sorted((w for i, w in enumerate(wts) if full >> i & 1), reverse=True)
+    return min((sum(ws) - sum(ws[:j])) // (n - j) for j in range(n))
+
+
 def assert_share_calls_match(calls) -> None:
     # A witness read after the threshold DP passes the known optimum as
     # `floor`; the frozen search takes no floor and must return the same
@@ -116,6 +126,14 @@ def test_allocation_and_share_searches_match_the_frozen_searches(record):
     # the ceiling total // n, and a search that has to prove a lower one.
     at_ceiling = [call.result[0] == ceiling(*call.args[:4]) for call in shares]
     assert any(at_ceiling) and not all(at_ceiling), len(shares)
+    # Full searches reach all three of its exits: total // n, the
+    # heavy-vertex bound below it, and a proved value below both.
+    exits = {"even": 0, "heavy": 0, "below": 0}
+    for call in shares:
+        if "floor" not in call.kwargs:
+            value, even, heavy = call.result[0], ceiling(*call.args), heavy_ceiling(*call.args)
+            exits["even" if value == even else "heavy" if value == heavy else "below"] += 1
+    assert all(exits.values()), exits
     # It reaches both kinds of search too: witnesses read after the DP, with
     # a floor, and full searches on components with a block of 5+ vertices.
     floored = ["floor" in call.kwargs for call in shares]
@@ -138,15 +156,23 @@ def corner_utility(rng: random.Random, kind: str, vertices) -> dict[str, Fractio
         return {v: Fraction(0) for v in vertices}
     if kind == "sparse":
         return {v: Fraction(rng.choice([0, 0, 0, 1, 2])) for v in vertices}
+    if kind == "heavy":
+        # One to three vertices worth 5-50 times a light one.
+        heavy = rng.sample(list(vertices), min(len(vertices), rng.randint(1, 3)))
+        return {
+            v: Fraction(rng.randint(1, 4) * (rng.randint(5, 50) if v in heavy else 1))
+            for v in vertices
+        }
     return {v: Fraction(rng.randint(8, 12)) for v in vertices}
 
 
-KINDS = ("pq", "huge", "zero", "sparse", "flat")
+KINDS = ("pq", "huge", "zero", "sparse", "heavy", "flat")
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_corner_share_searches_match_the_frozen_search(kind):
     rng = random.Random(f"search-replay:{kind}")
+    heavy_stops = 0
     for _ in range(25):
         graph = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.7]))
         wts, _ = oracle._weights_for(
@@ -157,12 +183,13 @@ def test_corner_share_searches_match_the_frozen_search(kind):
         # n runs past the vertex count, and the vertex set may be
         # disconnected, so some searches find no partition at all.
         for n in range(1, len(graph.vertices) + 3):
-            got = oracle._minmax_partition_search(mask.adj, mask.full, wts, n)
-            assert got == frozen_minmax_partition_search(mask.adj, mask.full, wts, n), (
-                graph,
-                wts,
-                n,
-            )
+            args = (mask.adj, mask.full, wts, n)
+            got = oracle._minmax_partition_search(*args)
+            assert got == frozen_minmax_partition_search(*args), (graph, wts, n)
+            if got[0] and got[0] == heavy_ceiling(*args) < ceiling(*args):
+                heavy_stops += 1
+    # Heavy profiles reach a positive share at the heavy-vertex bound.
+    assert heavy_stops or kind != "heavy"
 
 
 def test_corner_ratio_searches_match_the_frozen_search():
