@@ -11,6 +11,12 @@ A branch of the share search must still be able to beat the best value found:
 the running minimum can only drop, and with weights in ints a completion
 beats `best` only if each remaining bundle is worth `best + 1` or more,
 tested as `remaining < (best + 1) * bundles` so that no division happens.
+The test also stops a bundle from growing: weights are nonnegative, so
+when a bundle leaves too little for the bundles after it, every superset
+leaves less.  Nor does a level go on growing bundles once `best` has
+reached its running minimum, since no bundle closed there can beat it.
+These cuts drop only nodes that could never recurse, so the search makes
+the same recursive calls in the same order as without them.
 With one bundle left, the whole remainder closes the partition in one step,
 since no other subset could.  No partition's smallest bundle is worth more
 than (total - top_j) // (n - j) for any j < n, top_j being the weight of
@@ -181,7 +187,8 @@ def _weights_for(agent: Agent, ids: list[str]) -> tuple[list[int], int]:
 
     `scale` is the least common multiple of the utility denominators, and the
     weight of vertex v is `utility[v] * scale`, so a bundle's value is its
-    weight sum divided by `scale`.
+    weight sum divided by `scale`.  Every search cut assumes nonnegative
+    weights, so a negative utility is rejected here.
     """
     vals = []
     for v in ids:
@@ -189,7 +196,11 @@ def _weights_for(agent: Agent, ids: list[str]) -> tuple[list[int], int]:
             raise InvalidInputError(f"no utility for vertex {v!r}")
         vals.append(agent.utility[v])
     scale = lcm(*(val.denominator for val in vals))
-    return [val.numerator * (scale // val.denominator) for val in vals], scale
+    wts = [val.numerator * (scale // val.denominator) for val in vals]
+    low = min(wts, default=0)
+    if low < 0:
+        raise InvalidInputError(f"agent {agent.id} has a negative value at {ids[wts.index(low)]!r}")
+    return wts, scale
 
 
 class _Ceiling(Exception):
@@ -217,6 +228,12 @@ def _minmax_partition_search(
     below floor, so that partition is the first optimum in canonical order,
     the one the full search returns.  A floor of 0 seeds nothing and stops at
     the first leaf.
+
+    Once best is set, a bundle stops growing when it leaves less than
+    best + 1 for each later bundle, and a level stops when best reaches its
+    running minimum.  Neither cut drops a node that could recurse, so the
+    recursive calls, and with them every result, are those of the uncut
+    enumeration.
     """
     best_val = None
     best_parts = None
@@ -264,15 +281,19 @@ def _minmax_partition_search(
         seed_mask = 1 << seed
 
         def grow(s_mask, s_weight, cand, banned):
-            close_min = s_weight if cur_min is None or s_weight < cur_min else cur_min
             # A completion beats best only if each of its parts_left - 1
             # later bundles is worth best + 1 or more, and the running
-            # minimum already is.
-            skip = best_val is not None and (
+            # minimum already is.  Weights are nonnegative, so every
+            # superset of a bundle too heavy to leave that much is too heavy
+            # as well; and once best reaches cur_min, no bundle of this level
+            # can close above it.  No such node or subtree can call rec.
+            if best_val is not None and (
                 rem_weight - s_weight < (best_val + 1) * (parts_left - 1)
-                or close_min <= best_val
-            )
-            if not skip:
+                or cur_min is not None and cur_min <= best_val
+            ):
+                return
+            close_min = s_weight if cur_min is None or s_weight < cur_min else cur_min
+            if best_val is None or close_min > best_val:
                 rec(remaining ^ s_mask, parts_left - 1, close_min, acc + (s_mask,), rem_weight - s_weight)
             live = cand & ~banned
             local_ban = banned
@@ -280,8 +301,12 @@ def _minmax_partition_search(
                 b = live & -live
                 live ^= b
                 i = b.bit_length() - 1
-                new_s = s_mask | b
-                grow(new_s, s_weight + wts[i], (cand | adj[i]) & remaining & ~new_s, local_ban)
+                new_w = s_weight + wts[i]
+                # A child too heavy already is skipped but still banned, so
+                # its later siblings enumerate what they did before.
+                if best_val is None or rem_weight - new_w >= (best_val + 1) * (parts_left - 1):
+                    new_s = s_mask | b
+                    grow(new_s, new_w, (cand | adj[i]) & remaining & ~new_s, local_ban)
                 local_ban |= b
 
         grow(seed_mask, wts[seed], adj[seed] & remaining & ~seed_mask, 0)

@@ -1,5 +1,6 @@
 import ast
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -286,6 +287,57 @@ def test_search_stops_at_the_heavy_vertex_ceiling(monkeypatch):
     rec = oracle.pmms(inst.graph, a, 3)
     assert rec.value == (total - heaviest) // 2 == 40 < total // 3
     assert len(checks) == 10
+
+
+def test_search_stops_growing_bundles_that_cannot_win(monkeypatch):
+    # A flat 10-vertex split instance whose three-bundle share, 31, is below
+    # total // 3 = 32, so the search runs to exhaustion.  Growing a bundle
+    # after it leaves too little for the later ones, or after best reached
+    # its level's running minimum, never reaches a connectivity check: the
+    # check count stays 11, while the bundles grown fell from 949 to 95.
+    g = gen.gen_split(2, 10, 3, 20, 1).graph
+    rng = random.Random(2)
+    a = agent_with({v: rng.randint(8, 12) for v in g.vertices})
+    checks = []
+    count = oracle._component_count
+
+    def counted(adj, mask):
+        checks.append(mask)
+        return count(adj, mask)
+
+    monkeypatch.setattr(oracle, "_component_count", counted)
+    grown = 0
+
+    def profile(frame, event, arg):
+        # pmms runs only the share search, so every `grow` frame is its own.
+        nonlocal grown
+        if event == "call" and frame.f_code.co_name == "grow":
+            grown += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        rec = oracle.pmms(g, a, 3)
+    finally:
+        sys.setprofile(previous)
+    assert rec.value == 31 < sum(a.utility.values()) // 3
+    assert len(checks) == 11
+    assert grown <= 95
+
+
+def test_negative_utilities_are_rejected():
+    # The searches and the threshold DP assume nonnegative weights.  Here
+    # the oracle would report 0 where the three-bundle share is -4.
+    g = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    a = agent_with({"a": -4, "b": -1, "c": -4})
+    calls = (
+        lambda: oracle.mms(g, a, 3),
+        lambda: oracle.pmms(g, a, 3),
+        lambda: oracle.max_min_ratio_allocation(g, [a], {1: Fraction(1)}),
+    )
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="negative value at 'a'"):
+            call()
 
 
 def test_agents_of_one_type_share_records(monkeypatch):

@@ -19,7 +19,9 @@ all-zero and mostly-zero weights, disconnected vertex sets, n above the
 vertex count (value 0, where leaves with fewer parts decide the witness),
 ratio calls whose agents share one ratio-weight row (which read the share
 witness instead of searching), and the block-cactus solver's single-block
-ratio call.
+ratio call.  Each corner share search that finds a value runs again with
+that value as its floor, the path a witness read after the threshold DP
+takes, and must return the same first optimum.
 """
 
 import random
@@ -172,7 +174,7 @@ KINDS = ("pq", "huge", "zero", "sparse", "heavy", "flat")
 @pytest.mark.parametrize("kind", KINDS)
 def test_corner_share_searches_match_the_frozen_search(kind):
     rng = random.Random(f"search-replay:{kind}")
-    heavy_stops = 0
+    heavy_stops = floored = 0
     for _ in range(25):
         graph = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.7]))
         wts, _ = oracle._weights_for(
@@ -186,10 +188,16 @@ def test_corner_share_searches_match_the_frozen_search(kind):
             args = (mask.adj, mask.full, wts, n)
             got = oracle._minmax_partition_search(*args)
             assert got == frozen_minmax_partition_search(*args), (graph, wts, n)
+            if got[0] is not None:
+                # Told the optimum, the search starts from best = value - 1
+                # and must still stop at the first optimum.
+                assert oracle._minmax_partition_search(*args, floor=got[0]) == got
+                floored += 1
             if got[0] and got[0] == heavy_ceiling(*args) < ceiling(*args):
                 heavy_stops += 1
     # Heavy profiles reach a positive share at the heavy-vertex bound.
     assert heavy_stops or kind != "heavy"
+    assert floored, kind
 
 
 def test_corner_ratio_searches_match_the_frozen_search():
