@@ -4,10 +4,12 @@ Everything here is deterministic.  Components are reported sorted by their
 smallest member, blocks are sorted by their sorted vertex tuples, and the
 split partition is the lexicographically least one among the valid choices.
 The class recognizers read degrees and neighbourhoods only, so they run in
-polynomial time on any input.
+polynomial time on any input, and `recognize` runs each class test only when
+its witness first reads a flag or field that needs it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .core import (
@@ -175,7 +177,6 @@ def block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
     )
 
 
-@dataclass(frozen=True)
 class ClassWitness:
     """Which structured classes a graph belongs to, plus the evidence.
 
@@ -183,14 +184,86 @@ class ClassWitness:
     cactus, block_cactus, complete_multipartite, split.  parts is the part
     list for complete multipartite graphs, in order of smallest vertex;
     split_pair is a (clique, independent set) partition.
+
+    Each class test runs the first time a flag or field that needs it is
+    read, and its answer is kept: has("split") runs the degree test alone,
+    parts the neighbourhood grouping alone, and only the block flags build
+    the block-cut tree.  Reading flags runs every test.
     """
 
-    flags: frozenset[str]
-    parts: tuple[frozenset[str], ...] | None = None
-    split_pair: tuple[frozenset[str], frozenset[str]] | None = None
+    # The test that decides each flag, by the name of the attribute that
+    # holds the flags it grants.
+    _DECIDED_BY = {
+        "connected": "_connectivity",
+        "complete": "_shape",
+        "cycle": "_shape",
+        "tree": "_shape",
+        "block_graph": "_block_kinds",
+        "cactus": "_block_kinds",
+        "block_cactus": "_block_kinds",
+        "complete_multipartite": "_multipartite",
+        "split": "_split",
+    }
+
+    def __init__(self, graph: GoodsGraph):
+        self._graph = graph
+
+    @property
+    def flags(self) -> frozenset[str]:
+        return frozenset(filter(self.has, self._DECIDED_BY))
 
     def has(self, flag: str) -> bool:
-        return flag in self.flags
+        test = self._DECIDED_BY.get(flag)
+        return test is not None and flag in getattr(self, test)
+
+    @cached_property
+    def parts(self) -> tuple[frozenset[str], ...] | None:
+        return _multipartite_parts(self._graph)
+
+    @cached_property
+    def split_pair(self) -> tuple[frozenset[str], frozenset[str]] | None:
+        return split_partition(self._graph)
+
+    @cached_property
+    def _connectivity(self) -> frozenset[str]:
+        return frozenset({"connected"} if is_connected(self._graph) else ())
+
+    @cached_property
+    def _shape(self) -> frozenset[str]:
+        graph = self._graph
+        n = len(graph.vertices)
+        connected = "connected" in self._connectivity
+        flags: set[str] = set()
+        if 2 * len(graph.edges) == n * (n - 1):
+            flags.add("complete")
+        if connected and n >= 3 and all(len(graph.adjacency[v]) == 2 for v in graph.vertices):
+            flags.add("cycle")
+        if connected and n >= 1 and len(graph.edges) == n - 1:
+            flags.add("tree")
+        return frozenset(flags)
+
+    @cached_property
+    def _block_kinds(self) -> frozenset[str]:
+        graph = self._graph
+        flags: set[str] = set()
+        if "connected" in self._connectivity and graph.vertices:
+            bct = block_cut_tree(graph)
+            kinds = [(_is_clique(graph, b), _is_cycle_set(graph, b)) for b in bct.blocks]
+            if all(cl for cl, _ in kinds):
+                flags.add("block_graph")
+            if all(cy or len(b) <= 2 for (_, cy), b in zip(kinds, bct.blocks)):
+                flags.add("cactus")
+            if all(cl or cy for cl, cy in kinds):
+                flags.add("block_cactus")
+        return frozenset(flags)
+
+    @property
+    def _multipartite(self) -> frozenset[str]:
+        return frozenset({"complete_multipartite"} if self.parts is not None else ())
+
+    @property
+    def _split(self) -> frozenset[str]:
+        return frozenset({"split"} if self.split_pair is not None else ())
 
 
 def _is_clique(graph: GoodsGraph, vs: frozenset[str]) -> bool:
@@ -243,39 +316,11 @@ def split_partition(graph: GoodsGraph) -> tuple[frozenset[str], frozenset[str]] 
 
 
 def recognize(graph: GoodsGraph) -> ClassWitness:
-    """Classify a graph against the structured classes this package serves."""
-    flags: set[str] = set()
-    n = len(graph.vertices)
-    connected = is_connected(graph)
-    if connected:
-        flags.add("connected")
-    if 2 * len(graph.edges) == n * (n - 1):
-        flags.add("complete")
-    if connected and n >= 3 and all(len(graph.adjacency[v]) == 2 for v in graph.vertices):
-        flags.add("cycle")
-    if connected and n >= 1 and len(graph.edges) == n - 1:
-        flags.add("tree")
+    """Classify a graph against the structured classes this package serves.
 
-    if connected and n >= 1:
-        bct = block_cut_tree(graph)
-        kinds = []
-        for b in bct.blocks:
-            kinds.append((_is_clique(graph, b), _is_cycle_set(graph, b)))
-        if all(cl for cl, _ in kinds):
-            flags.add("block_graph")
-        if all(cy or len_b <= 2 for (_, cy), len_b in zip(kinds, map(len, bct.blocks))):
-            flags.add("cactus")
-        if all(cl or cy for cl, cy in kinds):
-            flags.add("block_cactus")
-
-    parts = _multipartite_parts(graph)
-    if parts is not None:
-        flags.add("complete_multipartite")
-    split_pair = split_partition(graph)
-    if split_pair is not None:
-        flags.add("split")
-
-    return ClassWitness(flags=frozenset(flags), parts=parts, split_pair=split_pair)
+    Returns at once; each class test runs when the witness first reads it.
+    """
+    return ClassWitness(graph)
 
 
 def hamiltonian_path_in_block(block: frozenset[str], graph: GoodsGraph, endpoint: str) -> list[str]:

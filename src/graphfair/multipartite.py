@@ -167,7 +167,9 @@ def allocate_multipartite(inst: Instance) -> Allocation:
     if problems:
         raise InvalidInputError("; ".join(problems))
     witness = recognize(inst.graph)
-    if not witness.has("connected") or witness.parts is None or len(witness.parts) < 2:
+    # Two or more parts make the graph connected: every vertex is adjacent
+    # to every vertex outside its own part.
+    if witness.parts is None or len(witness.parts) < 2:
         raise ClassMismatchError("graph is not connected complete multipartite")
 
     def solver(

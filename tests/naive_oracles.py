@@ -7,6 +7,7 @@ boundedness checks at the end are test-side assertions that the library
 itself does not need.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
@@ -21,7 +22,12 @@ from graphfair.core import (
     Value,
     ZERO,
 )
-from graphfair.graphs import is_connected, is_connected_subset
+from graphfair.graphs import (
+    block_cut_tree,
+    is_connected,
+    is_connected_subset,
+    split_partition,
+)
 
 
 def set_partitions(items):
@@ -485,3 +491,87 @@ def frozen_max_min_ratio_allocation(
         raise StructuralError("no connected partition found")
 
     return {agents[ai].id: mk.to_set(best_parts[bi]) for bi, ai in best_assign}
+
+
+# A frozen copy of the eager class recognizer of graphfair.graphs, which ran
+# every class test before returning, taken verbatim with the private helpers
+# it reads; only its result type is local.  It calls the public structure
+# functions (is_connected, block_cut_tree, split_partition), which networkx
+# and brute force check on their own.  tests/test_recognize.py holds the
+# lazy `ClassWitness` to it.
+
+
+@dataclass(frozen=True)
+class FrozenWitness:
+    flags: frozenset[str]
+    parts: tuple[frozenset[str], ...] | None = None
+    split_pair: tuple[frozenset[str], frozenset[str]] | None = None
+
+    def has(self, flag: str) -> bool:
+        return flag in self.flags
+
+
+def _is_clique(graph: GoodsGraph, vs: frozenset[str]) -> bool:
+    return all(graph.has_edge(a, b) for a, b in combinations(sorted(vs), 2))
+
+
+def _is_cycle_set(graph: GoodsGraph, vs: frozenset[str]) -> bool:
+    """Does `vs` induce a (chordless) cycle of length at least 3?"""
+    if len(vs) < 3:
+        return False
+    degs = [sum(1 for w in graph.adjacency[v] if w in vs) for v in vs]
+    if any(d != 2 for d in degs):
+        return False
+    return is_connected_subset(graph, vs)
+
+
+def _multipartite_parts(graph: GoodsGraph) -> tuple[frozenset[str], ...] | None:
+    """Parts of a complete multipartite graph, or None.
+
+    Vertices are grouped by neighbourhood; the graph is complete multipartite
+    exactly when each group's neighbourhood is every vertex outside the group.
+    Walking vertices in id order lists the groups by smallest vertex.
+    """
+    groups: dict[frozenset[str], set[str]] = {}
+    for v in graph.vertices:
+        groups.setdefault(graph.adjacency[v], set()).add(v)
+    everything = frozenset(graph.vertices)
+    if any(nbrs != everything - part for nbrs, part in groups.items()):
+        return None
+    return tuple(frozenset(part) for part in groups.values())
+
+
+def frozen_recognize(graph: GoodsGraph) -> FrozenWitness:
+    """Classify a graph against the structured classes this package serves."""
+    flags: set[str] = set()
+    n = len(graph.vertices)
+    connected = is_connected(graph)
+    if connected:
+        flags.add("connected")
+    if 2 * len(graph.edges) == n * (n - 1):
+        flags.add("complete")
+    if connected and n >= 3 and all(len(graph.adjacency[v]) == 2 for v in graph.vertices):
+        flags.add("cycle")
+    if connected and n >= 1 and len(graph.edges) == n - 1:
+        flags.add("tree")
+
+    if connected and n >= 1:
+        bct = block_cut_tree(graph)
+        kinds = []
+        for b in bct.blocks:
+            kinds.append((_is_clique(graph, b), _is_cycle_set(graph, b)))
+        if all(cl for cl, _ in kinds):
+            flags.add("block_graph")
+        if all(cy or len_b <= 2 for (_, cy), len_b in zip(kinds, map(len, bct.blocks))):
+            flags.add("cactus")
+        if all(cl or cy for cl, cy in kinds):
+            flags.add("block_cactus")
+
+    parts = _multipartite_parts(graph)
+    if parts is not None:
+        flags.add("complete_multipartite")
+    split_pair = split_partition(graph)
+    if split_pair is not None:
+        flags.add("split")
+
+    return FrozenWitness(flags=frozenset(flags), parts=parts, split_pair=split_pair)

@@ -5,8 +5,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from graphfair import cli, io
+from graphfair import cli, graphs, io
 from graphfair.core import Agent, GoodsGraph, Instance
+from graphfair.generators import generate
 
 
 def write_instance(path, graph: GoodsGraph, utils: list[dict], types=None):
@@ -94,6 +95,21 @@ def test_allocate_auto_dispatch_cycle(tmp_path, capsys):
     assert doc["alpha_target"] == "1/2"
 
     assert cli.main(["verify", str(f), str(out_f), "--alpha", "1/2"]) == 0
+
+
+def test_allocate_auto_runs_each_class_test_once(tmp_path, capsys, record):
+    # auto tries split, then multipartite, then block-cactus; each allocator
+    # reads only its own class test from the witness it asks for.
+    inst = generate("block-cactus", 3, 10, 2, 20)
+    f = tmp_path / "inst.json"
+    f.write_bytes(io.canonical_dumps(io.instance_to_doc(inst)).encode("utf-8"))
+    tests = {
+        name: record(graphs, name)
+        for name in ("split_partition", "_multipartite_parts", "block_cut_tree")
+    }
+    assert cli.main(["allocate", str(f), "--out", str(tmp_path / "alloc.json")]) == 0
+    assert "class=block-cactus" in capsys.readouterr().err
+    assert {name: len(calls) for name, calls in tests.items()} == dict.fromkeys(tests, 1)
 
 
 def test_allocate_three_agents_on_k33(tmp_path, capsys):
