@@ -22,8 +22,7 @@ Everything here is private to `oracle`, which decides which components the
 DP serves, keeps their plans and turns the value into a share record.
 """
 
-from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .graphs import _component_count
 
@@ -32,7 +31,6 @@ def _connected(adj: list[int], vertices) -> bool:
     return _component_count(adj, sum(1 << v for v in vertices)) == 1
 
 
-@cache
 def _layouts(size: int, pairs: tuple[int, ...]) -> tuple:
     """The ways a block's children can meet its parent vertex, as (join, group).
 
@@ -45,8 +43,7 @@ def _layouts(size: int, pairs: tuple[int, ...]) -> tuple:
     most 4 vertices has at most 3 children, so there is at most one such
     group.  A lone child needs no group: had its open set reached the
     threshold, it would have closed it.  The empty group is listed only when
-    no other group exists.  Blocks of at most 4 vertices have few shapes, so
-    the cache stays small; `oracle.clear_cache()` empties it.
+    no other group exists.
     """
     adj = [0] * size
     for (a, b), edge in zip(combinations(range(size), 2), pairs):
@@ -71,6 +68,15 @@ def _layouts(size: int, pairs: tuple[int, ...]) -> tuple:
     return tuple(layouts)
 
 
+# Every adjacency pattern of a block of 1 to 4 vertices, 75 in all, laid out
+# once at import.
+_LAYOUTS = {
+    (size, pairs): _layouts(size, pairs)
+    for size in range(1, 5)
+    for pairs in product((0, 1), repeat=size * (size - 1) // 2)
+}
+
+
 def _plan(blocks: list[list[int]], root: int, adj: list[int]) -> tuple:
     """The DP's walk of a block-cut tree, rooted at vertex `root`.
 
@@ -93,7 +99,7 @@ def _plan(blocks: list[list[int]], root: int, adj: list[int]) -> tuple:
                 kids = tuple(sorted(x for x in blocks[bi] if x != v))
                 order.extend(kids)
                 pairs = tuple(adj[a] >> b & 1 for a, b in combinations((v,) + kids, 2))
-                below.append((kids, _layouts(len(kids) + 1, pairs)))
+                below.append((kids, _LAYOUTS[len(kids) + 1, pairs]))
         steps.append((v, tuple(below)))
     return tuple(reversed(steps))
 

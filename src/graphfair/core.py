@@ -115,6 +115,17 @@ class GoodsGraph:
             nbr[b].add(a)
         return {v: frozenset(s) for v, s in nbr.items()}
 
+    @cached_property
+    def position(self) -> dict[str, int]:
+        """Each vertex's index in `vertices`: its bit in a vertex mask."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Entry i has bit j set exactly when vertices i and j are adjacent."""
+        pos = self.position
+        return tuple(sum(1 << pos[w] for w in self.adjacency[v]) for v in self.vertices)
+
     def neighbors(self, v: str) -> frozenset[str]:
         return self.adjacency[v]
 

@@ -1,5 +1,8 @@
 """Structural graph algorithms: connectivity, blocks, class recognition.
 
+Every connectivity question goes to one breadth-first walk, `_components`,
+on the bitmask view a graph derives once (`GoodsGraph.neighbor_masks`).
+
 Everything here is deterministic.  Components are reported sorted by their
 smallest member, blocks are sorted by their sorted vertex tuples, and the
 split partition is the lexicographically least one among the valid choices.
@@ -14,46 +17,10 @@ from itertools import combinations
 
 from .core import (
     GoodsGraph,
+    InvalidInputError,
     StructuralError,
     UnsupportedBlockError,
 )
-
-
-def _reach(adjacency, root: str, within=None) -> set[str]:
-    """Vertices reachable from `root`, stepping only inside `within` when given."""
-    comp = {root}
-    frontier = [root]
-    while frontier:
-        nxt: list[str] = []
-        for v in frontier:
-            for w in adjacency[v]:
-                if w not in comp and (within is None or w in within):
-                    comp.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return comp
-
-
-def connected_components(graph: GoodsGraph) -> list[list[str]]:
-    """Maximal connected vertex sets, each sorted, ordered by smallest member."""
-    seen: set[str] = set()
-    comps: list[list[str]] = []
-    for root in graph.vertices:
-        if root not in seen:
-            comp = _reach(graph.adjacency, root)
-            seen |= comp
-            comps.append(sorted(comp))
-    return comps
-
-
-def is_connected(graph: GoodsGraph) -> bool:
-    return len(connected_components(graph)) <= 1
-
-
-def is_connected_subset(graph: GoodsGraph, subset) -> bool:
-    """True when `subset` induces a connected subgraph; the empty set counts."""
-    sub = set(subset)
-    return not sub or _reach(graph.adjacency, next(iter(sub)), sub) == sub
 
 
 def _bits(mask: int):
@@ -64,12 +31,11 @@ def _bits(mask: int):
         mask ^= b
 
 
-def _component_count(adj: list[int], mask: int) -> int:
-    """Components of the vertex set `mask` in a bitmask adjacency list."""
-    count = 0
+def _components(adj, mask: int) -> list[int]:
+    """Component masks of the vertex set `mask` in a bitmask adjacency, lowest bit first."""
+    comps = []
     rest = mask
     while rest:
-        count += 1
         comp = rest & -rest
         frontier = comp
         while frontier:
@@ -81,8 +47,38 @@ def _component_count(adj: list[int], mask: int) -> int:
                 nxt |= adj[b.bit_length() - 1]
             frontier = nxt & mask & ~comp
             comp |= frontier
+        comps.append(comp)
         rest &= ~comp
-    return count
+    return comps
+
+
+def _component_count(adj, mask: int) -> int:
+    """Components of the vertex set `mask` in a bitmask adjacency list."""
+    return len(_components(adj, mask))
+
+
+def connected_components(graph: GoodsGraph) -> list[list[str]]:
+    """Maximal connected vertex sets, each sorted, ordered by smallest member."""
+    ids = graph.vertices
+    full = (1 << len(ids)) - 1
+    return [[ids[i] for i in _bits(comp)] for comp in _components(graph.neighbor_masks, full)]
+
+
+def is_connected(graph: GoodsGraph) -> bool:
+    return _component_count(graph.neighbor_masks, (1 << len(graph.vertices)) - 1) <= 1
+
+
+def is_connected_subset(graph: GoodsGraph, subset) -> bool:
+    """True when `subset` induces a connected subgraph; the empty set counts.
+
+    Raises InvalidInputError when `subset` names a vertex the graph lacks.
+    """
+    sub = set(subset)
+    pos = graph.position
+    unknown = sub.difference(pos)
+    if unknown:
+        raise InvalidInputError(f"unknown vertices: {sorted(unknown)}")
+    return _component_count(graph.neighbor_masks, sum(1 << pos[v] for v in sub)) <= 1
 
 
 @dataclass(frozen=True)

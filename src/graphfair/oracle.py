@@ -2,7 +2,8 @@
 
 The searches run over connected partitions enumerated canonically: the first
 bundle always contains the smallest unassigned vertex, and bundles grow by a
-standard no-duplicate connected-subset expansion.  Vertex sets are bitmasks.
+standard no-duplicate connected-subset expansion.  Vertex sets are bitmasks
+over the graph's own `neighbor_masks`, which it derives once.
 
 Values are Fractions at the API only.  Inside the searches every utility is a
 plain int: an agent's utilities are multiplied by the least common multiple of
@@ -89,13 +90,8 @@ from .core import (
     Value,
     ZERO,
 )
-from .blockdp import _layouts, _plan, _threshold_share
-from .graphs import (
-    _bits,
-    _component_count,
-    block_cut_tree,
-    connected_components,
-)
+from .blockdp import _plan, _threshold_share
+from .graphs import _bits, _component_count, _components, block_cut_tree
 
 MAX_VERTICES = 14
 
@@ -110,7 +106,6 @@ _plans: dict = {}
 def clear_cache() -> None:
     _cache.clear()
     _plans.clear()
-    _layouts.cache_clear()
 
 
 def _cap(graph: GoodsGraph) -> None:
@@ -160,26 +155,6 @@ def _store(table: dict, key, entry) -> None:
     if len(table) >= _CACHE_LIMIT:
         del table[next(iter(table))]
     table[key] = entry
-
-
-class _Mask:
-    """Bitmask view of a graph: vertex i of `ids` is bit i."""
-
-    __slots__ = ("ids", "pos", "adj", "full", "m")
-
-    def __init__(self, graph: GoodsGraph):
-        self.ids = list(graph.vertices)
-        self.pos = {v: i for i, v in enumerate(self.ids)}
-        self.m = len(self.ids)
-        self.adj = [0] * self.m
-        for a, b in graph.edges:
-            ia, ib = self.pos[a], self.pos[b]
-            self.adj[ia] |= 1 << ib
-            self.adj[ib] |= 1 << ia
-        self.full = (1 << self.m) - 1
-
-    def to_set(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ids[i] for i in _bits(mask))
 
 
 def _weights_for(agent: Agent, ids: list[str]) -> tuple[list[int], int]:
@@ -318,26 +293,28 @@ def _minmax_partition_search(
     return best_val, best_parts
 
 
-def _block_plan(graph: GoodsGraph, comp: list[str], mk: _Mask, mask: int):
+def _block_plan(graph: GoodsGraph, mask: int):
     """The block DP's plan for one component, or None if a block is too big.
 
-    The DP serves components whose blocks have at most 4 vertices.  Plans
-    are cached per graph and component until clear_cache().
+    `mask` is the component's bitmask.  The DP serves components whose blocks
+    have at most 4 vertices.  Plans are cached per graph and component until
+    clear_cache().
     """
     # A block of b <= 4 vertices has at most 2(b - 1) edges, and the b - 1
     # add up to |C| - 1 over the blocks, so a denser component is turned away
-    # before its blocks are computed.  One induced graph serves both steps.
-    sub = graph.induced(comp)
-    if len(sub.edges) > 2 * (len(comp) - 1):
+    # before its blocks are computed.  The degree sum counts each edge twice.
+    adj = graph.neighbor_masks
+    if sum((adj[i] & mask).bit_count() for i in _bits(mask)) > 4 * (mask.bit_count() - 1):
         return None
     key = (graph, mask)
     if key in _plans:
         return _plans[key]
-    tree = block_cut_tree(sub)
+    tree = block_cut_tree(graph.induced(graph.vertices[i] for i in _bits(mask)))
     plan = None
     if all(len(block) <= 4 for block in tree.blocks):
-        blocks = [[mk.pos[v] for v in block] for block in tree.blocks]
-        plan = _plan(blocks, (mask & -mask).bit_length() - 1, mk.adj)
+        pos = graph.position
+        blocks = [[pos[v] for v in block] for block in tree.blocks]
+        plan = _plan(blocks, (mask & -mask).bit_length() - 1, adj)
     _store(_plans, key, plan)
     return plan
 
@@ -358,21 +335,21 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    comps = connected_components(graph)
-    if len(comps) > 1:
+    adj = graph.neighbor_masks
+    m = len(graph.vertices)
+    comp_masks = _components(adj, (1 << m) - 1)
+    if len(comp_masks) > 1:
         # Only here can covering V change the share.
         key = (cover,) + key
         hit = _cache.get(key)
         if hit is not None:
             return hit
-    if cover and len(comps) > n:
+    if cover and len(comp_masks) > n:
         raise UndefinedMmsError(
             f"graph has more than {n} components; no {n}-bundle partition covers it"
         )
 
-    mk = _Mask(graph)
-    comp_masks = [sum(1 << mk.pos[v] for v in comp) for comp in comps]
-    sizes = [len(comp) for comp in comps]
+    sizes = [mask.bit_count() for mask in comp_masks]
     least = 1 if cover else 0
     table: dict[tuple[int, int], tuple[int, tuple]] = {}
 
@@ -386,9 +363,9 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
             if k == 1:
                 table[state] = sum(wts[i] for i in _bits(mask)), (mask,)
             else:
-                plan = _block_plan(graph, comps[j], mk, mask)
+                plan = _block_plan(graph, mask)
                 if plan is None:
-                    table[state] = _minmax_partition_search(mk.adj, mask, wts, k)
+                    table[state] = _minmax_partition_search(adj, mask, wts, k)
                 else:
                     total = sum(wts[i] for i in _bits(mask))
                     table[state] = _threshold_share(plan, wts, total, k), None
@@ -428,19 +405,20 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
         # More bundles than vertices: each vertex is a bundle of its own, the
         # rest are empty, and the share is 0.
         value = ZERO
-        splits = [(1 << i, 1, wts[i], (1 << i,)) for i in range(mk.m)]
+        splits = [(1 << i, 1, wts[i], (1 << i,)) for i in range(m)]
 
     def witness():
         parts = []
         for mask, k, v, found in splits:
             if found is None:
-                got, found = _minmax_partition_search(mk.adj, mask, wts, k, floor=v)
+                got, found = _minmax_partition_search(adj, mask, wts, k, floor=v)
                 if got != v:
                     raise GuaranteeViolationError(
                         f"the share search found {got}, the threshold DP {v}"
                     )
             parts += found
-        return tuple(mk.to_set(mask) for mask in parts) + (frozenset(),) * (n - len(parts))
+        parts += [0] * (n - len(parts))
+        return tuple(frozenset(graph.vertices[i] for i in _bits(mask)) for mask in parts)
 
     record = _lazy_record(value, witness)
     _store(_cache, key, record)
@@ -480,9 +458,10 @@ def max_min_ratio_allocation(
     if not agents:
         raise InvalidInputError("no agents to allocate to")
     _cap(graph)
-    mk = _Mask(graph)
-    adj = mk.adj
-    if _component_count(adj, mk.full) > 1:
+    ids = graph.vertices
+    full = (1 << len(ids)) - 1
+    adj = graph.neighbor_masks
+    if _component_count(adj, full) > 1:
         raise StructuralError("graph is disconnected")
     n = len(agents)
     for a in agents:
@@ -492,12 +471,12 @@ def max_min_ratio_allocation(
     tlist = [targets.get(a.id, ZERO) for a in agents]
     positive = [t > 0 for t in tlist]
     constrained = [i for i in range(n) if positive[i]]
-    scaled = [_weights_for(a, mk.ids) for a in agents]
+    scaled = [_weights_for(a, ids) for a in agents]
     # Ratio weights: value/target of agent a is (sum of wts[a]) / common.
     # Agents with target 0 get zero weights, which the search never reads.
     denoms = [scaled[a][1] * tlist[a].numerator for a in constrained]
     common = lcm(*denoms)
-    wts = [[0] * mk.m for _ in agents]
+    wts = [[0] * len(ids) for _ in agents]
     for a, d in zip(constrained, denoms):
         factor = tlist[a].denominator * (common // d)
         wts[a] = [w * factor for w in scaled[a][0]]
@@ -605,9 +584,10 @@ def max_min_ratio_allocation(
 
         grow(seed_mask, [wts[a][seed] for a in range(n)], adj[seed] & remaining & ~seed_mask, 0)
 
-    rec(mk.full, n, [], [], [0] * n, totals)
+    rec(full, n, [], [], [0] * n, totals)
 
     if best_parts is None:
         raise StructuralError("no connected partition found")
 
-    return {agents[ai].id: mk.to_set(best_parts[bi]) for bi, ai in best_assign}
+    bundles = [frozenset(ids[i] for i in _bits(mask)) for mask in best_parts]
+    return {agents[ai].id: bundles[bi] for bi, ai in best_assign}

@@ -73,10 +73,12 @@ def scale_of(agent: Agent) -> int:
 
 def frozen_record(graph: GoodsGraph, agent: Agent, n: int):
     """(value, witness) of the frozen search on a connected graph."""
-    mk = oracle._Mask(graph)
-    wts, scale = oracle._weights_for(agent, mk.ids)
-    value, parts = frozen_minmax_partition_search(mk.adj, mk.full, wts, n)
-    witness = tuple(mk.to_set(p) for p in parts) + (frozenset(),) * (n - len(parts))
+    ids = graph.vertices
+    wts, scale = oracle._weights_for(agent, ids)
+    full = (1 << len(ids)) - 1
+    value, parts = frozen_minmax_partition_search(graph.neighbor_masks, full, wts, n)
+    bundles = tuple(frozenset(ids[i] for i in range(len(ids)) if p >> i & 1) for p in parts)
+    witness = bundles + (frozenset(),) * (n - len(parts))
     return Fraction(value, scale), witness
 
 

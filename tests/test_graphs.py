@@ -1,6 +1,11 @@
 import pytest
 
-from graphfair.core import GoodsGraph, StructuralError, UnsupportedBlockError
+from graphfair.core import (
+    GoodsGraph,
+    InvalidInputError,
+    StructuralError,
+    UnsupportedBlockError,
+)
 from graphfair.graphs import (
     block_cut_tree,
     connected_components,
@@ -53,6 +58,14 @@ def test_is_connected_subset():
     assert is_connected_subset(g, frozenset())
     assert is_connected_subset(g, {"p0", "p1", "p2"})
     assert not is_connected_subset(g, {"p0", "p2"})
+
+
+def test_is_connected_subset_rejects_unknown_vertices():
+    # Whichever member the set yields first, an unknown vertex is an error.
+    g = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    for known in g.vertices:
+        with pytest.raises(InvalidInputError, match=r"unknown vertices: \['zz'\]"):
+            is_connected_subset(g, {known, "zz"})
 
 
 def test_block_cut_tree_triangle_pendant():

@@ -6,13 +6,14 @@ so id order is index order.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
 
 from graphfair.core import GoodsGraph, StructuralError
 from graphfair.graphs import (
+    _components,
     block_cut_tree,
     connected_components,
     is_connected_subset,
@@ -61,6 +62,28 @@ def test_components_and_connected_subsets_match_networkx():
             subset = rng.sample(sorted(g.nodes), rng.randint(1, g.number_of_nodes()))
             expected = nx.is_connected(g.subgraph(subset))
             assert is_connected_subset(ours, names(subset)) == expected, (index, subset)
+
+
+def test_bitmask_view_matches_the_edges():
+    for index, g, ours in atlas():
+        assert list(ours.position) == list(ours.vertices), index
+        assert all(ours.position[v] == i for i, v in enumerate(ours.vertices)), index
+        masks = ours.neighbor_masks
+        assert len(masks) == len(ours.vertices), index
+        for (i, a), (j, b) in product(enumerate(ours.vertices), repeat=2):
+            assert (masks[i] >> j & 1) == ours.has_edge(a, b), (index, a, b)
+
+
+def test_bitmask_components_match_networkx():
+    for index, g, ours in atlas():
+        rng = random.Random(index)
+        for _ in range(3):
+            mask = rng.getrandbits(g.number_of_nodes())
+            members = [i for i in g.nodes if mask >> i & 1]
+            expected = sorted(sorted(c) for c in nx.connected_components(g.subgraph(members)))
+            comps = _components(ours.neighbor_masks, mask)
+            got = [[i for i in g.nodes if comp >> i & 1] for comp in comps]
+            assert got == expected, (index, mask)
 
 
 def test_blocks_and_cut_vertices_match_networkx():

@@ -181,11 +181,11 @@ def test_corner_share_searches_match_the_frozen_search(kind):
             Agent(id=1, type_id=1, utility=corner_utility(rng, kind, graph.vertices)),
             list(graph.vertices),
         )
-        mask = oracle._Mask(graph)
+        full = (1 << len(graph.vertices)) - 1
         # n runs past the vertex count, and the vertex set may be
         # disconnected, so some searches find no partition at all.
         for n in range(1, len(graph.vertices) + 3):
-            args = (mask.adj, mask.full, wts, n)
+            args = (graph.neighbor_masks, full, wts, n)
             got = oracle._minmax_partition_search(*args)
             assert got == frozen_minmax_partition_search(*args), (graph, wts, n)
             if got[0] is not None:
