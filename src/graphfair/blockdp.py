@@ -5,15 +5,17 @@ edges to the blocks of the block-cut tree.  P(t) is the largest number of
 disjoint connected sets that are each worth t or more.  On a connected
 graph k such sets grow into k connected bundles that cover it, each still
 worth t (attach every leftover vertex to a neighbouring set), so the
-k-bundle share is the largest t in [0, total // k] with P(t) >= k, found by
-binary search.
+k-bundle share is the largest t in [0, total // k] with P(t) >= k.  The
+search over t is a bisection that jumps: when P(t) >= k, the sets the count
+closed grow the same way into k bundles worth at least the lightest of
+them, so the search moves up to that weight, not just to t.
 
 P(t) is computed bottom-up on the block-cut tree rooted at the smallest
-vertex.  Each vertex ends with a state: the number of sets finished below
-it, and the weight of its open set, the connected set through it that is
-still growing, or "closed" once that set is finished.  States rank by
-finished count first, then by open weight, with "closed" below any open
-weight.  That order is safe: an open set can finish at most one set higher
+vertex, from the blocks `graphs._blocks` lists.  Each vertex ends with a
+state: the number of sets finished below it, and the weight of its open
+set, the connected set through it that is still growing, or "closed" once
+that set is finished.  States rank by finished count first, then by open
+weight, with "closed" below any open weight.  That order is safe: an open set can finish at most one set higher
 up, and nothing above sees more of it than its weight.  Each child block
 takes its best layout in that order, and a vertex whose open weight reaches
 t closes a set.
@@ -24,7 +26,7 @@ DP serves, keeps their plans and turns the value into a share record.
 
 from itertools import combinations, product
 
-from .graphs import _component_count
+from .graphs import _bits, _component_count
 
 
 def _connected(adj: list[int], vertices) -> bool:
@@ -77,40 +79,36 @@ _LAYOUTS = {
 }
 
 
-def _plan(blocks: list[list[int]], root: int, adj: list[int]) -> tuple:
-    """The DP's walk of a block-cut tree, rooted at vertex `root`.
+def _plan(pairs: list[tuple[int, int]], adj: list[int]) -> tuple:
+    """The DP's walk of a block-cut tree, from the pairs of `graphs._blocks`.
 
-    `blocks` lists each block's vertices and `adj` is the bitmask adjacency.
-    The plan lists every vertex after the vertices below it, each with its
-    child blocks as (children, layouts).
+    `pairs` are (parent vertex, block mask), each block after the blocks
+    below it, and `adj` is the bitmask adjacency.  The plan lists every
+    vertex after the vertices below it, each with its child blocks as
+    (children, layouts).
     """
-    blocks_of: dict[int, list[int]] = {}
-    for bi, block in enumerate(blocks):
-        for v in block:
-            blocks_of.setdefault(v, []).append(bi)
-    order = [root]
-    placed: set[int] = set()
+    below: dict[int, list] = {}
     steps = []
-    for v in order:
-        below = []
-        for bi in blocks_of[v]:
-            if bi not in placed:
-                placed.add(bi)
-                kids = tuple(sorted(x for x in blocks[bi] if x != v))
-                order.extend(kids)
-                pairs = tuple(adj[a] >> b & 1 for a, b in combinations((v,) + kids, 2))
-                below.append((kids, _LAYOUTS[len(kids) + 1, pairs]))
-        steps.append((v, tuple(below)))
-    return tuple(reversed(steps))
+    for v, block in pairs:
+        kids = tuple(_bits(block ^ (1 << v)))
+        # The blocks below these children came before this one.
+        steps += [(x, tuple(below.pop(x, ()))) for x in kids]
+        edges = tuple(adj[a] >> b & 1 for a, b in combinations((v,) + kids, 2))
+        below.setdefault(v, []).append((kids, _LAYOUTS[len(kids) + 1, edges]))
+    root = pairs[-1][0]
+    steps.append((root, tuple(below.pop(root, ()))))
+    return tuple(steps)
 
 
-def _set_count(plan: tuple, wts: list[int], total: int, t: int) -> int:
-    """P(t) for t >= 1, with `total` the weight of the whole component.
+def _set_count(plan: tuple, wts: list[int], total: int, t: int) -> tuple[int, int]:
+    """P(t) for t >= 1, and the least weight among the sets it closed.
 
-    A closed vertex's open weight is -(total + 1), so every sum that
-    includes one is negative.
+    `total` is the weight of the whole component; the least weight is
+    total + 1 when no set closed.  A closed vertex's open weight is
+    -(total + 1), so every sum that includes one is negative.
     """
     shut = -(total + 1)
+    least = total + 1
     count = [0] * len(wts)
     weight = [0] * len(wts)
     for v, below in plan:
@@ -118,6 +116,7 @@ def _set_count(plan: tuple, wts: list[int], total: int, t: int) -> int:
         w = wts[v]
         for kids, layouts in below:
             best_got = best_add = -1
+            best_set = 0
             for join, group in layouts:
                 add = 0
                 for i in join:
@@ -125,24 +124,27 @@ def _set_count(plan: tuple, wts: list[int], total: int, t: int) -> int:
                 if add < 0:
                     continue
                 got = 0
+                s = 0
                 if group:
-                    s = 0
                     for i in group:
                         s += weight[kids[i]]
                     if s >= t:
                         got = 1
                 if got > best_got or (got == best_got and add > best_add):
-                    best_got, best_add = got, add
+                    best_got, best_add, best_set = got, add, s
             for x in kids:
                 c += count[x]
             c += best_got
+            if best_got:
+                least = min(least, best_set)
             w += best_add
         if w >= t:
             c += 1
+            least = min(least, w)
             w = shut
         count[v] = c
         weight[v] = w
-    return c
+    return c, least
 
 
 def _threshold_share(plan: tuple, wts: list[int], total: int, k: int) -> int:
@@ -150,8 +152,9 @@ def _threshold_share(plan: tuple, wts: list[int], total: int, k: int) -> int:
     lo, hi = 0, total // k
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _set_count(plan, wts, total, mid) >= k:
-            lo = mid
+        count, least = _set_count(plan, wts, total, mid)
+        if count >= k:
+            lo = least
         else:
             hi = mid - 1
     return lo

@@ -1,7 +1,8 @@
 """Structural graph algorithms: connectivity, blocks, class recognition.
 
 Every connectivity question goes to one breadth-first walk, `_components`,
-on the bitmask view a graph derives once (`GoodsGraph.neighbor_masks`).
+and every block question to one lowpoint search, `_blocks`, both on the
+bitmask view a graph derives once (`GoodsGraph.neighbor_masks`).
 
 Everything here is deterministic.  Components are reported sorted by their
 smallest member, blocks are sorted by their sorted vertex tuples, and the
@@ -94,82 +95,80 @@ class BlockCutTree:
     terminal_blocks: frozenset[int]
 
 
+def _blocks(adj, mask: int) -> tuple[list[tuple[int, int]], int]:
+    """Blocks of the component of the lowest vertex of `mask`, by one lowpoint search.
+
+    Hopcroft and Tarjan's search (CACM 1973) in the vertex set `mask` of a
+    bitmask adjacency, rooted at its lowest vertex.  Returns the blocks as
+    (parent vertex, block mask) pairs, each after the blocks below it, and
+    the mask of the vertices reached.  A block's parent is its vertex
+    nearest the root, so the last block's parent is the root; a lone root
+    is a block of its own.
+    """
+    root = (mask & -mask).bit_length() - 1
+    index = [0] * len(adj)
+    low = [0] * len(adj)
+    reached = 1 << root
+    # Each frame holds a vertex and its neighbours not yet looked at, and the
+    # path the reached vertices not yet in a block; no recursion.  A vertex's
+    # index is its place on the path, which holds while it is there, and a
+    # back edge reaches only a vertex on the path.
+    frames = [(root, adj[root] & mask)]
+    path = [root]
+    pairs = []
+    while frames:
+        v, rest = frames[-1]
+        if rest:
+            b = rest & -rest
+            frames[-1] = (v, rest ^ b)
+            w = b.bit_length() - 1
+            if not reached & b:
+                reached |= b
+                index[w] = low[w] = len(path)
+                frames.append((w, adj[w] & mask))
+                path.append(w)
+            elif index[w] < low[v]:
+                # The tree edge back to v's parent counts too: it lowers
+                # low[v] at most to the parent's index, and the parent still
+                # closes v's block when low[v] >= its index.
+                low[v] = index[w]
+            continue
+        frames.pop()
+        if frames:
+            u = frames[-1][0]
+            if low[v] < low[u]:
+                low[u] = low[v]
+            if low[v] >= index[u]:
+                # u closes a block: v and the path above it.
+                pairs.append((u, sum(1 << x for x in path[index[v]:]) | 1 << u))
+                del path[index[v]:]
+    return pairs or [(root, reached)], reached
+
+
 def block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
-    """Biconnected components via one iterative lowpoint search.
+    """Biconnected components, read off the lowpoint search `_blocks`.
 
     Raises StructuralError on empty or disconnected input, the latter found by the search.
     """
-    if not graph.vertices:
+    ids = graph.vertices
+    if not ids:
         raise StructuralError("empty graph has no block structure")
-    if len(graph.vertices) == 1:
-        only = frozenset(graph.vertices)
-        return BlockCutTree(
-            blocks=(only,),
-            cut_vertices=frozenset(),
-            terminal_blocks=frozenset({0}),
-        )
-
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    parent: dict[str, str | None] = {}
-    cuts: set[str] = set()
-    raw_blocks: list[frozenset[str]] = []
-    edge_stack: list[tuple[str, str]] = []
-    counter = 0
-
-    root = graph.vertices[0]
-    parent[root] = None
-    # Each stack frame carries the vertex and an iterator over its neighbors,
-    # so the search survives deep graphs without recursion.
-    stack = [(root, iter(sorted(graph.adjacency[root])))]
-    index[root] = low[root] = counter
-    counter += 1
-    root_children = 0
-
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w not in index:
-                parent[w] = v
-                if v == root:
-                    root_children += 1
-                edge_stack.append((v, w))
-                index[w] = low[w] = counter
-                counter += 1
-                stack.append((w, iter(sorted(graph.adjacency[w]))))
-                advanced = True
-                break
-            if w != parent[v] and index[w] < index[v]:
-                edge_stack.append((v, w))
-                low[v] = min(low[v], index[w])
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
-            u = stack[-1][0]
-            low[u] = min(low[u], low[v])
-            if low[v] >= index[u]:
-                # u closes a block; pop edges down to (u, v).
-                members: set[str] = set()
-                while True:
-                    a, b = edge_stack.pop()
-                    members.add(a)
-                    members.add(b)
-                    if (a, b) == (u, v):
-                        break
-                raw_blocks.append(frozenset(members))
-                if u != root or root_children > 1:
-                    cuts.add(u)
-    if len(index) < len(graph.vertices):
+    full = (1 << len(ids)) - 1
+    pairs, reached = _blocks(graph.neighbor_masks, full)
+    if reached != full:
         raise StructuralError("graph is disconnected")
-
-    blocks = tuple(sorted(raw_blocks, key=lambda b: tuple(sorted(b))))
-    terminal = frozenset(i for i, b in enumerate(blocks) if len(b & cuts) <= 1)
+    # Every parent is a cut vertex except the root when it parents the last
+    # block alone.  Positions follow id order, so blocks sort as id tuples do.
+    cuts = 0
+    for p, _ in pairs[:-1]:
+        cuts |= 1 << p
+    masks = sorted((block for _, block in pairs), key=lambda block: tuple(_bits(block)))
     return BlockCutTree(
-        blocks=blocks,
-        cut_vertices=frozenset(cuts),
-        terminal_blocks=terminal,
+        blocks=tuple(frozenset(ids[i] for i in _bits(block)) for block in masks),
+        cut_vertices=frozenset(ids[i] for i in _bits(cuts)),
+        terminal_blocks=frozenset(
+            i for i, block in enumerate(masks) if (block & cuts).bit_count() <= 1
+        ),
     )
 
 

@@ -37,11 +37,12 @@ search.
 
 A component whose blocks all have at most 4 vertices, as on block graphs and
 cacti of small blocks, gets its k-bundle value from the threshold DP of
-`blockdp` instead of the search.  Before its blocks are computed, a
-component with more than 2(|C| - 1) edges is turned away, since blocks of
-at most 4 vertices allow no more; every other component keeps the search.
-Block-cut plans are cached per graph and component, and clear_cache() drops
-them with the records.
+`blockdp` instead of the search.  Its blocks come from the lowpoint search
+`graphs._blocks` on the component's mask, with no induced graph.  Before
+that search, a component with more than 2(|C| - 1) edges is turned away,
+since blocks of at most 4 vertices allow no more; every other component
+keeps the search.  Plans, and None for a component turned away, are cached
+per graph and component, and clear_cache() drops them with the records.
 
 Share records are made here and nowhere else, all one way: a record builds
 its witness the first time it is read, and keeps it.  A searched component
@@ -91,7 +92,7 @@ from .core import (
     ZERO,
 )
 from .blockdp import _plan, _threshold_share
-from .graphs import _bits, _component_count, _components, block_cut_tree
+from .graphs import _bits, _blocks, _component_count, _components
 
 MAX_VERTICES = 14
 
@@ -297,24 +298,21 @@ def _block_plan(graph: GoodsGraph, mask: int):
     """The block DP's plan for one component, or None if a block is too big.
 
     `mask` is the component's bitmask.  The DP serves components whose blocks
-    have at most 4 vertices.  Plans are cached per graph and component until
-    clear_cache().
+    have at most 4 vertices.  Plans, None included, are cached per graph and
+    component until clear_cache().
     """
+    key = (graph, mask)
+    if key in _plans:
+        return _plans[key]
     # A block of b <= 4 vertices has at most 2(b - 1) edges, and the b - 1
     # add up to |C| - 1 over the blocks, so a denser component is turned away
     # before its blocks are computed.  The degree sum counts each edge twice.
     adj = graph.neighbor_masks
-    if sum((adj[i] & mask).bit_count() for i in _bits(mask)) > 4 * (mask.bit_count() - 1):
-        return None
-    key = (graph, mask)
-    if key in _plans:
-        return _plans[key]
-    tree = block_cut_tree(graph.induced(graph.vertices[i] for i in _bits(mask)))
     plan = None
-    if all(len(block) <= 4 for block in tree.blocks):
-        pos = graph.position
-        blocks = [[pos[v] for v in block] for block in tree.blocks]
-        plan = _plan(blocks, (mask & -mask).bit_length() - 1, adj)
+    if sum((adj[i] & mask).bit_count() for i in _bits(mask)) <= 4 * (mask.bit_count() - 1):
+        pairs, _ = _blocks(adj, mask)
+        if all(block.bit_count() <= 4 for _, block in pairs):
+            plan = _plan(pairs, adj)
     _store(_plans, key, plan)
     return plan
 

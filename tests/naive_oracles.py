@@ -23,6 +23,7 @@ from graphfair.core import (
     ZERO,
 )
 from graphfair.graphs import (
+    BlockCutTree,
     block_cut_tree,
     is_connected,
     is_connected_subset,
@@ -575,3 +576,148 @@ def frozen_recognize(graph: GoodsGraph) -> FrozenWitness:
         flags.add("split")
 
     return FrozenWitness(flags=frozenset(flags), parts=parts, split_pair=split_pair)
+
+
+# A frozen copy of the string-keyed lowpoint search that graphfair.graphs
+# ran before its blocks came from the bitmask search `_blocks`, taken
+# verbatim; only its name is local.  tests/test_blocks.py holds
+# `block_cut_tree` to it field by field.
+
+
+def frozen_block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
+    """Biconnected components via one iterative lowpoint search.
+
+    Raises StructuralError on empty or disconnected input, the latter found by the search.
+    """
+    if not graph.vertices:
+        raise StructuralError("empty graph has no block structure")
+    if len(graph.vertices) == 1:
+        only = frozenset(graph.vertices)
+        return BlockCutTree(
+            blocks=(only,),
+            cut_vertices=frozenset(),
+            terminal_blocks=frozenset({0}),
+        )
+
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    parent: dict[str, str | None] = {}
+    cuts: set[str] = set()
+    raw_blocks: list[frozenset[str]] = []
+    edge_stack: list[tuple[str, str]] = []
+    counter = 0
+
+    root = graph.vertices[0]
+    parent[root] = None
+    # Each stack frame carries the vertex and an iterator over its neighbors,
+    # so the search survives deep graphs without recursion.
+    stack = [(root, iter(sorted(graph.adjacency[root])))]
+    index[root] = low[root] = counter
+    counter += 1
+    root_children = 0
+
+    while stack:
+        v, it = stack[-1]
+        advanced = False
+        for w in it:
+            if w not in index:
+                parent[w] = v
+                if v == root:
+                    root_children += 1
+                edge_stack.append((v, w))
+                index[w] = low[w] = counter
+                counter += 1
+                stack.append((w, iter(sorted(graph.adjacency[w]))))
+                advanced = True
+                break
+            if w != parent[v] and index[w] < index[v]:
+                edge_stack.append((v, w))
+                low[v] = min(low[v], index[w])
+        if advanced:
+            continue
+        stack.pop()
+        if stack:
+            u = stack[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] >= index[u]:
+                # u closes a block; pop edges down to (u, v).
+                members: set[str] = set()
+                while True:
+                    a, b = edge_stack.pop()
+                    members.add(a)
+                    members.add(b)
+                    if (a, b) == (u, v):
+                        break
+                raw_blocks.append(frozenset(members))
+                if u != root or root_children > 1:
+                    cuts.add(u)
+    if len(index) < len(graph.vertices):
+        raise StructuralError("graph is disconnected")
+
+    blocks = tuple(sorted(raw_blocks, key=lambda b: tuple(sorted(b))))
+    terminal = frozenset(i for i, b in enumerate(blocks) if len(b & cuts) <= 1)
+    return BlockCutTree(
+        blocks=blocks,
+        cut_vertices=frozenset(cuts),
+        terminal_blocks=terminal,
+    )
+
+
+# Frozen copies of the block DP's P(t) count and its plain bisection over
+# [0, total // k], as graphfair.blockdp ran them before the threshold search
+# jumped to the least closed set, taken verbatim; only their names are local.
+# They read the same plans.  tests/test_blocks.py holds `_threshold_share`
+# to them.
+
+
+def frozen_set_count(plan: tuple, wts: list[int], total: int, t: int) -> int:
+    """P(t) for t >= 1, with `total` the weight of the whole component.
+
+    A closed vertex's open weight is -(total + 1), so every sum that
+    includes one is negative.
+    """
+    shut = -(total + 1)
+    count = [0] * len(wts)
+    weight = [0] * len(wts)
+    for v, below in plan:
+        c = 0
+        w = wts[v]
+        for kids, layouts in below:
+            best_got = best_add = -1
+            for join, group in layouts:
+                add = 0
+                for i in join:
+                    add += weight[kids[i]]
+                if add < 0:
+                    continue
+                got = 0
+                if group:
+                    s = 0
+                    for i in group:
+                        s += weight[kids[i]]
+                    if s >= t:
+                        got = 1
+                if got > best_got or (got == best_got and add > best_add):
+                    best_got, best_add = got, add
+            for x in kids:
+                c += count[x]
+            c += best_got
+            w += best_add
+        if w >= t:
+            c += 1
+            w = shut
+        count[v] = c
+        weight[v] = w
+    return c
+
+
+def frozen_threshold_share(plan: tuple, wts: list[int], total: int, k: int) -> int:
+    """The k-bundle share: the largest t in [0, total // k] with P(t) >= k."""
+    lo, hi = 0, total // k
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if frozen_set_count(plan, wts, total, mid) >= k:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
