@@ -2,8 +2,9 @@
 
 Every biconnected piece of such a graph is a clique or a cycle, and both
 admit strong exact guarantees, so the strategy is to shrink the graph until
-it is biconnected and finish by exact search.  Shrinking happens at a
-terminal block B with cut vertex v in one of two ways:
+it is biconnected and finish by exact search.  Shrinking happens at the
+first terminal block B in id order, read off the lowpoint search
+`graphs._blocks` on the bitmask view, with cut vertex v in one of two ways:
 
 * absorb: nobody values B - v at her target, so B - v is folded into v
   (whoever eventually receives v receives B - v on top) and the smaller
@@ -35,7 +36,9 @@ from .core import (
     validate_instance,
 )
 from .graphs import (
-    block_cut_tree,
+    _bits,
+    _blocks,
+    _sorted_blocks,
     connected_components,
     hamiltonian_path_in_block,
     recognize,
@@ -72,37 +75,37 @@ def allocate_bounded(
     for a in agents:
         if targets[a.id] < 0:
             raise InvalidInputError(f"negative target for agent {a.id}")
-    n = len(agents)
 
-    if n == 1:
+    if len(agents) == 1:
         return finish_allocation(agents, targets, {agents[0].id: frozenset(graph.vertices)}, HALF)
 
-    tree = block_cut_tree(graph)
+    ids = graph.vertices
+    full = (1 << len(ids)) - 1
+    pairs, reached = _blocks(graph.neighbor_masks, full) if ids else ([], None)
+    if reached != full:
+        raise StructuralError("graph is empty or disconnected")
 
-    if len(tree.blocks) == 1:
+    if len(pairs) == 1:
         bundles = oracle.max_min_ratio_allocation(graph, list(agents), targets)
         return finish_allocation(agents, targets, bundles, HALF)
 
-    block_idx = min(tree.terminal_blocks)
-    block = tree.blocks[block_idx]
-    cuts = block & tree.cut_vertices
-    if len(cuts) != 1:
-        raise StructuralError(f"terminal block {sorted(block)} has {len(cuts)} cut vertices")
-    v = next(iter(cuts))
+    # The first terminal block in id order; in a connected graph of two or
+    # more blocks it holds exactly one cut vertex.
+    masks, cuts = _sorted_blocks(pairs)
+    mask = next(b for b in masks if (b & cuts).bit_count() <= 1)
+    block = frozenset(ids[i] for i in _bits(mask))
+    v = ids[(mask & cuts).bit_length() - 1]
     rim = block - {v}
 
     if all(a.value(rim) < targets[a.id] for a in agents):
         # Absorb: fold the rim into the cut vertex and re-run the reduction;
         # folding can make v heavy, and the peel handles exactly that.
-        kept = frozenset(graph.vertices) - rim
-        sub_graph = graph.induced(kept)
-        folded = []
-        for a in agents:
-            utility = dict(a.utility)
-            utility[v] = a.value(block)
-            folded.append(Agent(id=a.id, type_id=a.type_id, utility=utility))
+        folded = tuple(
+            Agent(id=a.id, type_id=a.type_id, utility={**a.utility, v: a.value(block)})
+            for a in agents
+        )
         inner = allocate_reduction(
-            Instance(graph=sub_graph, agents=tuple(folded)),
+            Instance(graph=graph.induced(frozenset(ids) - rim), agents=folded),
             HALF,
             allocate_bounded,
             targets=targets,
@@ -126,12 +129,8 @@ def allocate_bounded(
     )
     if not carve.assignments:
         raise StructuralError("carve made no progress on a terminal block")
-    out: dict[int, frozenset[str]] = {}
-    taken: set[str] = set()
-    for aid, piece in carve.assignments:
-        out[aid] = piece
-        taken |= piece
-    rest_graph = graph.induced(frozenset(graph.vertices) - frozenset(taken))
+    out = dict(carve.assignments)
+    rest_graph = graph.induced(frozenset(ids).difference(*out.values()))
     rest_agents = tuple(a for a in agents if a.id not in out)
     rest = allocate_bounded(rest_graph, rest_agents, targets)
     for a in rest_agents:

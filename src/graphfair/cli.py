@@ -185,8 +185,16 @@ def _trials(config) -> list[tuple[str, int, int, int, int, int]]:
     return trials
 
 
+BATCH_FIELDS = (
+    "instance_id", "class", "n_agents", "n_vertices", "n_types",
+    "alpha_target", "min_ratio", "pass", "runtime_ms",
+)
+
+
 def cmd_batch(args) -> int:
-    rows = []
+    text = StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(BATCH_FIELDS)
     all_passed = True
     for cls, count, base_seed, vertices, agents, max_utility in _trials(io.read_json(args.config)):
         for t in range(count):
@@ -199,35 +207,19 @@ def cmd_batch(args) -> int:
             cert = check_allocation(inst, alloc, alloc.target_alpha)
             elapsed_ms = int((time.perf_counter() - started) * 1000)
             all_passed = all_passed and cert.passes
-            rows.append(
-                {
-                    "instance_id": f"{cls}-{seed}",
-                    "class": name,
-                    "n_agents": inst.n,
-                    "n_vertices": len(inst.graph),
-                    "n_types": len({a.type_id for a in inst.agents}),
-                    "alpha_target": value_str(cert.alpha_target),
-                    "min_ratio": value_str(cert.min_ratio),
-                    "pass": "true" if cert.passes else "false",
-                    "runtime_ms": elapsed_ms,
-                }
+            writer.writerow(
+                [
+                    f"{cls}-{seed}",
+                    name,
+                    inst.n,
+                    len(inst.graph),
+                    len({a.type_id for a in inst.agents}),
+                    value_str(cert.alpha_target),
+                    value_str(cert.min_ratio),
+                    "true" if cert.passes else "false",
+                    elapsed_ms,
+                ]
             )
-
-    fields = [
-        "instance_id",
-        "class",
-        "n_agents",
-        "n_vertices",
-        "n_types",
-        "alpha_target",
-        "min_ratio",
-        "pass",
-        "runtime_ms",
-    ]
-    text = StringIO()
-    writer = csv.DictWriter(text, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
     _emit(text.getvalue(), args.out)
     return EXIT_OK if all_passed else EXIT_CERT_FAIL
 

@@ -2,7 +2,9 @@
 
 Every connectivity question goes to one breadth-first walk, `_components`,
 and every block question to one lowpoint search, `_blocks`, both on the
-bitmask view a graph derives once (`GoodsGraph.neighbor_masks`).
+bitmask view a graph derives once (`GoodsGraph.neighbor_masks`).  The class
+witness, the block-cactus allocator and the block DP read `_blocks` itself;
+`block_cut_tree` names its blocks for the CLI and the API.
 
 Everything here is deterministic.  Components are reported sorted by their
 smallest member, blocks are sorted by their sorted vertex tuples, and the
@@ -14,7 +16,6 @@ its witness first reads a flag or field that needs it.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .core import (
     GoodsGraph,
@@ -69,17 +70,22 @@ def is_connected(graph: GoodsGraph) -> bool:
     return _component_count(graph.neighbor_masks, (1 << len(graph.vertices)) - 1) <= 1
 
 
-def is_connected_subset(graph: GoodsGraph, subset) -> bool:
-    """True when `subset` induces a connected subgraph; the empty set counts.
-
-    Raises InvalidInputError when `subset` names a vertex the graph lacks.
-    """
+def _vertex_mask(graph: GoodsGraph, subset) -> int:
+    """The mask of the vertex set `subset`; raises InvalidInputError on vertices the graph lacks."""
     sub = set(subset)
     pos = graph.position
     unknown = sub.difference(pos)
     if unknown:
         raise InvalidInputError(f"unknown vertices: {sorted(unknown)}")
-    return _component_count(graph.neighbor_masks, sum(1 << pos[v] for v in sub)) <= 1
+    return sum(1 << pos[v] for v in sub)
+
+
+def is_connected_subset(graph: GoodsGraph, subset) -> bool:
+    """True when `subset` induces a connected subgraph; the empty set counts.
+
+    Raises InvalidInputError when `subset` names a vertex the graph lacks.
+    """
+    return _component_count(graph.neighbor_masks, _vertex_mask(graph, subset)) <= 1
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,17 @@ def _blocks(adj, mask: int) -> tuple[list[tuple[int, int]], int]:
     return pairs or [(root, reached)], reached
 
 
+def _sorted_blocks(pairs) -> tuple[list[int], int]:
+    """The block masks of `_blocks` pairs sorted as id tuples, and the cut vertex mask.
+
+    Every parent is a cut vertex but the root when it parents the last block alone.
+    """
+    cuts = 0
+    for p, _ in pairs[:-1]:
+        cuts |= 1 << p
+    return sorted((block for _, block in pairs), key=lambda block: tuple(_bits(block))), cuts
+
+
 def block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
     """Biconnected components, read off the lowpoint search `_blocks`.
 
@@ -157,18 +174,26 @@ def block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
     pairs, reached = _blocks(graph.neighbor_masks, full)
     if reached != full:
         raise StructuralError("graph is disconnected")
-    # Every parent is a cut vertex except the root when it parents the last
-    # block alone.  Positions follow id order, so blocks sort as id tuples do.
-    cuts = 0
-    for p, _ in pairs[:-1]:
-        cuts |= 1 << p
-    masks = sorted((block for _, block in pairs), key=lambda block: tuple(_bits(block)))
+    masks, cuts = _sorted_blocks(pairs)
     return BlockCutTree(
         blocks=tuple(frozenset(ids[i] for i in _bits(block)) for block in masks),
         cut_vertices=frozenset(ids[i] for i in _bits(cuts)),
         terminal_blocks=frozenset(
             i for i, block in enumerate(masks) if (block & cuts).bit_count() <= 1
         ),
+    )
+
+
+def _is_clique(adj, block: int) -> bool:
+    return all((adj[i] | 1 << i) & block == block for i in _bits(block))
+
+
+def _is_cycle(adj, block: int) -> bool:
+    """Does the vertex set `block` induce a (chordless) cycle of length at least 3?"""
+    return (
+        block.bit_count() >= 3
+        and all((adj[i] & block).bit_count() == 2 for i in _bits(block))
+        and len(_components(adj, block)) == 1
     )
 
 
@@ -182,8 +207,8 @@ class ClassWitness:
 
     Each class test runs the first time a flag or field that needs it is
     read, and its answer is kept: has("split") runs the degree test alone,
-    parts the neighbourhood grouping alone, and only the block flags build
-    the block-cut tree.  Reading flags runs every test.
+    parts the neighbourhood grouping alone, and only the block flags run
+    the block search.  Reading flags runs every test.
     """
 
     # The test that decides each flag, by the name of the attribute that
@@ -242,13 +267,14 @@ class ClassWitness:
         graph = self._graph
         flags: set[str] = set()
         if "connected" in self._connectivity and graph.vertices:
-            bct = block_cut_tree(graph)
-            kinds = [(_is_clique(graph, b), _is_cycle_set(graph, b)) for b in bct.blocks]
-            if all(cl for cl, _ in kinds):
+            adj = graph.neighbor_masks
+            pairs, _ = _blocks(adj, (1 << len(graph.vertices)) - 1)
+            kinds = [(_is_clique(adj, b), _is_cycle(adj, b), b.bit_count()) for _, b in pairs]
+            if all(cl for cl, _, _ in kinds):
                 flags.add("block_graph")
-            if all(cy or len(b) <= 2 for (_, cy), b in zip(kinds, bct.blocks)):
+            if all(cy or size <= 2 for _, cy, size in kinds):
                 flags.add("cactus")
-            if all(cl or cy for cl, cy in kinds):
+            if all(cl or cy for cl, cy, _ in kinds):
                 flags.add("block_cactus")
         return frozenset(flags)
 
@@ -259,20 +285,6 @@ class ClassWitness:
     @property
     def _split(self) -> frozenset[str]:
         return frozenset({"split"} if self.split_pair is not None else ())
-
-
-def _is_clique(graph: GoodsGraph, vs: frozenset[str]) -> bool:
-    return all(graph.has_edge(a, b) for a, b in combinations(sorted(vs), 2))
-
-
-def _is_cycle_set(graph: GoodsGraph, vs: frozenset[str]) -> bool:
-    """Does `vs` induce a (chordless) cycle of length at least 3?"""
-    if len(vs) < 3:
-        return False
-    degs = [sum(1 for w in graph.adjacency[v] if w in vs) for v in vs]
-    if any(d != 2 for d in degs):
-        return False
-    return is_connected_subset(graph, vs)
 
 
 def _multipartite_parts(graph: GoodsGraph) -> tuple[frozenset[str], ...] | None:
@@ -323,23 +335,20 @@ def hamiltonian_path_in_block(block: frozenset[str], graph: GoodsGraph, endpoint
 
     Cliques (including single edges and triangles) list the other vertices in
     id order.  Larger cycle blocks are walked starting from the endpoint's
-    smallest neighbor, moving away from the endpoint.
+    smallest neighbor, moving away from the endpoint.  Raises
+    InvalidInputError when `block` names a vertex the graph lacks.
     """
+    mask = _vertex_mask(graph, block)
     if endpoint not in block:
         raise StructuralError(f"endpoint {endpoint!r} is not in the block")
-    if len(block) == 1:
-        return [endpoint]
-    if _is_clique(graph, block):
-        return sorted(block - {endpoint}) + [endpoint]
-    if _is_cycle_set(graph, block):
-        start = min(graph.adjacency[endpoint] & block)
-        path = [start]
-        prev = endpoint
-        cur = start
-        while len(path) < len(block) - 1:
-            nxt = next(w for w in graph.adjacency[cur] if w in block and w != prev)
-            path.append(nxt)
-            prev, cur = cur, nxt
-        path.append(endpoint)
-        return path
+    ids, adj, end = graph.vertices, graph.neighbor_masks, graph.position[endpoint]
+    if _is_clique(adj, mask):
+        return [ids[i] for i in _bits(mask & ~(1 << end))] + [endpoint]
+    if _is_cycle(adj, mask):
+        path = []
+        prev, cur = end, next(_bits(adj[end] & mask))
+        while cur != end:
+            path.append(ids[cur])
+            prev, cur = cur, next(_bits(adj[cur] & mask & ~(1 << prev)))
+        return path + [endpoint]
     raise UnsupportedBlockError(f"block {tuple(sorted(block))} is neither a clique nor a cycle")

@@ -37,7 +37,7 @@ from .core import (
     StructuralError,
     Value,
 )
-from .graphs import connected_components
+from .graphs import _bits, _components, _vertex_mask
 from . import oracle
 
 # A connected solver takes a connected graph, the two or more agents to serve
@@ -67,32 +67,29 @@ def peel_heavy_vertices(
     takes her highest-valued acceptable vertex, smallest id on ties.  The
     result is maximal: no leftover agent accepts any leftover vertex.
     """
+    graph = inst.graph
     unmatched = sorted(a.id for a in inst.agents)
-    pool = set(inst.graph.vertices)
+    pool = set(graph.vertices)
     heavy: list[tuple[str, int]] = []
     while True:
-        matched = None
         for aid in unmatched:
             agent = inst.agent(aid)
             cut = alpha * pmms_values[aid]
             # Graph vertices are sorted and max keeps the first maximum.
-            acceptable = [v for v in inst.graph.vertices if v in pool and agent.utility[v] >= cut]
+            acceptable = [v for v in graph.vertices if v in pool and agent.utility[v] >= cut]
             best = max(acceptable, key=agent.utility.__getitem__, default=None)
             if best is not None:
-                matched = (best, aid)
                 break
-        if matched is None:
+        else:
             break
-        v, aid = matched
-        heavy.append((v, aid))
+        heavy.append((best, aid))
         unmatched.remove(aid)
-        pool.discard(v)
-    residual = inst.graph.induced(frozenset(pool))
-    components = [frozenset(c) for c in connected_components(residual)]
+        pool.discard(best)
+    left = _components(graph.neighbor_masks, _vertex_mask(graph, pool))
     return ReductionState(
         heavy=heavy,
         residual_agents=unmatched,
-        components=components,
+        components=[frozenset(graph.vertices[i] for i in _bits(comp)) for comp in left],
     )
 
 

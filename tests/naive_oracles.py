@@ -19,6 +19,7 @@ from graphfair.core import (
     Instance,
     InvalidInputError,
     StructuralError,
+    UnsupportedBlockError,
     Value,
     ZERO,
 )
@@ -721,3 +722,36 @@ def frozen_threshold_share(plan: tuple, wts: list[int], total: int, k: int) -> i
         else:
             hi = mid - 1
     return lo
+
+
+# A frozen copy of the string-keyed in-block Hamiltonian path of
+# graphfair.graphs, as it ran before its clique and cycle tests read the
+# bitmask view, taken verbatim with the private helpers above; only its name
+# is local.  tests/test_blocks.py holds `hamiltonian_path_in_block` to it.
+
+
+def frozen_hamiltonian_path_in_block(block: frozenset[str], graph: GoodsGraph, endpoint: str) -> list[str]:
+    """A Hamiltonian path through a clique or cycle block, ending at `endpoint`.
+
+    Cliques (including single edges and triangles) list the other vertices in
+    id order.  Larger cycle blocks are walked starting from the endpoint's
+    smallest neighbor, moving away from the endpoint.
+    """
+    if endpoint not in block:
+        raise StructuralError(f"endpoint {endpoint!r} is not in the block")
+    if len(block) == 1:
+        return [endpoint]
+    if _is_clique(graph, block):
+        return sorted(block - {endpoint}) + [endpoint]
+    if _is_cycle_set(graph, block):
+        start = min(graph.adjacency[endpoint] & block)
+        path = [start]
+        prev = endpoint
+        cur = start
+        while len(path) < len(block) - 1:
+            nxt = next(w for w in graph.adjacency[cur] if w in block and w != prev)
+            path.append(nxt)
+            prev, cur = cur, nxt
+        path.append(endpoint)
+        return path
+    raise UnsupportedBlockError(f"block {tuple(sorted(block))} is neither a clique nor a cycle")

@@ -6,7 +6,10 @@ string-keyed search it replaced, field by field; the search itself is held
 to networkx on connected vertex subsets.  The block DP reads its pairs, and
 its threshold search jumps to the least set a count closed; it must find
 the value of `naive_oracles.frozen_threshold_share`, the plain bisection.
-Share calls must build no block-cut tree and no induced graph.
+Share calls must build no block-cut tree and no induced graph, and a
+block-cactus allocation no block-cut tree.  `hamiltonian_path_in_block`
+reads its clique and cycle tests off the same view and must equal
+`naive_oracles.frozen_hamiltonian_path_in_block`, the string walk it replaced.
 """
 
 import random
@@ -17,11 +20,21 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from graphfair import blockdp, generators as gen, graphs, oracle
+from graphfair import blockdp, generators as gen, graphs, oracle, reduction
 from graphfair.blockcactus import allocate_block_cactus
-from graphfair.core import Agent, GoodsGraph, StructuralError, UndefinedMmsError
-from graphfair.graphs import _bits, _blocks, _components, block_cut_tree
-from naive_oracles import frozen_block_cut_tree, frozen_threshold_share
+from graphfair.core import (
+    Agent,
+    GoodsGraph,
+    StructuralError,
+    UndefinedMmsError,
+    UnsupportedBlockError,
+)
+from graphfair.graphs import _bits, _blocks, _components, block_cut_tree, hamiltonian_path_in_block
+from naive_oracles import (
+    frozen_block_cut_tree,
+    frozen_hamiltonian_path_in_block,
+    frozen_threshold_share,
+)
 import naive_oracles
 from test_block_dp import KINDS, small_block_graph, weights
 from test_properties import block_cactus_instances
@@ -61,6 +74,33 @@ def test_block_cut_tree_matches_the_frozen_search_on_random_graphs():
         assert got == outcome(frozen_block_cut_tree, graph), index
         connected += got[0] != "raises"
     assert connected >= 100
+
+
+def path_outcome(find, block: frozenset[str], graph: GoodsGraph, endpoint: str):
+    try:
+        return find(block, graph, endpoint)
+    except (StructuralError, UnsupportedBlockError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_hamiltonian_paths_match_the_frozen_walk_on_every_atlas_graph():
+    # Every block of every component, with every vertex of the graph as the
+    # endpoint: clique and cycle blocks give paths for endpoints inside them,
+    # and other blocks and outside endpoints must fail the same way.
+    kinds = {"path": 0, "StructuralError": 0, "UnsupportedBlockError": 0}
+    cycles = 0
+    for index, (_, graph) in enumerate(atlas()):
+        ids, adj = graph.vertices, graph.neighbor_masks
+        for comp in _components(adj, (1 << len(ids)) - 1):
+            for _, mask in _blocks(adj, comp)[0]:
+                block = frozenset(ids[i] for i in _bits(mask))
+                for endpoint in ids:
+                    got = path_outcome(hamiltonian_path_in_block, block, graph, endpoint)
+                    want = path_outcome(frozen_hamiltonian_path_in_block, block, graph, endpoint)
+                    assert got == want, (index, sorted(block), endpoint)
+                    kinds["path" if isinstance(got, list) else got[0]] += 1
+                    cycles += isinstance(got, list) and not naive_oracles._is_clique(graph, block)
+    assert all(kinds.values()) and cycles, (kinds, cycles)
 
 
 def assert_blocks_match_networkx(g: nx.Graph, graph: GoodsGraph, mask: int) -> None:
@@ -223,6 +263,27 @@ def test_shares_build_no_block_cut_tree_and_no_induced_graph(record):
             if graph is split:
                 assert oracle._plans == {(split, (1 << 10) - 1): None}
     assert trees and all(calls == [] for calls in trees)
+    assert induced == []
+
+
+def test_block_cactus_allocations_build_no_block_cut_tree_and_peels_no_induced_graph(record):
+    trees = [
+        record(module, "block_cut_tree")
+        for name, module in sys.modules.items()
+        if name.startswith("graphfair") and hasattr(module, "block_cut_tree")
+    ]
+    peels = record(reduction, "peel_heavy_vertices")
+    for seed in range(6):
+        for vertices, agents in ((9, 2), (12, 3), (14, 4)):
+            allocate_block_cactus(gen.gen_block_cactus(seed, vertices, agents, 20))
+    assert trees and all(calls == [] for calls in trees)
+    # Replay every peel the allocations made, the absorb's re-entries
+    # included, and watch for induced graphs.
+    made = list(peels)
+    induced = record(GoodsGraph, "induced")
+    assert len(made) > 18
+    for call in made:
+        assert reduction.peel_heavy_vertices(*call.args) == call.result
     assert induced == []
 
 

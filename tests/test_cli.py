@@ -105,7 +105,7 @@ def test_allocate_auto_runs_each_class_test_once(tmp_path, capsys, record):
     f.write_bytes(io.canonical_dumps(io.instance_to_doc(inst)).encode("utf-8"))
     tests = {
         name: record(graphs, name)
-        for name in ("split_partition", "_multipartite_parts", "block_cut_tree")
+        for name in ("split_partition", "_multipartite_parts", "_blocks")
     }
     assert cli.main(["allocate", str(f), "--out", str(tmp_path / "alloc.json")]) == 0
     assert "class=block-cactus" in capsys.readouterr().err

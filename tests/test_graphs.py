@@ -199,6 +199,20 @@ def test_hamiltonian_path_edge_and_singleton():
     assert hamiltonian_path_in_block(frozenset({"p0"}), g, "p0") == ["p0"]
 
 
+def test_hamiltonian_path_rejects_unknown_vertices():
+    # Whichever test reads the unknown vertex first, clique or cycle, it is an error.
+    g = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    probes = [
+        ({"a", "b", "zz"}, "['zz']"),
+        ({"a", "q", "r", "zz"}, "['q', 'r', 'zz']"),
+        ({"a", "zz"}, "['zz']"),
+    ]
+    for block, unknown in probes:
+        with pytest.raises(InvalidInputError) as exc:
+            hamiltonian_path_in_block(frozenset(block), g, "a")
+        assert str(exc.value) == f"unknown vertices: {unknown}"
+
+
 def test_hamiltonian_path_rejects_other_blocks():
     g = GoodsGraph.build(
         ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("a", "c")]
