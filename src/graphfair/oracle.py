@@ -63,14 +63,22 @@ at most `_CACHE_LIMIT` records and drops the oldest first.
 The max-min ratio search compares value/target across agents.  It gives each
 agent ratio weights, her scaled utilities multiplied so that every agent's
 value/target is her ratio-weight sum over one common denominator; the whole
-search then compares ints.  When every agent has a positive target and all
-share one ratio-weight row, the agents are one group: the rows are one
-positive multiple of the first agent's scaled weights, which moves no
-optimum, so the first optimum is her n-bundle share witness, read from the
-share cache, and bundle i goes to agent i as the search would assign it.
-Any other call runs the search.  It closes the last bundle in one step too,
-but has no ceiling: agents who value different goods can all get more than
-the least of their total // n.
+search then compares ints.  A target-0 agent reads every bundle, the empty
+one included, as the floor `top`, above every ratio-weight sum, so she never
+sets the min.  When every agent has a positive target and all share one
+ratio-weight row, the agents are one group: the rows are one positive
+multiple of the first agent's scaled weights, which moves no optimum, so the
+first optimum is her n-bundle share witness, read from the share cache, and
+bundle i goes to agent i as the search would assign it.  Any other call runs
+the search, and each partition it reaches, padded to n bundles, fills one
+table over agent subsets from the full set down: value[used] is the best min
+ratio the agents outside `used` reach on the bundles after the first |used|,
+and pick[used] the first agent, in list order, to reach it with the next
+bundle.  So each bundle goes to the first agent who keeps the min over it and
+all later bundles at its best, not always the first optimal permutation, and
+the first partition with the best value[0] wins.  The search closes the last
+bundle in one step too, but has no ceiling: agents who value different goods
+can all get more than the least of their total // n.
 
 These routines are meant for desk-scale inputs; everything refuses graphs
 with more than `MAX_VERTICES` vertices.
@@ -79,6 +87,7 @@ with more than `MAX_VERTICES` vertices.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 
 from .core import (
     Agent,
@@ -95,6 +104,9 @@ from .blockdp import _plan, _threshold_share
 from .graphs import _bits, _blocks, _component_count, _components
 
 MAX_VERTICES = 14
+
+# Utility and target types the oracle takes; like core.as_value, no bool or float.
+_EXACT = (int, Fraction)
 
 # Share cache: key -> MmsRecord, one key per utility function.  Plan cache:
 # (graph, component mask) -> block DP plan, or None for a component the DP
@@ -164,13 +176,17 @@ def _weights_for(agent: Agent, ids: list[str]) -> tuple[list[int], int]:
     `scale` is the least common multiple of the utility denominators, and the
     weight of vertex v is `utility[v] * scale`, so a bundle's value is its
     weight sum divided by `scale`.  Every search cut assumes nonnegative
-    weights, so a negative utility is rejected here.
+    weights, so a negative utility is rejected here, as is any but an int or
+    a Fraction.
     """
     vals = []
     for v in ids:
         if v not in agent.utility:
             raise InvalidInputError(f"no utility for vertex {v!r}")
-        vals.append(agent.utility[v])
+        val = agent.utility[v]
+        if type(val) not in _EXACT:
+            raise InvalidInputError(f"agent {agent.id} has {val!r} at {v!r}, not an int or a Fraction")
+        vals.append(val)
     scale = lcm(*(val.denominator for val in vals))
     wts = [val.numerator * (scale // val.denominator) for val in vals]
     low = min(wts, default=0)
@@ -450,7 +466,8 @@ def max_min_ratio_allocation(
 
     Returns {agent id: bundle} for every agent, target-0 agents included,
     and no ratios; a bundle may be empty.  Agents with target 0 are
-    unconstrained; negative targets are rejected.  Ties keep the first
+    unconstrained.  Negative targets, targets that are not an int or a
+    Fraction, and two agents with one id are rejected.  Ties keep the first
     optimum in canonical enumeration order, so the result is deterministic.
     """
     if not agents:
@@ -462,86 +479,71 @@ def max_min_ratio_allocation(
     if _component_count(adj, full) > 1:
         raise StructuralError("graph is disconnected")
     n = len(agents)
-    for a in agents:
-        t = targets.get(a.id, ZERO)
+    if len({a.id for a in agents}) < n:
+        raise InvalidInputError("two agents share an id")
+    tlist = [targets.get(a.id, ZERO) for a in agents]
+    for a, t in zip(agents, tlist):
+        if type(t) not in _EXACT:
+            raise InvalidInputError(f"target of agent {a.id} is {t!r}, not an int or a Fraction")
         if t < 0:
             raise InvalidInputError(f"negative target for agent {a.id}")
-    tlist = [targets.get(a.id, ZERO) for a in agents]
-    positive = [t > 0 for t in tlist]
-    constrained = [i for i in range(n) if positive[i]]
     scaled = [_weights_for(a, ids) for a in agents]
-    # Ratio weights: value/target of agent a is (sum of wts[a]) / common.
-    # Agents with target 0 get zero weights, which the search never reads.
-    denoms = [scaled[a][1] * tlist[a].numerator for a in constrained]
-    common = lcm(*denoms)
-    wts = [[0] * len(ids) for _ in agents]
-    for a, d in zip(constrained, denoms):
-        factor = tlist[a].denominator * (common // d)
-        wts[a] = [w * factor for w in scaled[a][0]]
-    if len(constrained) == n and all(row == wts[0] for row in wts):
+    # Ratio weights: value/target of agent a is (sum of rows[a]) / common.
+    common = lcm(*(scale * t.numerator for (_, scale), t in zip(scaled, tlist) if t))
+    rows = [
+        [w * (t.denominator * common // (scale * t.numerator)) for w in wts] if t else [0] * len(ids)
+        for (wts, scale), t in zip(scaled, tlist)
+    ]
+    if all(tlist) and all(row == rows[0] for row in rows):
         # One group: every row is the same positive multiple of the first
         # agent's scaled weights, so the first optimum is her share witness,
-        # and assign would give bundle i to agent i.
+        # and the table would give bundle i to agent i.
         witness = _share(graph, agents[0], n, cover=True).witness
         return {a.id: bundle for a, bundle in zip(agents, witness)}
-    totals = [sum(w) for w in wts]
-    # Above every reachable ratio weight: the ratio of a target-0 agent.
-    top = 1 + max(totals)
-    zero_row = [0] * n
+    # The floor of a target-0 agent: she reads every bundle, the empty one
+    # included, as `top`, above every ratio weight another agent can reach.
+    top = 1 + max(map(sum, rows))
+    base = [0 if t else top for t in tlist]
+    # cols[i]: the ratio weight of vertex i for each agent.
+    cols = list(zip(*rows))
+    size = 1 << n
 
-    best_score = None
+    best_score = -1
     best_parts = None
-    best_assign = None
+    best_pick = None
 
     def leaf(bundle_masks, bundle_vals):
-        nonlocal best_score, best_parts, best_assign
-        nb = len(bundle_masks)
-        padded_vals = list(bundle_vals) + [zero_row] * (n - nb)
-        ratio = [
-            [vals[a] if positive[a] else top for a in range(n)]
-            for vals in padded_vals
-        ]
-        memo: dict[int, tuple] = {}
-
-        def assign(used: int, bi: int):
-            # Bundles 0..bi-1 went to the agents in `used`; bundle bi is next.
-            if bi == n:
-                return top, ()
-            if used in memo:
-                return memo[used]
-            best = None
+        # value[used]: the best min ratio the agents outside `used` reach on
+        # the bundles after the first |used|; pick[used]: the first agent who
+        # reaches it with the next bundle.  Empty bundles pad the partition.
+        nonlocal best_score, best_parts, best_pick
+        ratio = [list(map(max, vals, base)) for vals in bundle_vals]
+        ratio += [base] * (n - len(ratio))
+        value = [top] * size
+        pick = [0] * size
+        for used in range(size - 2, -1, -1):
+            row = ratio[used.bit_count()]
+            best = -1
             for a in range(n):
-                if used >> a & 1:
-                    continue
-                sub, rest = assign(used | (1 << a), bi + 1)
-                r = ratio[bi][a]
-                cand = r if r < sub else sub
-                if best is None or cand > best[0]:
-                    best = (cand, ((bi, a),) + rest)
-            memo[used] = best
-            return best
-
-        score, pairs = assign(0, 0)
-        if best_score is None or score > best_score:
-            best_score = score
-            best_parts = tuple(bundle_masks) + (0,) * (n - nb)
-            best_assign = pairs
+                if not used >> a & 1:
+                    cand = min(row[a], value[used | 1 << a])
+                    if cand > best:
+                        best = cand
+                        pick[used] = a
+            value[used] = best
+        if value[0] > best_score:
+            best_score = value[0]
+            best_parts = bundle_masks + [0] * (n - len(bundle_masks))
+            best_pick = pick
 
     def rec(remaining, parts_left, closed_masks, closed_vals, closed_best, rem_wt):
         if remaining == 0:
             leaf(closed_masks, closed_vals)
             return
-        if best_score is not None and constrained:
-            # Agent a can reach at most max(best closed bundle, everything left).
-            bound = top
-            for a in constrained:
-                pot = closed_best[a]
-                if rem_wt[a] > pot:
-                    pot = rem_wt[a]
-                if pot < bound:
-                    bound = pot
-            if bound <= best_score:
-                return
+        # Agent a can reach at most max(best closed bundle, everything left);
+        # a target-0 agent's remaining weight stays `top`.
+        if min(map(max, closed_best, rem_wt)) <= best_score:
+            return
         if _component_count(adj, remaining) > parts_left:
             return
         if parts_left == 1:
@@ -553,17 +555,13 @@ def max_min_ratio_allocation(
         seed_mask = 1 << seed
 
         def grow(s_mask, s_vals, cand, banned):
-            new_best = list(closed_best)
-            for a in constrained:
-                if s_vals[a] > new_best[a]:
-                    new_best[a] = s_vals[a]
             rec(
                 remaining ^ s_mask,
                 parts_left - 1,
                 closed_masks + [s_mask],
                 closed_vals + [s_vals],
-                new_best,
-                [rem_wt[a] - s_vals[a] for a in range(n)],
+                list(map(max, closed_best, s_vals)),
+                list(map(sub, rem_wt, s_vals)),
             )
             live = cand & ~banned
             local_ban = banned
@@ -572,20 +570,20 @@ def max_min_ratio_allocation(
                 live ^= b
                 i = b.bit_length() - 1
                 new_s = s_mask | b
-                grow(
-                    new_s,
-                    [s_vals[a] + wts[a][i] for a in range(n)],
-                    (cand | adj[i]) & remaining & ~new_s,
-                    local_ban,
-                )
+                vals = list(map(add, s_vals, cols[i]))
+                grow(new_s, vals, (cand | adj[i]) & remaining & ~new_s, local_ban)
                 local_ban |= b
 
-        grow(seed_mask, [wts[a][seed] for a in range(n)], adj[seed] & remaining & ~seed_mask, 0)
+        grow(seed_mask, cols[seed], adj[seed] & remaining & ~seed_mask, 0)
 
-    rec(full, n, [], [], [0] * n, totals)
+    rec(full, n, [], [], [0] * n, [sum(row) + b for row, b in zip(rows, base)])
 
     if best_parts is None:
         raise StructuralError("no connected partition found")
-
-    bundles = [frozenset(ids[i] for i in _bits(mask)) for mask in best_parts]
-    return {agents[ai].id: bundles[bi] for bi, ai in best_assign}
+    used = 0
+    bundles = {}
+    for mask in best_parts:
+        a = best_pick[used]
+        bundles[agents[a].id] = frozenset(ids[i] for i in _bits(mask))
+        used |= 1 << a
+    return bundles

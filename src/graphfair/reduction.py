@@ -66,25 +66,25 @@ def peel_heavy_vertices(
     An agent accepts vertex v when u_i(v) >= alpha * pmms_values[i]; she
     takes her highest-valued acceptable vertex, smallest id on ties.  The
     result is maximal: no leftover agent accepts any leftover vertex.
+
+    The pool only shrinks, so an agent who accepts nothing once never will,
+    and one pass in id order makes the picks of repeated smallest-id scans.
     """
     graph = inst.graph
-    unmatched = sorted(a.id for a in inst.agents)
     pool = set(graph.vertices)
     heavy: list[tuple[str, int]] = []
-    while True:
-        for aid in unmatched:
-            agent = inst.agent(aid)
-            cut = alpha * pmms_values[aid]
-            # Graph vertices are sorted and max keeps the first maximum.
-            acceptable = [v for v in graph.vertices if v in pool and agent.utility[v] >= cut]
-            best = max(acceptable, key=agent.utility.__getitem__, default=None)
-            if best is not None:
-                break
+    unmatched: list[int] = []
+    for aid in sorted(a.id for a in inst.agents):
+        agent = inst.agent(aid)
+        cut = alpha * pmms_values[aid]
+        # Graph vertices are sorted and max keeps the first maximum.
+        acceptable = [v for v in graph.vertices if v in pool and agent.utility[v] >= cut]
+        best = max(acceptable, key=agent.utility.__getitem__, default=None)
+        if best is None:
+            unmatched.append(aid)
         else:
-            break
-        heavy.append((best, aid))
-        unmatched.remove(aid)
-        pool.discard(best)
+            heavy.append((best, aid))
+            pool.discard(best)
     left = _components(graph.neighbor_masks, _vertex_mask(graph, pool))
     return ReductionState(
         heavy=heavy,

@@ -5,6 +5,7 @@ import graphfair
 
 PACKAGE_DIR = Path(graphfair.__file__).parent
 TESTS_DIR = Path(__file__).parent
+PERFBENCH_DIR = TESTS_DIR.parent / "perfbench"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -42,9 +43,12 @@ def used_names(tree: ast.Module) -> set[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # The tests too: a test that stops calling a function keeps no stale import of it.
+    # The tests and the benchmark too: a script that stops calling a
+    # function keeps no stale import of it.
+    paths = [p for d in (PACKAGE_DIR, TESTS_DIR, PERFBENCH_DIR) for p in sorted(d.glob("*.py"))]
+    assert any(p.parent == PERFBENCH_DIR for p in paths)
     unused = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")) + sorted(TESTS_DIR.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = used_names(tree)
         for name, line in imported_names(tree).items():

@@ -14,7 +14,9 @@ from graphfair import generators as gen
 from graphfair import oracle
 from graphfair.core import (
     Agent,
+    Allocation,
     GoodsGraph,
+    Instance,
     InvalidInputError,
     SizeLimitError,
     StructuralError,
@@ -24,6 +26,7 @@ from graphfair.blockcactus import allocate_block_cactus
 from graphfair.graphs import is_connected_subset
 from graphfair.multipartite import allocate_multipartite
 from graphfair.splitgraph import allocate_split
+from graphfair.verify import check_allocation
 
 from naive_oracles import (
     assigned_vertices,
@@ -346,6 +349,54 @@ def test_negative_utilities_are_rejected():
             call()
 
 
+def inexact_probes() -> dict:
+    """Public calls that meet a float or a bool, with the error each must raise."""
+    g = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    a = agent_with({"a": 1, "b": 1, "c": 1})
+    b = Agent(id=2, type_id=2, utility=dict(a.utility))
+    floaty = Agent(id=1, type_id=1, utility={"a": Fraction(1), "b": 0.5, "c": Fraction(1)})
+    truthy = Agent(id=2, type_id=2, utility={"a": Fraction(1), "b": Fraction(1), "c": True})
+    inst = Instance(graph=g, agents=(floaty,))
+    alloc = Allocation(bundles=((1, frozenset(g.vertices)),), target_alpha=Fraction(1, 2))
+    return {
+        "float utility": (lambda: oracle.pmms(g, floaty, 2), "agent 1 has 0.5 at 'b'"),
+        "float utility, certified": (
+            lambda: check_allocation(inst, alloc, Fraction(1, 2)),
+            "agent 1 has 0.5 at 'b'",
+        ),
+        "bool utility": (
+            lambda: oracle.max_min_ratio_allocation(g, [a, truthy], {1: Fraction(1), 2: Fraction(1)}),
+            "agent 2 has True at 'c'",
+        ),
+        "float target": (
+            lambda: oracle.max_min_ratio_allocation(g, [a, b], {1: 0.5, 2: Fraction(1)}),
+            "target of agent 1 is 0.5",
+        ),
+        "bool target": (
+            lambda: oracle.max_min_ratio_allocation(g, [a, b], {1: Fraction(1), 2: True}),
+            "target of agent 2 is True",
+        ),
+    }
+
+
+@pytest.mark.parametrize("probe", list(inexact_probes()))
+def test_inexact_utilities_and_targets_are_rejected(probe):
+    # core.as_value refuses bools and floats; the oracle must too, by name,
+    # rather than read True as 1 or fail on a float's missing denominator.
+    call, message = inexact_probes()[probe]
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
+def test_max_min_ratio_rejects_agents_that_share_an_id():
+    # {id: bundle} has one entry per id, so a second agent 1 would lose hers.
+    g = GoodsGraph.build(["a", "b"], [("a", "b")])
+    a = agent_with({"a": 1, "b": 2})
+    twin = Agent(id=1, type_id=2, utility={"a": Fraction(2), "b": Fraction(1)})
+    with pytest.raises(InvalidInputError, match="two agents share an id"):
+        oracle.max_min_ratio_allocation(g, [a, twin], {1: Fraction(1)})
+
+
 def test_agents_of_one_type_share_records(monkeypatch):
     calls = count_searches(monkeypatch)
     path = [("a", "b"), ("b", "c"), ("c", "d")]
@@ -461,6 +512,8 @@ def test_max_min_ratio_allocation_exact():
     assert all(a.value(bundles[a.id]) >= targets[a.id] for a in (a1, a2))
     assert "a" in bundles[1] and "d" in bundles[2]
     assert is_partition_of(bundles.values(), g)
+    # An int target is exact and reads as its Fraction.
+    assert oracle.max_min_ratio_allocation(g, [a1, a2], {1: 4, 2: Fraction(4)}) == bundles
 
 
 def test_max_min_ratio_has_no_ceiling_at_the_least_even_split():

@@ -106,6 +106,33 @@ def test_peel_is_maximal():
     assert state.residual_agents == []
 
 
+class CountingUtility(dict):
+    """A utility map that counts the values read from it."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_peel_scans_an_agent_who_accepts_nothing_once():
+    # The pool only shrinks, so agent 1, who accepts nothing at the start,
+    # accepts nothing later either, while agents 2..5 each peel a vertex.
+    names = ["a", "b", "c", "d", "e", "f"]
+    choosy = CountingUtility(dict.fromkeys(names, Fraction(1)))
+    agents = [Agent(id=1, type_id=1, utility=choosy)] + [
+        Agent(id=i, type_id=i, utility=dict.fromkeys(names, Fraction(i))) for i in range(2, 6)
+    ]
+    inst = Instance(graph=path(names), agents=tuple(agents))
+    values = {1: Fraction(3), **{i: Fraction(i) for i in range(2, 6)}}
+    state = peel_heavy_vertices(inst, Fraction(1, 2), values)
+    assert state.heavy == [("a", 2), ("b", 3), ("c", 4), ("d", 5)]
+    assert state.residual_agents == [1]
+    assert state.components == [frozenset({"e", "f"})]
+    assert choosy.reads == len(names)
+
+
 def test_allocate_reduction_peel_then_component(record):
     g = path(["a", "b", "c", "d", "e", "f"])
     inst = inst_of(

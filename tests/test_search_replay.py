@@ -18,8 +18,9 @@ add what the generators never produce: `p/q` utilities, integers near 2^64,
 all-zero and mostly-zero weights, disconnected vertex sets, n above the
 vertex count (value 0, where leaves with fewer parts decide the witness),
 ratio calls whose agents share one ratio-weight row (which read the share
-witness instead of searching), and the block-cactus solver's single-block
-ratio call.  Each corner share search that finds a value runs again with
+witness instead of searching), ratio calls with every target 0, with one
+positive target or with five agents, one whose assignment is not the first
+optimal permutation, and the block-cactus solver's single-block ratio call.  Each corner share search that finds a value runs again with
 that value as its floor, the path a witness read after the threshold DP
 takes, and must return the same first optimum.
 """
@@ -200,12 +201,37 @@ def test_corner_share_searches_match_the_frozen_search(kind):
     assert floored, kind
 
 
+def connected_graph(rng: random.Random, size: int) -> GoodsGraph:
+    graph = random_graph(rng, size, 0.6)
+    while len(graph.vertices) > 1 and not is_connected(graph):
+        graph = random_graph(rng, len(graph.vertices), 0.6)
+    return graph
+
+
+def pinned_tie_call():
+    """A call whose assignment is not the first optimal permutation.
+
+    Every vertex of the star v0 - {v1, v2} is a bundle of the first
+    partition, and v0 is worth 0 to all three agents, so every assignment,
+    and every later partition, scores 0.  Bundle v0 goes to agent 1, the
+    first agent; then v1 goes to agent 3, which leaves agent 2 the ratio 3/5
+    on v2 rather than 2/5 on v1.  The first optimal permutation, (1, 2, 3),
+    gives v1 to agent 2.
+    """
+    graph = GoodsGraph.build(["v0", "v1", "v2"], [("v0", "v1"), ("v0", "v2")])
+    rows = ((0, 2, 4), (0, 2, 3), (0, 2, 2))
+    agents = [
+        Agent(id=i, type_id=i, utility=dict(zip(graph.vertices, map(Fraction, row))))
+        for i, row in enumerate(rows, 1)
+    ]
+    return graph, agents, {1: Fraction(3), 2: Fraction(5), 3: Fraction(1)}
+
+
 def test_corner_ratio_searches_match_the_frozen_search():
     rng = random.Random("search-replay:ratio")
+    calls = [pinned_tie_call()]
     for trial in range(40):
-        graph = random_graph(rng, rng.randint(1, 7), 0.6)
-        while len(graph.vertices) > 1 and not is_connected(graph):
-            graph = random_graph(rng, len(graph.vertices), 0.6)
+        graph = connected_graph(rng, rng.randint(1, 7))
         n = rng.randint(1, min(4, len(graph.vertices) + 1))
         kind = KINDS[trial % len(KINDS)]
         agents = [
@@ -216,6 +242,25 @@ def test_corner_ratio_searches_match_the_frozen_search():
             a.id: rng.choice([Fraction(0), Fraction(rng.randint(1, 30), rng.randint(1, 4))])
             for a in agents
         }
+        calls.append((graph, agents, targets))
+    # Every target 0, where the first partition wins; exactly one positive
+    # target; and five agents on at most six vertices, empty bundles and all.
+    for trial in range(36):
+        graph = connected_graph(rng, rng.randint(1, 6))
+        n = 5 if trial % 3 == 2 else rng.randint(1, 4)
+        kind = KINDS[trial % len(KINDS)]
+        agents = [
+            Agent(id=i, type_id=i, utility=corner_utility(rng, kind, graph.vertices))
+            for i in range(1, n + 1)
+        ]
+        targets = {a.id: Fraction(rng.randint(1, 30), rng.randint(1, 4)) for a in agents}
+        if trial % 3 == 0:
+            targets = dict.fromkeys(targets, Fraction(0))
+        elif trial % 3 == 1:
+            lone = rng.choice(agents).id
+            targets = {aid: t if aid == lone else Fraction(0) for aid, t in targets.items()}
+        calls.append((graph, agents, targets))
+    for graph, agents, targets in calls:
         got = oracle.max_min_ratio_allocation(graph, agents, targets)
         assert got == frozen_max_min_ratio_allocation(graph, agents, targets), (graph, targets)
 
