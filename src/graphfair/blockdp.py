@@ -26,11 +26,11 @@ DP serves, keeps their plans and turns the value into a share record.
 
 from itertools import combinations, product
 
-from .graphs import _bits, _component_count
+from .graphs import _bits, _components
 
 
 def _connected(adj: list[int], vertices) -> bool:
-    return _component_count(adj, sum(1 << v for v in vertices)) == 1
+    return len(_components(adj, sum(1 << v for v in vertices))) == 1
 
 
 def _layouts(size: int, pairs: tuple[int, ...]) -> tuple:

@@ -15,6 +15,10 @@ Value = Fraction
 
 ZERO = Fraction(0)
 
+# The types an exact value may have where it is taken as is, tested as
+# `type(x) in _EXACT`: like as_value, no bool and no float.
+_EXACT = (int, Fraction)
+
 
 class FairDivisionError(Exception):
     """Base class for all errors raised by this package."""

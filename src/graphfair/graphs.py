@@ -54,11 +54,6 @@ def _components(adj, mask: int) -> list[int]:
     return comps
 
 
-def _component_count(adj, mask: int) -> int:
-    """Components of the vertex set `mask` in a bitmask adjacency list."""
-    return len(_components(adj, mask))
-
-
 def connected_components(graph: GoodsGraph) -> list[list[str]]:
     """Maximal connected vertex sets, each sorted, ordered by smallest member."""
     ids = graph.vertices
@@ -67,7 +62,7 @@ def connected_components(graph: GoodsGraph) -> list[list[str]]:
 
 
 def is_connected(graph: GoodsGraph) -> bool:
-    return _component_count(graph.neighbor_masks, (1 << len(graph.vertices)) - 1) <= 1
+    return len(_components(graph.neighbor_masks, (1 << len(graph.vertices)) - 1)) <= 1
 
 
 def _vertex_mask(graph: GoodsGraph, subset) -> int:
@@ -85,7 +80,7 @@ def is_connected_subset(graph: GoodsGraph, subset) -> bool:
 
     Raises InvalidInputError when `subset` names a vertex the graph lacks.
     """
-    return _component_count(graph.neighbor_masks, _vertex_mask(graph, subset)) <= 1
+    return len(_components(graph.neighbor_masks, _vertex_mask(graph, subset))) <= 1
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ since no other subset could.  No partition's smallest bundle is worth more
 than (total - top_j) // (n - j) for any j < n, top_j being the weight of
 the j heaviest vertices: they lie in at most j bundles, and the other n - j
 share the rest.  The least of these bounds is total // n (j = 0) unless a
-vertex outweighs total / n, and only then are the weights sorted.  The
-search returns at the first partition that reaches the bound: later ones
-can only tie, and the first optimum in canonical order stays the witness.
+vertex outweighs total / n.  The search returns at the first partition
+that reaches the bound: later ones can only tie, and the first optimum in
+canonical order stays the witness.
 
 `mms` and `pmms` run one component DP: bundles never cross components, so
 the n bundles are spread over the components, at least one per component for
@@ -81,7 +81,9 @@ bundle in one step too, but has no ceiling: agents who value different goods
 can all get more than the least of their total // n.
 
 These routines are meant for desk-scale inputs; everything refuses graphs
-with more than `MAX_VERTICES` vertices.
+with more than `MAX_VERTICES` vertices, and the ratio search also refuses
+more than `MAX_VERTICES` agents, since each partition it reaches fills
+tables of 2^n entries.
 """
 
 from dataclasses import dataclass
@@ -99,14 +101,12 @@ from .core import (
     UndefinedMmsError,
     Value,
     ZERO,
+    _EXACT,
 )
 from .blockdp import _plan, _threshold_share
-from .graphs import _bits, _blocks, _component_count, _components
+from .graphs import _bits, _blocks, _components
 
 MAX_VERTICES = 14
-
-# Utility and target types the oracle takes; like core.as_value, no bool or float.
-_EXACT = (int, Fraction)
 
 # Share cache: key -> MmsRecord, one key per utility function.  Plan cache:
 # (graph, component mask) -> block DP plan, or None for a component the DP
@@ -207,7 +207,8 @@ def _minmax_partition_search(
     `full` must be non-empty, `wts` nonnegative and n at least 1.  Partitions
     using fewer than n nonempty parts count as value 0 because the missing
     bundles are empty.  Returns (value, parts) with value the int optimum in
-    the units of `wts` and parts a tuple of masks (no padding).
+    the units of `wts` and parts a tuple of masks (no padding); None for
+    both means only that no partition exists.
 
     Without `floor`, the search stops at the first partition worth the
     heavy-vertex ceiling, the least over j < n of (total - top_j) // (n - j)
@@ -221,19 +222,16 @@ def _minmax_partition_search(
     the one the full search returns.  A floor of 0 seeds nothing and stops at
     the first leaf.
 
-    Once best is set, a bundle stops growing when it leaves less than
-    best + 1 for each later bundle, and a level stops when best reaches its
-    running minimum.  Neither cut drops a node that could recurse, so the
-    recursive calls, and with them every result, are those of the uncut
+    Best starts at -1 without a floor and the running minimum at total + 1,
+    so the state is all ints.  A bundle stops growing when it leaves less
+    than best + 1 for each later bundle, and a level stops when best reaches
+    its running minimum.  Neither cut drops a node that could recurse, so
+    the recursive calls, and with them every result, are those of the uncut
     enumeration.
     """
-    best_val = None
-    best_parts = None
     ws = [wts[i] for i in _bits(full)]
     total = sum(ws)
-    if floor is not None:
-        ceiling = floor
-    elif max(ws) * n > total:
+    if floor is None:
         # Taking the heaviest vertex off lowers the bound while w * k > rest;
         # after the first vertex that fails, lighter ones only raise it.
         rest, k = total, n
@@ -243,28 +241,29 @@ def _minmax_partition_search(
             rest -= w
             k -= 1
         ceiling = rest // k
+        best_val = -1
     else:
-        ceiling = total // n
-    if floor:
+        ceiling = floor
         best_val = floor - 1
+    best_parts = None
 
     def rec(remaining, parts_left, cur_min, acc, rem_weight):
         nonlocal best_val, best_parts
         if remaining == 0:
             # Fewer than n bundles, so the value is 0.  Only the first leaf
-            # can get here: once best is set, grow skips a bundle that
+            # can get here: once best is 0 or more, grow skips a bundle that
             # leaves nothing for the bundles after it.
-            if best_val is None:
+            if best_val < 0:
                 best_val = 0
                 best_parts = acc
                 if best_val >= ceiling:
                     raise _Ceiling
             return
-        if _component_count(adj, remaining) > parts_left:
+        if len(_components(adj, remaining)) > parts_left:
             return
         if parts_left == 1:
             # Only the whole remainder, connected, closes the partition.
-            best_val = rem_weight if cur_min is None or rem_weight < cur_min else cur_min
+            best_val = rem_weight if rem_weight < cur_min else cur_min
             best_parts = acc + (remaining,)
             if best_val >= ceiling:
                 raise _Ceiling
@@ -279,13 +278,10 @@ def _minmax_partition_search(
             # superset of a bundle too heavy to leave that much is too heavy
             # as well; and once best reaches cur_min, no bundle of this level
             # can close above it.  No such node or subtree can call rec.
-            if best_val is not None and (
-                rem_weight - s_weight < (best_val + 1) * (parts_left - 1)
-                or cur_min is not None and cur_min <= best_val
-            ):
+            if rem_weight - s_weight < (best_val + 1) * (parts_left - 1) or cur_min <= best_val:
                 return
-            close_min = s_weight if cur_min is None or s_weight < cur_min else cur_min
-            if best_val is None or close_min > best_val:
+            close_min = s_weight if s_weight < cur_min else cur_min
+            if close_min > best_val:
                 rec(remaining ^ s_mask, parts_left - 1, close_min, acc + (s_mask,), rem_weight - s_weight)
             live = cand & ~banned
             local_ban = banned
@@ -296,7 +292,7 @@ def _minmax_partition_search(
                 new_w = s_weight + wts[i]
                 # A child too heavy already is skipped but still banned, so
                 # its later siblings enumerate what they did before.
-                if best_val is None or rem_weight - new_w >= (best_val + 1) * (parts_left - 1):
+                if rem_weight - new_w >= (best_val + 1) * (parts_left - 1):
                     new_s = s_mask | b
                     grow(new_s, new_w, (cand | adj[i]) & remaining & ~new_s, local_ban)
                 local_ban |= b
@@ -304,10 +300,10 @@ def _minmax_partition_search(
         grow(seed_mask, wts[seed], adj[seed] & remaining & ~seed_mask, 0)
 
     try:
-        rec(full, n, None, (), total)
+        rec(full, n, total + 1, (), total)
     except _Ceiling:
         pass
-    return best_val, best_parts
+    return (None, None) if best_parts is None else (best_val, best_parts)
 
 
 def _block_plan(graph: GoodsGraph, mask: int):
@@ -467,16 +463,19 @@ def max_min_ratio_allocation(
     Returns {agent id: bundle} for every agent, target-0 agents included,
     and no ratios; a bundle may be empty.  Agents with target 0 are
     unconstrained.  Negative targets, targets that are not an int or a
-    Fraction, and two agents with one id are rejected.  Ties keep the first
+    Fraction, and two agents with one id are rejected, and more than
+    `MAX_VERTICES` agents raise SizeLimitError.  Ties keep the first
     optimum in canonical enumeration order, so the result is deterministic.
     """
+    if len(agents) > MAX_VERTICES:
+        raise SizeLimitError(f"{len(agents)} agents, the ratio search's cap is {MAX_VERTICES}")
     if not agents:
         raise InvalidInputError("no agents to allocate to")
     _cap(graph)
     ids = graph.vertices
     full = (1 << len(ids)) - 1
     adj = graph.neighbor_masks
-    if _component_count(adj, full) > 1:
+    if len(_components(adj, full)) > 1:
         raise StructuralError("graph is disconnected")
     n = len(agents)
     if len({a.id for a in agents}) < n:
@@ -544,7 +543,7 @@ def max_min_ratio_allocation(
         # a target-0 agent's remaining weight stays `top`.
         if min(map(max, closed_best, rem_wt)) <= best_score:
             return
-        if _component_count(adj, remaining) > parts_left:
+        if len(_components(adj, remaining)) > parts_left:
             return
         if parts_left == 1:
             # Only the whole remainder, connected, closes the partition, and
@@ -578,8 +577,6 @@ def max_min_ratio_allocation(
 
     rec(full, n, [], [], [0] * n, [sum(row) + b for row, b in zip(rows, base)])
 
-    if best_parts is None:
-        raise StructuralError("no connected partition found")
     used = 0
     bundles = {}
     for mask in best_parts:

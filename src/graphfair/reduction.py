@@ -150,17 +150,6 @@ def allocate_reduction(
 
     bundles: dict[int, frozenset[str]] = {aid: frozenset({v}) for v, aid in state.heavy}
     pending = list(state.residual_agents)
-
-    if not state.components:
-        # Pool exhausted; every leftover agent has target 0 and takes nothing.
-        for aid in pending:
-            if targets[aid] > 0:
-                raise StructuralError(
-                    f"agent {aid} has a positive target but the peel consumed all goods"
-                )
-            bundles[aid] = frozenset()
-        pending = []
-
     capacities: list[int] = []
     for comp in state.components:
         # f(i, j) of the module docstring, for this component j.
@@ -181,10 +170,14 @@ def allocate_reduction(
         sub_alloc = connected_solver(sub_graph, chosen, sub_targets)
         for a in chosen:
             bundles[a.id] = sub_alloc.bundle_of(a.id)
-    if pending:
-        raise StructuralError(
-            f"agents {pending} were never routed to a component; "
-            f"component capacities were {capacities}"
-        )
+    # A zero-target agent accepts any vertex, so the peel leaves her over
+    # only once the pool is empty, and she takes nothing.
+    for aid in pending:
+        if targets[aid] > 0:
+            raise StructuralError(
+                f"agent {aid} was never routed to a component; "
+                f"component capacities were {capacities}"
+            )
+        bundles[aid] = frozenset()
 
     return finish_allocation(inst.agents, targets, bundles, alpha)

@@ -10,7 +10,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, Value
+from .core import Allocation, Instance, InvalidInputError, Value, _EXACT
 from .graphs import is_connected_subset
 from . import oracle
 
@@ -48,7 +48,13 @@ def check_allocation(
     are disjoint, use only known vertices, and induce connected subgraphs.
     Coverage of all vertices is not required; an allocation may leave goods
     on the table without failing.
+
+    `alpha` and every supplied share must be an int or a Fraction, and a
+    supplied `mms_records` must hold a record for every agent; otherwise
+    InvalidInputError is raised, since a float has already lost exactness.
     """
+    if type(alpha) not in _EXACT:
+        raise InvalidInputError(f"alpha is {alpha!r}, not an int or a Fraction")
     notes: list[str] = []
     known = {a.id for a in inst.agents}
     labels = [label for label, _ in alloc.bundles]
@@ -82,7 +88,11 @@ def check_allocation(
     for a in sorted(inst.agents, key=lambda x: x.id):
         bundle = alloc.bundle_of(a.id)
         value = a.value(bundle & frozenset(vset))
+        if a.id not in mms_records:
+            raise InvalidInputError(f"no share record for agent {a.id}")
         share = mms_records[a.id].value
+        if type(share) not in _EXACT:
+            raise InvalidInputError(f"share of agent {a.id} is {share!r}, not an int or a Fraction")
         ratio = value / share if share > 0 else Fraction(1)
         rows.append((a.id, bundle, value, share, ratio))
         ratios.append(ratio)

@@ -84,3 +84,75 @@ def test_no_module_imports_from_typing():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == [], f"imports from typing: {offenders}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level names with one leading underscore, each with the index of its statement."""
+    defined = {}
+    for index, node in enumerate(tree.body):
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            targets = []
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = index
+    return defined
+
+
+def names_read(tree: ast.Module) -> set[tuple[str, int]]:
+    """(name, index of the module-level statement) for each name or attribute read."""
+    reads = set()
+    for index, statement in enumerate(tree.body):
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add((node.id, index))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add((node.attr, index))
+    return reads
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """module:name for each private definition nothing reads outside its own statement."""
+    readers: dict[str, set[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for name, index in names_read(tree):
+            readers.setdefault(name, set()).add((module, index))
+    return [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, index in private_definitions(tree).items()
+        if not readers.get(name, set()) - {(module, index)}
+    ]
+
+
+def test_every_private_name_in_the_package_is_read_by_the_package():
+    # A private helper that only the tests call, or a wrapper kept only so
+    # that a test can patch it, is dead weight in src/.  A read inside the
+    # name's own definition, as in a recursive call, does not count.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    assert len(trees) > 10
+    unread = unread_private_names(trees)
+    assert unread == [], f"private names nothing in the package reads: {unread}"
+
+
+def test_private_name_check_sees_what_it_should():
+    tree = ast.parse(
+        "_used = 1\n"
+        "_unused: int = 2\n"
+        "__dunder__ = 3\n"
+        "def _loop(n):\n"
+        "    return _loop(n - 1) + _used\n"
+        "class _Kept:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _Kept()\n"
+    )
+    assert unread_private_names({"m.py": tree}) == ["m.py:_unused", "m.py:_loop"]

@@ -257,21 +257,23 @@ def test_search_stops_at_the_ceiling_on_a_flat_multipartite_graph(monkeypatch):
     # A flat 12-vertex complete multipartite instance whose three-bundle
     # share is total // 3, the most any three bundles can give.  The search
     # returns at the first partition that reaches it; without that stop and
-    # the integer cut it ran 54 connectivity checks here.
+    # the integer cut it ran 54 connectivity checks here.  The count also
+    # holds pmms's own component walk of the whole graph, one more than the
+    # search's 12.
     g = gen.gen_multipartite(13, 12, 3, 20).graph
     rng = random.Random(13)
     a = agent_with({v: rng.randint(8, 12) for v in g.vertices})
     checks = []
-    count = oracle._component_count
+    walk = oracle._components
 
     def counted(adj, mask):
         checks.append(mask)
-        return count(adj, mask)
+        return walk(adj, mask)
 
-    monkeypatch.setattr(oracle, "_component_count", counted)
+    monkeypatch.setattr(oracle, "_components", counted)
     rec = oracle.pmms(g, a, 3)
     assert rec.value == sum(a.utility.values()) // 3 == 37
-    assert len(checks) == 12
+    assert len(checks) == 13
 
 
 def test_search_stops_at_the_heavy_vertex_ceiling(monkeypatch):
@@ -279,23 +281,24 @@ def test_search_stops_at_the_heavy_vertex_ceiling(monkeypatch):
     # 161.  Whichever bundle holds it, the other two share at most 80, so no
     # partition reaches total // 3 = 53 and the share is (161 - 81) // 2.
     # Stopping there takes 10 connectivity checks; stopping only at
-    # total // 3 ran the search to exhaustion in 258.
+    # total // 3 ran the search to exhaustion in 258.  pmms's own component
+    # walk of the whole graph makes the count 11.
     inst = gen.gen_multipartite(0, 11, 3, 20)
     a = inst.agents[0]
     total = sum(a.utility.values())
     heaviest = max(a.utility.values())
     assert heaviest * 3 > total
     checks = []
-    count = oracle._component_count
+    walk = oracle._components
 
     def counted(adj, mask):
         checks.append(mask)
-        return count(adj, mask)
+        return walk(adj, mask)
 
-    monkeypatch.setattr(oracle, "_component_count", counted)
+    monkeypatch.setattr(oracle, "_components", counted)
     rec = oracle.pmms(inst.graph, a, 3)
     assert rec.value == (total - heaviest) // 2 == 40 < total // 3
-    assert len(checks) == 10
+    assert len(checks) == 11
 
 
 def test_search_stops_growing_bundles_that_cannot_win(monkeypatch):
@@ -303,18 +306,19 @@ def test_search_stops_growing_bundles_that_cannot_win(monkeypatch):
     # total // 3 = 32, so the search runs to exhaustion.  Growing a bundle
     # after it leaves too little for the later ones, or after best reached
     # its level's running minimum, never reaches a connectivity check: the
-    # check count stays 11, while the bundles grown fell from 949 to 95.
+    # search's check count stays 11, while the bundles grown fell from 949
+    # to 95.  pmms's own component walk of the whole graph makes it 12.
     g = gen.gen_split(2, 10, 3, 20, 1).graph
     rng = random.Random(2)
     a = agent_with({v: rng.randint(8, 12) for v in g.vertices})
     checks = []
-    count = oracle._component_count
+    walk = oracle._components
 
     def counted(adj, mask):
         checks.append(mask)
-        return count(adj, mask)
+        return walk(adj, mask)
 
-    monkeypatch.setattr(oracle, "_component_count", counted)
+    monkeypatch.setattr(oracle, "_components", counted)
     grown = 0
 
     def profile(frame, event, arg):
@@ -330,7 +334,7 @@ def test_search_stops_growing_bundles_that_cannot_win(monkeypatch):
     finally:
         sys.setprofile(previous)
     assert rec.value == 31 < sum(a.utility.values()) // 3
-    assert len(checks) == 11
+    assert len(checks) == 12
     assert grown <= 95
 
 
@@ -550,6 +554,20 @@ def test_max_min_ratio_rejects_a_disconnected_graph():
     wide = Agent(id=1, type_id=1, utility=dict.fromkeys(big.vertices, Fraction(1)))
     with pytest.raises(SizeLimitError):
         oracle.max_min_ratio_allocation(big, [wide], {1: Fraction(1)})
+
+
+def test_max_min_ratio_caps_the_agent_count():
+    # Each partition fills tables of 2^n entries, so the search time doubles
+    # with every agent; past MAX_VERTICES agents it is refused before any
+    # other work, even on a 3-vertex path.
+    g = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    n = oracle.MAX_VERTICES + 1
+    agents = [
+        Agent(id=i, type_id=i, utility={"a": Fraction(i), "b": Fraction(1), "c": Fraction(n - i)})
+        for i in range(1, n + 1)
+    ]
+    with pytest.raises(SizeLimitError, match=f"{n} agents"):
+        oracle.max_min_ratio_allocation(g, agents, dict.fromkeys(range(1, n + 1), Fraction(1)))
 
 
 def brute_max_min_ratio(graph, agents, targets):

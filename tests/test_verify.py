@@ -1,6 +1,9 @@
 from fractions import Fraction
 
-from graphfair.core import Agent, Allocation, GoodsGraph, Instance
+import pytest
+
+from graphfair import io
+from graphfair.core import Agent, Allocation, GoodsGraph, Instance, InvalidInputError
 from graphfair.oracle import MmsRecord
 from graphfair.verify import check_allocation
 
@@ -121,3 +124,43 @@ def test_empirical_alpha_reports_min_ratio():
     inst = path_instance()
     alloc = alloc_of((1, {"d"}), (2, {"a", "b", "c"}))
     assert check_allocation(inst, alloc, Fraction(0)).min_ratio == Fraction(1, 2)
+
+
+def one_agent_path() -> tuple[Instance, Allocation]:
+    # One agent on the path a - b: her share is 10 and bundle {a} is worth 1,
+    # so the min ratio is exactly 1/10.
+    g = GoodsGraph.build(["a", "b"], [("a", "b")])
+    inst = Instance(graph=g, agents=(Agent(id=1, type_id=1, utility={"a": 1, "b": 9}),))
+    return inst, alloc_of((1, {"a"}))
+
+
+def test_a_float_alpha_is_refused():
+    inst, alloc = one_agent_path()
+    cert = check_allocation(inst, alloc, Fraction(1, 10))
+    assert cert.passes and cert.min_ratio == Fraction(1, 10)
+    # 0.1 is a little above 1/10, so it would fail the same allocation.
+    with pytest.raises(InvalidInputError, match="alpha is 0.1"):
+        check_allocation(inst, alloc, 0.1)
+
+
+@pytest.mark.parametrize("alpha", [0.5, True])
+def test_a_certificate_never_holds_an_inexact_alpha(alpha):
+    # A float alpha used to reach the certificate, and writing it out raised
+    # AttributeError; a bool is refused as core.as_value refuses it.
+    inst, alloc = one_agent_path()
+    with pytest.raises(InvalidInputError, match="alpha"):
+        cert = check_allocation(inst, alloc, alpha)
+        io.allocation_to_doc(inst, cert)
+
+
+def test_a_float_share_is_refused():
+    inst, alloc = one_agent_path()
+    with pytest.raises(InvalidInputError, match="share of agent 1 is 0.5"):
+        check_allocation(inst, alloc, Fraction(1, 2), {1: MmsRecord(0.5, ())})
+
+
+def test_supplied_shares_must_cover_every_agent():
+    inst = path_instance()
+    alloc = alloc_of((1, {"a", "b"}), (2, {"c", "d"}))
+    with pytest.raises(InvalidInputError, match="agent 2"):
+        check_allocation(inst, alloc, Fraction(1), {1: MmsRecord(Fraction(2), ())})
