@@ -14,6 +14,16 @@ rank.  Each such agent values every leftover vertex below alpha times her
 component target, which is exactly the boundedness the per-component solvers
 need.
 
+When the peel leaves a single component the count has a known answer, as
+long as every leftover agent's pmms value is positive.  Her witness then
+holds n disjoint, nonempty, connected bundles; the h peeled vertices meet at
+most h of them, so the other n - h, one per leftover agent, lie in the pool,
+and a connected bundle of a one-component pool lies in that component.  So
+every f is at least the number of leftover agents, the component serves all
+of them, and no witness is read.  The witnesses are read, and an agent whom
+no component takes is an error, only with two or more components or a
+leftover pmms value of 0.  Either way a solver gets its agents in id order.
+
 A lone agent skips both stages: she takes the witness bundle of her share,
 which is the most valuable component whole.  Likewise a component that
 serves one agent is hers whole, so the solvers only ever see two or more
@@ -21,8 +31,9 @@ agents.  Every allocator ends with the same check, finish_allocation, which
 raises when a bundle falls short of alpha times its target.
 
 A caller may fix the targets, as the block-cactus absorb does: they replace
-the shares in the peel and in the final check, and the routing still counts
-the bundles of each agent's pmms witness.
+the shares in the peel and in the final check, while the routing still
+reads each agent's pmms record, its value for the single-component case and
+otherwise the bundles of its witness.
 """
 
 from collections.abc import Callable, Mapping, Sequence
@@ -135,6 +146,10 @@ def allocate_reduction(
     Guarantees every agent a connected bundle worth alpha times her target,
     her pmms unless `targets` fixes it.  Without targets a lone agent takes
     the witness bundle of her pmms, the most valuable component whole.
+    A single leftover component serves every leftover agent without reading
+    a witness when all their pmms values are positive (the counting argument
+    of the module docstring); otherwise the witness counts route them.  The
+    solver gets each component's agents in id order.
     Input validation is the caller's job; the public allocators do it at
     entry, so recursive re-entries with partial agent sets stay cheap.
     """
@@ -150,16 +165,23 @@ def allocate_reduction(
 
     bundles: dict[int, frozenset[str]] = {aid: frozenset({v}) for v, aid in state.heavy}
     pending = list(state.residual_agents)
+    # One component and positive pmms values: every f(i, j) is at least
+    # |pending|, so the component takes everyone (module docstring).
+    lone = len(state.components) == 1 and all(records[aid].value > 0 for aid in pending)
     capacities: list[int] = []
     for comp in state.components:
-        # f(i, j) of the module docstring, for this component j.
-        f = {aid: sum(1 for b in records[aid].witness if b and b <= comp) for aid in pending}
-        ranked = sorted(pending, key=lambda aid: (-f[aid], aid))
-        k = compute_kj([f[aid] for aid in ranked])
+        if lone:
+            chosen_ids = list(pending)
+        else:
+            # f(i, j) of the module docstring, for this component j.
+            f = {aid: sum(1 for b in records[aid].witness if b and b <= comp) for aid in pending}
+            ranked = sorted(pending, key=lambda aid: (-f[aid], aid))
+            chosen_ids = sorted(ranked[: compute_kj([f[aid] for aid in ranked])])
+        k = len(chosen_ids)
         capacities.append(k)
         if k == 0:
             continue
-        chosen = [inst.agent(aid) for aid in ranked[:k]]
+        chosen = [inst.agent(aid) for aid in chosen_ids]
         for a in chosen:
             pending.remove(a.id)
         if k == 1:

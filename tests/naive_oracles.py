@@ -755,3 +755,31 @@ def frozen_hamiltonian_path_in_block(block: frozenset[str], graph: GoodsGraph, e
         path.append(endpoint)
         return path
     raise UnsupportedBlockError(f"block {tuple(sorted(block))} is neither a clique nor a cycle")
+
+
+# A frozen copy of the routing of graphfair.reduction.allocate_reduction, as
+# it ran before a single leftover component took every leftover agent
+# without reading a witness: every component counts the witness bundles it
+# holds, and its agents come in (-f, id) order.  compute_kj is inlined.
+# tests/test_reduction.py holds every connected-solver call to it.
+
+
+def frozen_route(state, records) -> list[tuple[frozenset[str], list[int]]]:
+    """(component, agents it serves in ranked order) for each leftover component.
+
+    `state` is a peel outcome and `records` maps each agent id to her pmms
+    record.  An agent that no component serves is left out.
+    """
+    pending = list(state.residual_agents)
+    routes = []
+    for comp in state.components:
+        f = {aid: sum(1 for b in records[aid].witness if b and b <= comp) for aid in pending}
+        ranked = sorted(pending, key=lambda aid: (-f[aid], aid))
+        k = 0
+        for p, aid in enumerate(ranked, start=1):
+            if f[aid] >= p:
+                k = p
+        routes.append((comp, ranked[:k]))
+        for aid in ranked[:k]:
+            pending.remove(aid)
+    return routes

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphfair import generators, multipartite, oracle, reduction, splitgraph
+from graphfair import blockcactus, generators, multipartite, oracle, reduction, splitgraph
 from graphfair.core import (
     Agent,
     Allocation,
@@ -19,6 +19,7 @@ from graphfair.reduction import (
     peel_heavy_vertices,
 )
 from graphfair.verify import check_allocation
+from naive_oracles import frozen_route
 
 
 def path(names: list[str]) -> GoodsGraph:
@@ -189,15 +190,21 @@ def test_allocate_reduction_solves_shared_components_and_serves_lone_agents_whol
     on_path = {"a": 5, "b": 5, "c": 5, "d": 5, "x": 0, "y": 0}
     inst = inst_of(g, on_path, dict(on_path), {"a": 0, "b": 0, "c": 0, "d": 0, "x": 5, "y": 5})
     # Targets of 11 keep every vertex below half a target, so nobody peels;
-    # the witnesses put two bundles of agents 1 and 2 on the path and one of
-    # agent 3 on the edge.
-    on_path_witness = (frozenset("ab"), frozenset("cd"), frozenset())
-    on_edge_witness = (frozenset("xy"),)
+    # the witnesses put two bundles of agent 1 and three of agent 2 on the
+    # path and one of agent 3 on the edge.  The counts rank agent 2 first,
+    # but the solver gets agents 1 and 2 in id order.
+    witnesses = {
+        1: (frozenset("ab"), frozenset("cd"), frozenset()),
+        2: (frozenset("a"), frozenset("b"), frozenset("cd")),
+        3: (frozenset("xy"),),
+    }
     records = {
         aid: oracle.MmsRecord(value=Fraction(11), witness=witness)
-        for aid, witness in ((1, on_path_witness), (2, on_path_witness), (3, on_edge_witness))
+        for aid, witness in witnesses.items()
     }
     monkeypatch.setattr(oracle, "pmms", lambda graph, agent, n: records[agent.id])
+    state = peel_heavy_vertices(inst, Fraction(1, 2), dict.fromkeys(records, Fraction(11)))
+    assert [ranked for _, ranked in frozen_route(state, records)] == [[2, 1], [3]]
     served: list = []
     alloc = allocate_reduction(
         inst,
@@ -293,6 +300,167 @@ def test_allocate_reduction_unroutable_agent_is_an_error(monkeypatch):
     monkeypatch.setattr(oracle, "pmms", lambda graph, agent, n: bogus)
     with pytest.raises(StructuralError):
         allocate_reduction(inst, Fraction(1, 2), halves_solver, targets={1: Fraction(10)})
+
+
+class WitnessReads:
+    """A share record that counts the reads of its witness."""
+
+    def __init__(self, record: oracle.MmsRecord):
+        self.value = record.value
+        self._witness = record.witness
+        self.reads = 0
+
+    @property
+    def witness(self):
+        self.reads += 1
+        return self._witness
+
+
+def test_a_lone_component_takes_its_agents_in_id_order_without_reading_witnesses(monkeypatch):
+    # A path and an isolated vertex z.  Agent 3 peels z, which leaves one
+    # component for agents 1 and 2.  Agent 1's 3-bundle witness spends a
+    # bundle on z, agent 2's lies on the path, so the witness counts are 2
+    # and 3 and would rank agent 2 first.
+    names = list("abcdef")
+    g = GoodsGraph.build(names + ["z"], [(names[i], names[i + 1]) for i in range(5)])
+    inst = inst_of(
+        g,
+        {**dict.fromkeys(names, 2), "z": 5},
+        {**dict.fromkeys(names, 2), "z": 0},
+        {**dict.fromkeys(names, 0), "z": 10},
+    )
+    targets = {1: Fraction(11), 2: Fraction(11), 3: Fraction(10)}
+    real = {a.id: oracle.pmms(g, a, 3) for a in inst.agents}
+    assert frozenset("z") in real[1].witness
+    assert all(b <= frozenset(names) for b in real[2].witness)
+    state = peel_heavy_vertices(inst, Fraction(1, 2), targets)
+    assert state.heavy == [("z", 3)]
+    assert frozen_route(state, real) == [(frozenset(names), [2, 1])]
+
+    counted = {aid: WitnessReads(rec) for aid, rec in real.items()}
+    monkeypatch.setattr(oracle, "pmms", lambda graph, agent, n: counted[agent.id])
+    served: list = []
+    alloc = allocate_reduction(
+        inst, Fraction(1, 2), recording(halves_solver, served), targets=targets
+    )
+    ((graph, agents, _),) = served
+    assert sorted(graph.vertices) == names
+    assert [a.id for a in agents] == [1, 2]
+    assert counted[1].reads == counted[2].reads == 0
+    records = {aid: oracle.MmsRecord(value=t, witness=()) for aid, t in targets.items()}
+    cert = check_allocation(inst, alloc, Fraction(1, 2), records)
+    assert cert.structural_ok and cert.passes
+
+
+def test_a_lone_component_still_counts_witnesses_for_a_zero_share(monkeypatch):
+    # One component and a positive target, but a pmms record of value 0:
+    # the counting argument needs nonempty witness bundles, so the routing
+    # reads the witness, finds no bundle inside the path and raises.
+    inst = inst_of(path(["a", "b", "c", "d"]), {"a": 1, "b": 1, "c": 1, "d": 1})
+    zero = WitnessReads(oracle.MmsRecord(value=Fraction(0), witness=(frozenset(),)))
+    monkeypatch.setattr(oracle, "pmms", lambda graph, agent, n: zero)
+    with pytest.raises(StructuralError, match="never routed"):
+        allocate_reduction(inst, Fraction(1, 2), halves_solver, targets={1: Fraction(8)})
+    assert zero.reads > 0
+
+    # With a positive value the same witness is never read.
+    positive = WitnessReads(oracle.MmsRecord(value=Fraction(8), witness=(frozenset(),)))
+    monkeypatch.setattr(oracle, "pmms", lambda graph, agent, n: positive)
+    alloc = allocate_reduction(inst, Fraction(1, 2), halves_solver, targets={1: Fraction(8)})
+    assert alloc.bundle_of(1) == frozenset("abcd")
+    assert positive.reads == 0
+
+
+def recorded_routings(monkeypatch) -> list:
+    """Log each allocate_reduction call made by a class allocator.
+
+    Each entry is (instance, alpha, targets, served), where served lists the
+    (component, agent ids) of every connected-solver call that this call
+    made itself; calls nested inside a solver log entries of their own.
+    """
+    log: list = []
+    original = reduction.allocate_reduction
+
+    def run(inst, alpha, connected_solver, targets=None):
+        served: list = []
+
+        def solver(graph, agents, sub_targets):
+            served.append((frozenset(graph.vertices), [a.id for a in agents]))
+            return connected_solver(graph, agents, sub_targets)
+
+        alloc = original(inst, alpha, solver, targets)
+        log.append((inst, alpha, targets, served))
+        return alloc
+
+    for module in (blockcactus, multipartite, splitgraph):
+        monkeypatch.setattr(module, "allocate_reduction", run)
+    return log
+
+
+def disjoint_union(*insts: Instance) -> Instance:
+    """The instances side by side, vertices renamed apart, agents by position."""
+    names = [{v: f"g{i}{v}" for v in inst.graph.vertices} for i, inst in enumerate(insts)]
+    graph = GoodsGraph.build(
+        [n for rename in names for n in rename.values()],
+        [(rename[u], rename[v]) for rename, inst in zip(names, insts) for u, v in inst.graph.edges],
+    )
+    agents = tuple(
+        Agent(
+            id=a.id,
+            type_id=a.type_id,
+            utility={
+                rename[v]: inst.agents[k].utility[v]
+                for rename, inst in zip(names, insts)
+                for v in inst.graph.vertices
+            },
+        )
+        for k, a in enumerate(insts[0].agents)
+    )
+    return Instance(graph=graph, agents=agents)
+
+
+def test_solver_calls_match_the_frozen_witness_routing(monkeypatch):
+    log = recorded_routings(monkeypatch)
+    for seed in range(24):
+        cactus = generators.gen_block_cactus(seed, 13 + seed % 2, 3 + seed // 2 % 2, 20)
+        split = generators.gen_split(seed, 8 + seed % 4, 2 + seed % 3, 20, 1 + seed % 2)
+        apart = disjoint_union(
+            generators.gen_block_cactus(seed, 5 + seed % 3, 3, 20),
+            generators.gen_block_cactus(seed + 100, 4 + seed % 4, 3, 20),
+        )
+        for allocate, inst in (
+            (blockcactus.allocate_block_cactus, cactus),
+            (blockcactus.allocate_block_cactus, apart),
+            (multipartite.allocate_multipartite, generators.gen_multipartite(seed, 11, 2 + seed % 2, 20)),
+            (splitgraph.allocate_split, split),
+        ):
+            for drawn in (inst, flattened(inst, seed)):
+                oracle.clear_cache()
+                allocate(drawn)
+
+    lone = several = 0
+    for inst, alpha, targets, served in log:
+        records = {a.id: oracle.pmms(inst.graph, a, inst.n) for a in inst.agents}
+        if targets is None:
+            if inst.n == 1:
+                assert served == []
+                continue
+            targets = {aid: rec.value for aid, rec in records.items()}
+        state = peel_heavy_vertices(inst, alpha, targets)
+        routes = frozen_route(state, records)
+        # Same component, same agents, now in id order; a component that
+        # serves one agent is hers whole and calls no solver.
+        assert served == [(comp, sorted(ranked)) for comp, ranked in routes if len(ranked) >= 2]
+        pending = state.residual_agents
+        if len(state.components) == 1 and all(records[aid].value > 0 for aid in pending):
+            # The counting argument: every f is at least |pending|.
+            (comp,) = state.components
+            for aid in pending:
+                assert sum(1 for b in records[aid].witness if b and b <= comp) >= len(pending)
+            lone += len(served)
+        else:
+            several += len(served)
+    assert lone and several
 
 
 def test_finish_allocation_accepts_exactly_alpha_and_zero_targets():
