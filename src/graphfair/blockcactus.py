@@ -4,7 +4,8 @@ Every biconnected piece of such a graph is a clique or a cycle, and both
 admit strong exact guarantees, so the strategy is to shrink the graph until
 it is biconnected and finish by exact search.  Shrinking happens at the
 first terminal block B in id order, read off the lowpoint search
-`graphs._blocks` on the bitmask view, with cut vertex v in one of two ways:
+`graphs.block_cut_tree` on the bitmask view, with cut vertex v in one of
+two ways:
 
 * absorb: nobody values B - v at her target, so B - v is folded into v
   (whoever eventually receives v receives B - v on top) and the smaller
@@ -37,8 +38,8 @@ from .core import (
 )
 from .graphs import (
     _bits,
-    _blocks,
     _sorted_blocks,
+    block_cut_tree,
     connected_components,
     hamiltonian_path_in_block,
     recognize,
@@ -81,7 +82,7 @@ def allocate_bounded(
 
     ids = graph.vertices
     full = (1 << len(ids)) - 1
-    pairs, reached = _blocks(graph.neighbor_masks, full) if ids else ([], None)
+    pairs, reached = block_cut_tree(graph.neighbor_masks, full) if ids else ([], None)
     if reached != full:
         raise StructuralError("graph is empty or disconnected")
 

@@ -11,14 +11,14 @@ closed grow the same way into k bundles worth at least the lightest of
 them, so the search moves up to that weight, not just to t.
 
 P(t) is computed bottom-up on the block-cut tree rooted at the smallest
-vertex, from the blocks `graphs._blocks` lists.  Each vertex ends with a
-state: the number of sets finished below it, and the weight of its open
-set, the connected set through it that is still growing, or "closed" once
-that set is finished.  States rank by finished count first, then by open
-weight, with "closed" below any open weight.  That order is safe: an open set can finish at most one set higher
-up, and nothing above sees more of it than its weight.  Each child block
-takes its best layout in that order, and a vertex whose open weight reaches
-t closes a set.
+vertex, from the blocks `graphs.block_cut_tree` lists.  Each vertex ends
+with a state: the number of sets finished below it, and the weight of its
+open set, the connected set through it that is still growing, or "closed"
+once that set is finished.  States rank by finished count first, then by
+open weight, with "closed" below any open weight.  That order is safe: an
+open set can finish at most one set higher up, and nothing above sees more
+of it than its weight.  Each child block takes its best layout in that
+order, and a vertex whose open weight reaches t closes a set.
 
 Everything here is private to `oracle`, which decides which components the
 DP serves, keeps their plans and turns the value into a share record.
@@ -80,7 +80,7 @@ _LAYOUTS = {
 
 
 def _plan(pairs: list[tuple[int, int]], adj: list[int]) -> tuple:
-    """The DP's walk of a block-cut tree, from the pairs of `graphs._blocks`.
+    """The DP's walk of a block-cut tree, from the pairs of `graphs.block_cut_tree`.
 
     `pairs` are (parent vertex, block mask), each block after the blocks
     below it, and `adj` is the bitmask adjacency.  The plan lists every

@@ -75,6 +75,13 @@ def as_value(x) -> Value:
     raise InvalidInputError(f"not a rational value: {x!r}")
 
 
+def require_int(x, what: str) -> int:
+    """`x` itself when it is an int; booleans are refused."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidInputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def value_str(v: Value) -> str:
     """Render a rational as "p/q" (denominator kept even when it is 1)."""
     return f"{v.numerator}/{v.denominator}"
@@ -222,8 +229,8 @@ def validate_instance(inst: Instance) -> list[str]:
             if extra:
                 problems.append(f"agent {a.id} values unknown vertices {extra}")
         for v, val in a.utility.items():
-            if not isinstance(val, Fraction):
-                problems.append(f"agent {a.id} has a non-rational value at {v!r}")
+            if type(val) not in _EXACT:
+                problems.append(f"agent {a.id} has {val!r} at {v!r}, not an int or a Fraction")
             elif val < 0:
                 problems.append(f"agent {a.id} has a negative value at {v!r}")
     by_type: dict[int, dict] = {}

@@ -1,10 +1,10 @@
 """Structural graph algorithms: connectivity, blocks, class recognition.
 
 Every connectivity question goes to one breadth-first walk, `_components`,
-and every block question to one lowpoint search, `_blocks`, both on the
-bitmask view a graph derives once (`GoodsGraph.neighbor_masks`).  The class
-witness, the block-cactus allocator and the block DP read `_blocks` itself;
-`block_cut_tree` names its blocks for the CLI and the API.
+and every block question to one lowpoint search, `block_cut_tree`, both on
+the bitmask view a graph derives once (`GoodsGraph.neighbor_masks`).  The
+class witness, the block-cactus allocator, the block DP and the CLI read its
+(parent, block mask) pairs.
 
 Everything here is deterministic.  Components are reported sorted by their
 smallest member, blocks are sorted by their sorted vertex tuples, and the
@@ -14,7 +14,6 @@ polynomial time on any input, and `recognize` runs each class test only when
 its witness first reads a flag or field that needs it.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
@@ -83,28 +82,15 @@ def is_connected_subset(graph: GoodsGraph, subset) -> bool:
     return len(_components(graph.neighbor_masks, _vertex_mask(graph, subset))) <= 1
 
 
-@dataclass(frozen=True)
-class BlockCutTree:
-    """Blocks and cut vertices of a connected graph.
-
-    A block containing at most one cut vertex is terminal.  A graph that is
-    itself biconnected has a single terminal block and no cut vertices.
-    """
-
-    blocks: tuple[frozenset[str], ...]
-    cut_vertices: frozenset[str]
-    terminal_blocks: frozenset[int]
-
-
-def _blocks(adj, mask: int) -> tuple[list[tuple[int, int]], int]:
+def block_cut_tree(adj, mask: int) -> tuple[list[tuple[int, int]], int]:
     """Blocks of the component of the lowest vertex of `mask`, by one lowpoint search.
 
-    Hopcroft and Tarjan's search (CACM 1973) in the vertex set `mask` of a
-    bitmask adjacency, rooted at its lowest vertex.  Returns the blocks as
-    (parent vertex, block mask) pairs, each after the blocks below it, and
-    the mask of the vertices reached.  A block's parent is its vertex
-    nearest the root, so the last block's parent is the root; a lone root
-    is a block of its own.
+    Hopcroft and Tarjan's search (CACM 1973) in the nonempty vertex set
+    `mask`, where `adj` is a graph's `neighbor_masks`, rooted at the lowest
+    vertex of `mask`.  Returns the blocks as (parent vertex, block mask)
+    pairs, each after the blocks below it, and the mask of the vertices
+    reached.  A block's parent is its vertex nearest the root, so the last
+    block's parent is the root; a lone root is a block of its own.
     """
     root = (mask & -mask).bit_length() - 1
     index = [0] * len(adj)
@@ -147,7 +133,7 @@ def _blocks(adj, mask: int) -> tuple[list[tuple[int, int]], int]:
 
 
 def _sorted_blocks(pairs) -> tuple[list[int], int]:
-    """The block masks of `_blocks` pairs sorted as id tuples, and the cut vertex mask.
+    """The block masks of `block_cut_tree` pairs sorted as id tuples, and the cut vertex mask.
 
     Every parent is a cut vertex but the root when it parents the last block alone.
     """
@@ -155,28 +141,6 @@ def _sorted_blocks(pairs) -> tuple[list[int], int]:
     for p, _ in pairs[:-1]:
         cuts |= 1 << p
     return sorted((block for _, block in pairs), key=lambda block: tuple(_bits(block))), cuts
-
-
-def block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
-    """Biconnected components, read off the lowpoint search `_blocks`.
-
-    Raises StructuralError on empty or disconnected input, the latter found by the search.
-    """
-    ids = graph.vertices
-    if not ids:
-        raise StructuralError("empty graph has no block structure")
-    full = (1 << len(ids)) - 1
-    pairs, reached = _blocks(graph.neighbor_masks, full)
-    if reached != full:
-        raise StructuralError("graph is disconnected")
-    masks, cuts = _sorted_blocks(pairs)
-    return BlockCutTree(
-        blocks=tuple(frozenset(ids[i] for i in _bits(block)) for block in masks),
-        cut_vertices=frozenset(ids[i] for i in _bits(cuts)),
-        terminal_blocks=frozenset(
-            i for i, block in enumerate(masks) if (block & cuts).bit_count() <= 1
-        ),
-    )
 
 
 def _is_clique(adj, block: int) -> bool:
@@ -263,7 +227,7 @@ class ClassWitness:
         flags: set[str] = set()
         if "connected" in self._connectivity and graph.vertices:
             adj = graph.neighbor_masks
-            pairs, _ = _blocks(adj, (1 << len(graph.vertices)) - 1)
+            pairs, _ = block_cut_tree(adj, (1 << len(graph.vertices)) - 1)
             kinds = [(_is_clique(adj, b), _is_cycle(adj, b), b.bit_count()) for _, b in pairs]
             if all(cl for cl, _, _ in kinds):
                 flags.add("block_graph")

@@ -17,6 +17,7 @@ from .core import (
     InvalidInputError,
     Value,
     as_value,
+    require_int,
     value_str,
 )
 from .verify import Certificate
@@ -52,13 +53,6 @@ def instance_to_doc(inst: Instance, type_names: Mapping[int, str] | None = None)
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidInputError(message)
-
-
-def require_int(x, what: str) -> int:
-    """`x` itself when it is a JSON integer; booleans are refused."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise InvalidInputError(f"{what} must be an integer, got {x!r}")
-    return x
 
 
 def read_json(path: str):

@@ -38,11 +38,12 @@ search.
 A component whose blocks all have at most 4 vertices, as on block graphs and
 cacti of small blocks, gets its k-bundle value from the threshold DP of
 `blockdp` instead of the search.  Its blocks come from the lowpoint search
-`graphs._blocks` on the component's mask, with no induced graph.  Before
-that search, a component with more than 2(|C| - 1) edges is turned away,
-since blocks of at most 4 vertices allow no more; every other component
-keeps the search.  Plans, and None for a component turned away, are cached
-per graph and component, and clear_cache() drops them with the records.
+`graphs.block_cut_tree` on the component's mask, with no induced graph.
+Before that search, a component with more than 2(|C| - 1) edges is turned
+away, since blocks of at most 4 vertices allow no more; every other
+component keeps the search.  Plans, and None for a component turned away,
+are cached per graph and component, and clear_cache() drops them with the
+records.
 
 Share records are made here and nowhere else, all one way: a record builds
 its witness the first time it is read, and keeps it.  A searched component
@@ -102,9 +103,10 @@ from .core import (
     Value,
     ZERO,
     _EXACT,
+    require_int,
 )
 from .blockdp import _plan, _threshold_share
-from .graphs import _bits, _blocks, _components
+from .graphs import _bits, _components, block_cut_tree
 
 MAX_VERTICES = 14
 
@@ -322,7 +324,7 @@ def _block_plan(graph: GoodsGraph, mask: int):
     adj = graph.neighbor_masks
     plan = None
     if sum((adj[i] & mask).bit_count() for i in _bits(mask)) <= 4 * (mask.bit_count() - 1):
-        pairs, _ = _blocks(adj, mask)
+        pairs, _ = block_cut_tree(adj, mask)
         if all(block.bit_count() <= 4 for _, block in pairs):
             plan = _plan(pairs, adj)
     _store(_plans, key, plan)
@@ -335,7 +337,7 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
     A component given k bundles is worth its k-bundle maximin share; covering
     V only asks every component to take at least one bundle.
     """
-    if n < 1:
+    if require_int(n, "n") < 1:
         raise InvalidInputError(f"need at least one bundle, got n={n}")
     _cap(graph)
     wts, scale = _weights_for(agent, list(graph.vertices))
@@ -462,9 +464,9 @@ def max_min_ratio_allocation(
 
     Returns {agent id: bundle} for every agent, target-0 agents included,
     and no ratios; a bundle may be empty.  Agents with target 0 are
-    unconstrained.  Negative targets, targets that are not an int or a
-    Fraction, and two agents with one id are rejected, and more than
-    `MAX_VERTICES` agents raise SizeLimitError.  Ties keep the first
+    unconstrained.  A missing or negative target, a target that is not an
+    int or a Fraction, and two agents with one id are rejected, and more
+    than `MAX_VERTICES` agents raise SizeLimitError.  Ties keep the first
     optimum in canonical enumeration order, so the result is deterministic.
     """
     if len(agents) > MAX_VERTICES:
@@ -480,7 +482,10 @@ def max_min_ratio_allocation(
     n = len(agents)
     if len({a.id for a in agents}) < n:
         raise InvalidInputError("two agents share an id")
-    tlist = [targets.get(a.id, ZERO) for a in agents]
+    for a in agents:
+        if a.id not in targets:
+            raise InvalidInputError(f"no target for agent {a.id}")
+    tlist = [targets[a.id] for a in agents]
     for a, t in zip(agents, tlist):
         if type(t) not in _EXACT:
             raise InvalidInputError(f"target of agent {a.id} is {t!r}, not an int or a Fraction")

@@ -24,8 +24,6 @@ from graphfair.core import (
     ZERO,
 )
 from graphfair.graphs import (
-    BlockCutTree,
-    block_cut_tree,
     is_connected,
     is_connected_subset,
     split_partition,
@@ -497,10 +495,10 @@ def frozen_max_min_ratio_allocation(
 
 # A frozen copy of the eager class recognizer of graphfair.graphs, which ran
 # every class test before returning, taken verbatim with the private helpers
-# it reads; only its result type is local.  It calls the public structure
-# functions (is_connected, block_cut_tree, split_partition), which networkx
-# and brute force check on their own.  tests/test_recognize.py holds the
-# lazy `ClassWitness` to it.
+# it reads; only its result type is local, and its blocks come from
+# `frozen_block_cut_tree` below.  It calls the public structure functions
+# is_connected and split_partition, which networkx and brute force check on
+# their own.  tests/test_recognize.py holds the lazy `ClassWitness` to it.
 
 
 @dataclass(frozen=True)
@@ -558,7 +556,7 @@ def frozen_recognize(graph: GoodsGraph) -> FrozenWitness:
         flags.add("tree")
 
     if connected and n >= 1:
-        bct = block_cut_tree(graph)
+        bct = frozen_block_cut_tree(graph)
         kinds = []
         for b in bct.blocks:
             kinds.append((_is_clique(graph, b), _is_cycle_set(graph, b)))
@@ -580,12 +578,26 @@ def frozen_recognize(graph: GoodsGraph) -> FrozenWitness:
 
 
 # A frozen copy of the string-keyed lowpoint search that graphfair.graphs
-# ran before its blocks came from the bitmask search `_blocks`, taken
-# verbatim; only its name is local.  tests/test_blocks.py holds
-# `block_cut_tree` to it field by field.
+# ran before its blocks came from the bitmask search `block_cut_tree`,
+# taken verbatim; only its name and its result type are local.
+# tests/test_blocks.py holds the bitmask search's pairs, translated into
+# vertex ids, to it field by field.
 
 
-def frozen_block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
+@dataclass(frozen=True)
+class FrozenBlockCutTree:
+    """Blocks and cut vertices of a connected graph.
+
+    A block containing at most one cut vertex is terminal.  A graph that is
+    itself biconnected has a single terminal block and no cut vertices.
+    """
+
+    blocks: tuple[frozenset[str], ...]
+    cut_vertices: frozenset[str]
+    terminal_blocks: frozenset[int]
+
+
+def frozen_block_cut_tree(graph: GoodsGraph) -> FrozenBlockCutTree:
     """Biconnected components via one iterative lowpoint search.
 
     Raises StructuralError on empty or disconnected input, the latter found by the search.
@@ -594,7 +606,7 @@ def frozen_block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
         raise StructuralError("empty graph has no block structure")
     if len(graph.vertices) == 1:
         only = frozenset(graph.vertices)
-        return BlockCutTree(
+        return FrozenBlockCutTree(
             blocks=(only,),
             cut_vertices=frozenset(),
             terminal_blocks=frozenset({0}),
@@ -657,7 +669,7 @@ def frozen_block_cut_tree(graph: GoodsGraph) -> BlockCutTree:
 
     blocks = tuple(sorted(raw_blocks, key=lambda b: tuple(sorted(b))))
     terminal = frozenset(i for i, b in enumerate(blocks) if len(b & cuts) <= 1)
-    return BlockCutTree(
+    return FrozenBlockCutTree(
         blocks=blocks,
         cut_vertices=frozenset(cuts),
         terminal_blocks=terminal,

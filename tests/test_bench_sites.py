@@ -6,13 +6,25 @@ named in LAYER_SPANS, and perfbench/selftest.py checks the binding sites in
 EXPECTED_SITES.  A renamed or privatised function drops out of both
 silently until a traced run or the self-test notices, so this reads the two
 lists from the source (without importing the benchmark) and checks them
-against the package.
+against the package, and checks that a small run of each class reaches
+every span.
 """
 
 import ast
 import importlib
 import inspect
+import random
+import sys
+from fractions import Fraction
 from pathlib import Path
+
+from graphfair import io, oracle
+from graphfair.blockcactus import allocate_block_cactus
+from graphfair.core import Agent, Instance
+from graphfair.generators import gen_block_cactus, gen_multipartite, gen_split
+from graphfair.multipartite import allocate_multipartite
+from graphfair.splitgraph import allocate_split
+from graphfair.verify import check_allocation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,3 +70,55 @@ def test_expected_sites_still_bind_traced_functions():
         if not is_traced(vars(importlib.import_module(module)).get(name))
     ]
     assert unbound == [], f"EXPECTED_SITES no longer bind a traced function: {unbound}"
+
+
+def flat(inst: Instance, rng: random.Random) -> Instance:
+    """`inst` with near-equal 8..12 utilities, one profile per agent type.
+
+    Flat profiles keep agents bounded, so the class solvers run where raw
+    profiles would let the peel serve most agents.
+    """
+    profiles: dict[int, dict] = {}
+    for a in inst.agents:
+        if a.type_id not in profiles:
+            profiles[a.type_id] = {v: Fraction(rng.randint(8, 12)) for v in inst.graph.vertices}
+    agents = tuple(Agent(id=a.id, type_id=a.type_id, utility=profiles[a.type_id]) for a in inst.agents)
+    return Instance(graph=inst.graph, agents=agents)
+
+
+def test_every_layer_span_is_reached():
+    # A span that no pipeline code calls reads 0 on every workload, which
+    # looks like a layer that costs nothing.  Allocate and cold-certify a few
+    # flat instances of each class, as a benchmark operation does, and watch
+    # which functions run.
+    codes = {}
+    for prefix, label, _ in literal(PERFBENCH / "run.py", "LAYER_SPANS"):
+        short, _, name = (label or prefix).partition(".")
+        codes[label or prefix] = vars(importlib.import_module(f"graphfair.{short}"))[name].__code__
+    rng = random.Random("bench-sites:spans")
+    cases = (
+        [(gen_block_cactus(seed, 11, 3, 20), allocate_block_cactus) for seed in range(4)]
+        + [(gen_multipartite(seed, 12, 2, 20), allocate_multipartite) for seed in range(2)]
+        + [(gen_split(seed, 10, 2, 20, 2), allocate_split) for seed in range(4)]
+    )
+    cases = [(flat(inst, rng), allocate) for inst, allocate in cases]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for inst, allocate in cases:
+            oracle.clear_cache()
+            alloc = allocate(inst)
+            oracle.clear_cache()
+            records = {a.id: oracle.pmms(inst.graph, a, inst.n) for a in inst.agents}
+            cert = check_allocation(inst, alloc, alloc.target_alpha, records)
+            assert cert.passes, cert.notes
+            io.canonical_dumps(io.allocation_to_doc(inst, cert))
+    finally:
+        sys.setprofile(None)
+    missed = [label for label, code in codes.items() if code not in called]
+    assert missed == [], f"no run reached these spans: {missed}"

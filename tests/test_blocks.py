@@ -1,19 +1,18 @@
 """The lowpoint search on the bitmask view, and the DP's threshold search.
 
-`graphs._blocks` is the one block search.  `block_cut_tree` translates it
-into vertex ids and must equal `naive_oracles.frozen_block_cut_tree`, the
+`graphs.block_cut_tree` is the one block search.  Its pairs, translated
+into vertex ids here, must equal `naive_oracles.frozen_block_cut_tree`, the
 string-keyed search it replaced, field by field; the search itself is held
 to networkx on connected vertex subsets.  The block DP reads its pairs, and
 its threshold search jumps to the least set a count closed; it must find
 the value of `naive_oracles.frozen_threshold_share`, the plain bisection.
-Share calls must build no block-cut tree and no induced graph, and a
-block-cactus allocation no block-cut tree.  `hamiltonian_path_in_block`
-reads its clique and cycle tests off the same view and must equal
+Share calls must build no induced graph, and neither may the peels of a
+block-cactus allocation.  `hamiltonian_path_in_block` reads its clique and
+cycle tests off the same view and must equal
 `naive_oracles.frozen_hamiltonian_path_in_block`, the string walk it replaced.
 """
 
 import random
-import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -29,7 +28,7 @@ from graphfair.core import (
     UndefinedMmsError,
     UnsupportedBlockError,
 )
-from graphfair.graphs import _bits, _blocks, _components, block_cut_tree, hamiltonian_path_in_block
+from graphfair.graphs import _bits, _components, block_cut_tree, hamiltonian_path_in_block
 from naive_oracles import (
     frozen_block_cut_tree,
     frozen_hamiltonian_path_in_block,
@@ -37,6 +36,7 @@ from naive_oracles import (
 )
 import naive_oracles
 from test_block_dp import KINDS, small_block_graph, weights
+from test_graphs import named_tree
 from test_properties import block_cactus_instances
 
 
@@ -54,25 +54,40 @@ def random_graphs(count=300):
         yield g, GoodsGraph.build([f"v{v}" for v in g.nodes], [(f"v{a}", f"v{b}") for a, b in g.edges])
 
 
-def outcome(search, graph: GoodsGraph):
-    try:
-        tree = search(graph)
-    except StructuralError as exc:
-        return "raises", str(exc)
-    return tree.blocks, tree.cut_vertices, tree.terminal_blocks
+def matches_the_frozen_search(g: nx.Graph, graph: GoodsGraph, index: int) -> bool:
+    """Hold the translated search to the frozen one; True when `graph` is connected.
+
+    The frozen search refuses an empty or disconnected graph.  On a
+    disconnected one the live search must reach exactly the component of
+    the lowest vertex, as networkx finds it.
+    """
+    if not graph.vertices:
+        with pytest.raises(StructuralError, match="empty graph has no block structure"):
+            frozen_block_cut_tree(graph)
+        return False
+    blocks, cuts, terminal, reached = named_tree(graph)
+    if not nx.is_connected(g):
+        with pytest.raises(StructuralError, match="graph is disconnected"):
+            frozen_block_cut_tree(graph)
+        lowest = int(graph.vertices[0][1:])
+        assert reached == {f"v{v}" for v in nx.node_connected_component(g, lowest)}, index
+        return False
+    tree = frozen_block_cut_tree(graph)
+    got = blocks, cuts, terminal
+    assert got == (tree.blocks, tree.cut_vertices, tree.terminal_blocks), index
+    assert reached == frozenset(graph.vertices), index
+    return True
 
 
 def test_block_cut_tree_matches_the_frozen_search_on_every_atlas_graph():
-    for index, (_, graph) in enumerate(atlas()):
-        assert outcome(block_cut_tree, graph) == outcome(frozen_block_cut_tree, graph), index
+    connected = sum(matches_the_frozen_search(g, graph, i) for i, (g, graph) in enumerate(atlas()))
+    assert connected == 996  # the connected graphs of 1 to 7 vertices
 
 
 def test_block_cut_tree_matches_the_frozen_search_on_random_graphs():
-    connected = 0
-    for index, (g, graph) in enumerate(random_graphs()):
-        got = outcome(block_cut_tree, graph)
-        assert got == outcome(frozen_block_cut_tree, graph), index
-        connected += got[0] != "raises"
+    connected = sum(
+        matches_the_frozen_search(g, graph, i) for i, (g, graph) in enumerate(random_graphs())
+    )
     assert connected >= 100
 
 
@@ -92,7 +107,7 @@ def test_hamiltonian_paths_match_the_frozen_walk_on_every_atlas_graph():
     for index, (_, graph) in enumerate(atlas()):
         ids, adj = graph.vertices, graph.neighbor_masks
         for comp in _components(adj, (1 << len(ids)) - 1):
-            for _, mask in _blocks(adj, comp)[0]:
+            for _, mask in block_cut_tree(adj, comp)[0]:
                 block = frozenset(ids[i] for i in _bits(mask))
                 for endpoint in ids:
                     got = path_outcome(hamiltonian_path_in_block, block, graph, endpoint)
@@ -104,13 +119,13 @@ def test_hamiltonian_paths_match_the_frozen_walk_on_every_atlas_graph():
 
 
 def assert_blocks_match_networkx(g: nx.Graph, graph: GoodsGraph, mask: int) -> None:
-    """`_blocks(adj, mask)` against networkx on the component of mask's lowest vertex."""
+    """`block_cut_tree(adj, mask)` against networkx on the component of mask's lowest vertex."""
     pos = graph.position
     comp = _components(graph.neighbor_masks, mask)[0]
-    pairs, reached = _blocks(graph.neighbor_masks, mask)
+    pairs, reached = block_cut_tree(graph.neighbor_masks, mask)
     assert reached == comp
     sub = g.subgraph(v for v in g.nodes if comp >> pos[f"v{v}"] & 1)
-    # networkx lists no block for a lone vertex; _blocks lists it as one.
+    # networkx lists no block for a lone vertex; block_cut_tree lists it as one.
     expected = sorted(sum(1 << pos[f"v{v}"] for v in b) for b in nx.biconnected_components(sub))
     expected = expected or [comp]
     assert sorted(block for _, block in pairs) == expected
@@ -239,21 +254,16 @@ def split_graph_with_a_big_block() -> GoodsGraph:
     return GoodsGraph.build(clique + pendants, edges + list(zip(clique, pendants)))
 
 
-def test_shares_build_no_block_cut_tree_and_no_induced_graph(record):
+def test_shares_build_no_induced_graph(record):
     split = split_graph_with_a_big_block()
     # It passes the DP's edge count, so only its blocks turn it away.
     assert 2 * len(split.edges) <= 4 * (len(split.vertices) - 1)
-    assert max(map(len, block_cut_tree(split).blocks)) == 5
+    assert max(map(len, named_tree(split)[0])) == 5
     assert graphs.recognize(split).has("split")
     cases = [(split, Agent(id=1, type_id=1, utility={v: Fraction(i % 4) for i, v in enumerate(split.vertices)}))]
     for seed in range(4):
         inst = gen.gen_block_cactus(seed, 12, 3, 20)
         cases += [(inst.graph, a) for a in inst.agents]
-    trees = [
-        record(module, "block_cut_tree")
-        for name, module in sys.modules.items()
-        if name.startswith("graphfair") and hasattr(module, "block_cut_tree")
-    ]
     induced = record(GoodsGraph, "induced")
     for graph, agent in cases:
         for n in (2, 3, 4):
@@ -262,21 +272,14 @@ def test_shares_build_no_block_cut_tree_and_no_induced_graph(record):
             oracle.mms(graph, agent, n)
             if graph is split:
                 assert oracle._plans == {(split, (1 << 10) - 1): None}
-    assert trees and all(calls == [] for calls in trees)
     assert induced == []
 
 
-def test_block_cactus_allocations_build_no_block_cut_tree_and_peels_no_induced_graph(record):
-    trees = [
-        record(module, "block_cut_tree")
-        for name, module in sys.modules.items()
-        if name.startswith("graphfair") and hasattr(module, "block_cut_tree")
-    ]
+def test_block_cactus_allocation_peels_build_no_induced_graph(record):
     peels = record(reduction, "peel_heavy_vertices")
     for seed in range(6):
         for vertices, agents in ((9, 2), (12, 3), (14, 4)):
             allocate_block_cactus(gen.gen_block_cactus(seed, vertices, agents, 20))
-    assert trees and all(calls == [] for calls in trees)
     # Replay every peel the allocations made, the absorb's re-entries
     # included, and watch for induced graphs.
     made = list(peels)

@@ -8,6 +8,7 @@ from pathlib import Path
 from graphfair import cli, graphs, io
 from graphfair.core import Agent, GoodsGraph, Instance
 from graphfair.generators import generate
+from naive_oracles import frozen_block_cut_tree
 
 
 def write_instance(path, graph: GoodsGraph, utils: list[dict], types=None):
@@ -46,7 +47,23 @@ def test_recognize_disconnected(tmp_path, capsys):
     f = tmp_path / "disc.json"
     write_instance(f, g, [{v: 1 for v in g.vertices}])
     assert cli.main(["recognize", str(f)]) == 0
-    assert "connected=false" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "connected=false" in out
+    assert "blocks=" not in out
+
+
+def test_recognize_counts_blocks_and_cut_vertices_as_the_frozen_search(tmp_path, capsys):
+    # The counts line reads the bitmask search's pairs; it must print what
+    # the string-keyed block-cut tree counts.
+    for cls in ("block-cactus", "multipartite", "split"):
+        for seed in range(5):
+            inst = generate(cls, seed, 11, 2, 20)
+            f = tmp_path / f"{cls}-{seed}.json"
+            f.write_bytes(io.canonical_dumps(io.instance_to_doc(inst)).encode("utf-8"))
+            assert cli.main(["recognize", str(f)]) == 0
+            tree = frozen_block_cut_tree(inst.graph)
+            counts = f"blocks={len(tree.blocks)} cut_vertices={len(tree.cut_vertices)}"
+            assert capsys.readouterr().out.splitlines()[-1] == counts, (cls, seed)
 
 
 def test_mms_command_reports_both_shares(tmp_path, capsys):
@@ -105,7 +122,7 @@ def test_allocate_auto_runs_each_class_test_once(tmp_path, capsys, record):
     f.write_bytes(io.canonical_dumps(io.instance_to_doc(inst)).encode("utf-8"))
     tests = {
         name: record(graphs, name)
-        for name in ("split_partition", "_multipartite_parts", "_blocks")
+        for name in ("split_partition", "_multipartite_parts", "block_cut_tree")
     }
     assert cli.main(["allocate", str(f), "--out", str(tmp_path / "alloc.json")]) == 0
     assert "class=block-cactus" in capsys.readouterr().err

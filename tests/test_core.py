@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from graphfair import generators, io, oracle
+from graphfair.blockcactus import allocate_block_cactus
 from graphfair.core import (
     Agent,
     Allocation,
@@ -12,6 +14,9 @@ from graphfair.core import (
     validate_instance,
     value_str,
 )
+from graphfair.multipartite import allocate_multipartite
+from graphfair.splitgraph import allocate_split
+from graphfair.verify import check_allocation
 
 from naive_oracles import assigned_vertices, is_alpha_bounded, is_partition_of, packing_problems
 
@@ -118,6 +123,12 @@ def test_validate_instance_flags_problems():
     neg = dict(u, a=Fraction(-1))
     assert validate_instance(Instance(graph=g, agents=(Agent(id=1, type_id=1, utility=neg),)))
 
+    # An int is exact; a bool, a float and a Fraction subclass are not taken.
+    assert validate_instance(Instance(graph=g, agents=(Agent(id=1, type_id=1, utility=dict(u, a=2)),))) == []
+    for bad in (True, 1.0, type("Sub", (Fraction,), {})(1)):
+        inexact = Instance(graph=g, agents=(Agent(id=1, type_id=1, utility=dict(u, a=bad)),))
+        assert validate_instance(inexact) == [f"agent 1 has {bad!r} at 'a', not an int or a Fraction"]
+
     # same type, different utilities
     twins = Instance(
         graph=g,
@@ -127,6 +138,48 @@ def test_validate_instance_flags_problems():
         ),
     )
     assert validate_instance(twins)
+
+
+def allocation_bytes(inst: Instance, allocate) -> bytes:
+    oracle.clear_cache()
+    alloc = allocate(inst)
+    oracle.clear_cache()
+    cert = check_allocation(inst, alloc, alloc.target_alpha)
+    assert cert.passes, cert.notes
+    return io.canonical_dumps(io.allocation_to_doc(inst, cert)).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "class_name, allocate, sizes",
+    [
+        ("block-cactus", allocate_block_cactus, ((9, 2), (11, 3))),
+        ("multipartite", allocate_multipartite, ((10, 2), (11, 3))),
+        ("split", allocate_split, ((9, 2), (9, 3))),
+    ],
+)
+def test_int_utilities_allocate_as_their_fraction_copies(class_name, allocate, sizes):
+    # The generators draw Fractions with denominator 1; the same numbers as
+    # ints must pass validation and give the same bytes.
+    for seed in range(3):
+        for vertices, agents in sizes:
+            inst = generators.generate(class_name, seed, vertices, agents, 20)
+            ints = Instance(
+                graph=inst.graph,
+                agents=tuple(
+                    Agent(id=a.id, type_id=a.type_id, utility={v: int(x) for v, x in a.utility.items()})
+                    for a in inst.agents
+                ),
+            )
+            assert allocation_bytes(ints, allocate) == allocation_bytes(inst, allocate), (seed, vertices)
+    truthy = Instance(
+        graph=inst.graph,
+        agents=tuple(
+            Agent(id=a.id, type_id=a.type_id, utility=dict(a.utility, **{inst.graph.vertices[0]: True}))
+            for a in inst.agents
+        ),
+    )
+    with pytest.raises(InvalidInputError, match="has True at"):
+        allocate(truthy)
 
 
 def test_is_alpha_bounded_is_strict():

@@ -7,6 +7,8 @@ from graphfair.core import (
     UnsupportedBlockError,
 )
 from graphfair.graphs import (
+    _bits,
+    _sorted_blocks,
     block_cut_tree,
     connected_components,
     hamiltonian_path_in_block,
@@ -14,6 +16,24 @@ from graphfair.graphs import (
     is_connected_subset,
     recognize,
 )
+
+
+def named_tree(graph: GoodsGraph) -> tuple:
+    """`block_cut_tree` on the whole of `graph`, translated into vertex ids.
+
+    Returns the blocks sorted as id tuples, the cut vertices, the indices of
+    the terminal blocks (those holding at most one cut vertex) and the
+    vertices reached, the component of the lowest vertex.
+    """
+    ids = graph.vertices
+    pairs, reached = block_cut_tree(graph.neighbor_masks, (1 << len(ids)) - 1)
+    masks, cuts = _sorted_blocks(pairs)
+
+    def names(mask: int) -> frozenset[str]:
+        return frozenset(ids[i] for i in _bits(mask))
+
+    terminal = frozenset(i for i, block in enumerate(masks) if (block & cuts).bit_count() <= 1)
+    return tuple(map(names, masks)), names(cuts), terminal, names(reached)
 
 
 def path(n: int) -> GoodsGraph:
@@ -72,30 +92,33 @@ def test_block_cut_tree_triangle_pendant():
     g = GoodsGraph.build(
         ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]
     )
-    bct = block_cut_tree(g)
-    assert sorted(tuple(sorted(b)) for b in bct.blocks) == [("a", "b", "c"), ("c", "d")]
-    assert bct.cut_vertices == frozenset({"c"})
-    assert bct.terminal_blocks == frozenset(range(len(bct.blocks)))
+    blocks, cuts, terminal, reached = named_tree(g)
+    assert sorted(tuple(sorted(b)) for b in blocks) == [("a", "b", "c"), ("c", "d")]
+    assert cuts == frozenset({"c"})
+    assert terminal == frozenset(range(len(blocks)))
+    assert reached == frozenset(g.vertices)
 
 
 def test_block_cut_tree_path_chain():
-    bct = block_cut_tree(path(4))
-    assert len(bct.blocks) == 3  # each edge is its own block
-    assert bct.cut_vertices == frozenset({"p1", "p2"})
-    assert len(bct.terminal_blocks) == 2  # only the two end edges
+    blocks, cuts, terminal, _ = named_tree(path(4))
+    assert len(blocks) == 3  # each edge is its own block
+    assert cuts == frozenset({"p1", "p2"})
+    assert len(terminal) == 2  # only the two end edges
 
 
 def test_block_cut_tree_biconnected():
-    bct = block_cut_tree(cycle(5))
-    assert len(bct.blocks) == 1
-    assert bct.cut_vertices == frozenset()
-    assert bct.terminal_blocks == frozenset({0})
+    blocks, cuts, terminal, _ = named_tree(cycle(5))
+    assert len(blocks) == 1
+    assert cuts == frozenset()
+    assert terminal == frozenset({0})
 
 
-def test_block_cut_tree_rejects_disconnected():
-    g = GoodsGraph.build(["a", "b"], [])
-    with pytest.raises(StructuralError):
-        block_cut_tree(g)
+def test_block_cut_tree_reaches_one_component_of_a_disconnected_graph():
+    # The search covers the lowest vertex's component; the caller compares
+    # what it reached with what it asked for.
+    g = GoodsGraph.build(["a", "b", "c"], [("a", "b")])
+    ab = frozenset({"a", "b"})
+    assert named_tree(g) == ((ab,), frozenset(), frozenset({0}), ab)
 
 
 def test_recognize_complete_bipartite():

@@ -9,18 +9,17 @@ import random
 from itertools import combinations, product
 
 import networkx as nx
-import pytest
 
-from graphfair.core import GoodsGraph, StructuralError
+from graphfair.core import GoodsGraph
 from graphfair.graphs import (
     _components,
-    block_cut_tree,
     connected_components,
     is_connected_subset,
     recognize,
     split_partition,
 )
 from naive_oracles import naive_split_partition
+from test_graphs import named_tree
 
 
 def name(i: int) -> str:
@@ -90,19 +89,21 @@ def test_blocks_and_cut_vertices_match_networkx():
     for index, g, ours in atlas():
         if not nx.is_connected(g):
             continue
-        tree = block_cut_tree(ours)
+        blocks, cuts, terminal, reached = named_tree(ours)
         expected = {names(b) for b in nx.biconnected_components(g)} or {names(g.nodes)}
-        assert set(tree.blocks) == expected, index
-        assert len(tree.blocks) == len(expected), index
-        assert tree.cut_vertices == names(nx.articulation_points(g)), index
+        assert set(blocks) == expected, index
+        assert len(blocks) == len(expected), index
+        assert cuts == names(nx.articulation_points(g)), index
+        assert terminal == {i for i, b in enumerate(blocks) if len(b & cuts) <= 1}, index
+        assert reached == names(g.nodes), index
 
 
-def test_block_cut_tree_rejects_every_disconnected_graph():
+def test_block_cut_tree_reaches_the_lowest_vertex_component_of_every_disconnected_graph():
     for index, g, ours in atlas():
         if nx.is_connected(g):
             continue
-        with pytest.raises(StructuralError, match="graph is disconnected"):
-            block_cut_tree(ours)
+        reached = named_tree(ours)[3]
+        assert reached == names(nx.node_connected_component(g, min(g.nodes))), index
 
 
 def test_complete_flag_matches_a_pairwise_edge_test():

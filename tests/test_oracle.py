@@ -107,10 +107,13 @@ def test_size_cap():
 
 
 def test_bad_n_rejected():
+    # True is an int to isinstance, but not a bundle count.
     g = GoodsGraph.build(["a"], [])
     a = agent_with({"a": 1})
-    with pytest.raises(InvalidInputError):
-        oracle.mms(g, a, 0)
+    for n in (0, 2.0, True, "2"):
+        for share in (oracle.mms, oracle.pmms):
+            with pytest.raises(InvalidInputError):
+                share(g, a, n)
 
 
 def test_enumerate_connected_partitions_counts():
@@ -547,9 +550,13 @@ def test_max_min_ratio_rejects_a_disconnected_graph():
     g = GoodsGraph.build(["a", "b", "c"], [("a", "b")])
     a1 = Agent(id=1, type_id=1, utility=dict.fromkeys(g.vertices, Fraction(1)))
     a2 = Agent(id=2, type_id=2, utility=dict.fromkeys(g.vertices, Fraction(1)))
-    for targets in ({1: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)}):
+    for targets in ({1: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)}, {1: 3}):
         with pytest.raises(StructuralError, match="graph is disconnected"):
             oracle.max_min_ratio_allocation(g, [a1, a2], targets)
+    # On the connected path a-b-c a missing target is an error, not target 0.
+    path = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    with pytest.raises(InvalidInputError, match="no target for agent 2"):
+        oracle.max_min_ratio_allocation(path, [a1, a2], {1: 3})
     big = GoodsGraph.build([f"v{i:02d}" for i in range(oracle.MAX_VERTICES + 1)], [])
     wide = Agent(id=1, type_id=1, utility=dict.fromkeys(big.vertices, Fraction(1)))
     with pytest.raises(SizeLimitError):

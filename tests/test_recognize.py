@@ -90,7 +90,7 @@ def test_lazy_witness_matches_the_eager_recognizer_on_generated_graphs():
 
 
 def test_split_and_multipartite_reads_build_no_block_cut_tree(record):
-    trees = record(graphs, "_blocks")
+    trees = record(graphs, "block_cut_tree")
     for graph in generated_graphs():
         recognize(graph).has("split")
         recognize(graph).has("complete_multipartite")
@@ -102,7 +102,7 @@ def test_split_and_multipartite_reads_build_no_block_cut_tree(record):
 def test_block_cactus_read_runs_no_split_or_multipartite_test(record):
     splits = record(graphs, "split_partition")
     parts = record(graphs, "_multipartite_parts")
-    trees = record(graphs, "_blocks")
+    trees = record(graphs, "block_cut_tree")
     for graph in generated_graphs():
         recognize(graph).has("block_cactus")
     assert splits == [] and parts == []
@@ -112,7 +112,7 @@ def test_block_cactus_read_runs_no_split_or_multipartite_test(record):
 def test_each_class_test_runs_once_per_witness(record):
     tests = {
         name: record(graphs, name)
-        for name in ("is_connected", "_blocks", "_multipartite_parts", "split_partition")
+        for name in ("is_connected", "block_cut_tree", "_multipartite_parts", "split_partition")
     }
     witness = recognize(gen_block_cactus(0, 9, 2, 20).graph)
     for _ in range(2):
@@ -125,9 +125,9 @@ def test_each_class_test_runs_once_per_witness(record):
 
 
 def test_multipartite_and_split_allocators_build_no_witness_block_cut_tree(record):
-    # Only the witness looks _blocks up in graphs; the share oracle's own
-    # calls go through its own binding and are not counted here.
-    trees = record(graphs, "_blocks")
+    # Only the witness looks block_cut_tree up in graphs; the share
+    # oracle's own calls go through its own binding and are not counted here.
+    trees = record(graphs, "block_cut_tree")
     for seed in range(6):
         allocate_multipartite(gen_multipartite(seed, 10, 2, 20))
         allocate_split(gen_split(seed, 9, 3, 20))
