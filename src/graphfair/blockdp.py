@@ -20,6 +20,14 @@ open set can finish at most one set higher up, and nothing above sees more
 of it than its weight.  Each child block takes its best layout in that
 order, and a vertex whose open weight reaches t closes a set.
 
+A block's best layout depends only on its children's open weights, never on
+how many sets they finished, so one counter counts every set closed
+anywhere.  Which layouts a block may take depends only on which of its
+children are still open, so each block pattern of 3 or 4 vertices has a
+table, built at import, indexed by that set of open children.  A bridge, a
+block of 2 vertices, needs no table: its child's open weight joins the
+parent's.
+
 Everything here is private to `oracle`, which decides which components the
 DP serves, keeps their plans and turns the value into a share record.
 """
@@ -31,6 +39,16 @@ from .graphs import _bits, _components
 
 def _connected(adj: list[int], vertices) -> bool:
     return len(_components(adj, sum(1 << v for v in vertices))) == 1
+
+
+def _adjacency(size: int, pairs: tuple[int, ...]) -> list[int]:
+    """The bitmask adjacency of a block pattern, as `_layouts` reads `pairs`."""
+    adj = [0] * size
+    for (a, b), edge in zip(combinations(range(size), 2), pairs):
+        if edge:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
 
 
 def _layouts(size: int, pairs: tuple[int, ...]) -> tuple:
@@ -47,11 +65,7 @@ def _layouts(size: int, pairs: tuple[int, ...]) -> tuple:
     threshold, it would have closed it.  The empty group is listed only when
     no other group exists.
     """
-    adj = [0] * size
-    for (a, b), edge in zip(combinations(range(size), 2), pairs):
-        if edge:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+    adj = _adjacency(size, pairs)
     kids = range(1, size)
     layouts = []
     for r in range(size):
@@ -70,12 +84,48 @@ def _layouts(size: int, pairs: tuple[int, ...]) -> tuple:
     return tuple(layouts)
 
 
-# Every adjacency pattern of a block of 1 to 4 vertices, 75 in all, laid out
-# once at import.
+def _table(size: int, pairs: tuple[int, ...]) -> tuple:
+    """A block pattern's layouts, indexed by its set of open children.
+
+    Bit i of the index is set when child i is open.  Each entry is
+    (plain join, ((group, join), ...)).  A layout whose join takes a closed
+    child is dropped, and a group that takes one can never reach the
+    threshold, so its layout counts as a join alone.  Weights are
+    nonnegative, so the plain join is the largest join left, and each group
+    keeps the largest join beside it; groups stay in the order they first
+    appear in `_layouts`.  The union of two joins is still connected to the
+    parent, so each largest join is unique.
+    """
+    layouts = _layouts(size, pairs)
+    table = []
+    for open_set in range(1 << (size - 1)):
+        joins = []
+        beside: dict[tuple, tuple] = {}
+        for join, group in layouts:
+            if any(open_set >> i & 1 == 0 for i in join):
+                continue
+            joins.append(join)
+            if group and all(open_set >> i & 1 for i in group):
+                if len(join) >= len(beside.get(group, ())):
+                    beside[group] = join
+        table.append((max(joins, key=len), tuple(beside.items())))
+    return tuple(table)
+
+
+def _biconnected(size: int, pairs: tuple[int, ...]) -> bool:
+    """Whether a pattern of 3 or more vertices stays connected without any one of them."""
+    adj = _adjacency(size, pairs)
+    return all(_connected(adj, [x for x in range(size) if x != cut]) for cut in range(size))
+
+
+# The blocks of 3 or 4 vertices a lowpoint search can return, 11 patterns in
+# all (the triangle and every labelling of the 4-cycle, the diamond and the
+# 4-clique), tabled once at import.
 _LAYOUTS = {
-    (size, pairs): _layouts(size, pairs)
-    for size in range(1, 5)
+    (size, pairs): _table(size, pairs)
+    for size in (3, 4)
     for pairs in product((0, 1), repeat=size * (size - 1) // 2)
+    if _biconnected(size, pairs)
 }
 
 
@@ -84,19 +134,25 @@ def _plan(pairs: list[tuple[int, int]], adj: list[int]) -> tuple:
 
     `pairs` are (parent vertex, block mask), each block after the blocks
     below it, and `adj` is the bitmask adjacency.  The plan lists every
-    vertex after the vertices below it, each with its child blocks as
-    (children, layouts).
+    vertex after the vertices below it, as (vertex, bridges, blocks): the
+    child of each bridge below it, and each larger child block as
+    (children, table), the table `_LAYOUTS` holds for its pattern.  A
+    lone-vertex block has no children.
     """
-    below: dict[int, list] = {}
+    bridges: dict[int, list[int]] = {}
+    blocks: dict[int, list] = {}
     steps = []
     for v, block in pairs:
         kids = tuple(_bits(block ^ (1 << v)))
         # The blocks below these children came before this one.
-        steps += [(x, tuple(below.pop(x, ()))) for x in kids]
-        edges = tuple(adj[a] >> b & 1 for a, b in combinations((v,) + kids, 2))
-        below.setdefault(v, []).append((kids, _LAYOUTS[len(kids) + 1, edges]))
+        steps += [(x, tuple(bridges.pop(x, ())), tuple(blocks.pop(x, ()))) for x in kids]
+        if len(kids) == 1:
+            bridges.setdefault(v, []).append(kids[0])
+        elif kids:
+            edges = tuple(adj[a] >> b & 1 for a, b in combinations((v,) + kids, 2))
+            blocks.setdefault(v, []).append((kids, _LAYOUTS[len(kids) + 1, edges]))
     root = pairs[-1][0]
-    steps.append((root, tuple(below.pop(root, ()))))
+    steps.append((root, tuple(bridges.pop(root, ())), tuple(blocks.pop(root, ()))))
     return tuple(steps)
 
 
@@ -104,47 +160,59 @@ def _set_count(plan: tuple, wts: list[int], total: int, t: int) -> tuple[int, in
     """P(t) for t >= 1, and the least weight among the sets it closed.
 
     `total` is the weight of the whole component; the least weight is
-    total + 1 when no set closed.  A closed vertex's open weight is
-    -(total + 1), so every sum that includes one is negative.
+    total + 1 when no set closed.  A closed vertex's open weight is -1.  One
+    counter counts every set closed anywhere.  A vertex adds the open weight
+    of each open bridge child; each larger child block reads the entry for its
+    open children, closes a set with the group that reaches t beside the
+    heaviest join, and adds that join, or adds the plain join when no group
+    reaches t.
     """
-    shut = -(total + 1)
+    count = 0
     least = total + 1
-    count = [0] * len(wts)
     weight = [0] * len(wts)
-    for v, below in plan:
-        c = 0
+    for v, bridges, blocks in plan:
         w = wts[v]
-        for kids, layouts in below:
-            best_got = best_add = -1
-            best_set = 0
-            for join, group in layouts:
-                add = 0
-                for i in join:
-                    add += weight[kids[i]]
-                if add < 0:
-                    continue
-                got = 0
-                s = 0
-                if group:
+        # Most vertices are leaves; the guards skip their empty loops.
+        if bridges:
+            for x in bridges:
+                if weight[x] > 0:
+                    w += weight[x]
+        if blocks:
+            for kids, table in blocks:
+                ws = [weight[x] for x in kids]
+                open_set = 0
+                bit = 1
+                for x in ws:
+                    if x >= 0:
+                        open_set |= bit
+                    bit <<= 1
+                plain, groups = table[open_set]
+                best_add = -1
+                for group, join in groups:
+                    s = 0
                     for i in group:
-                        s += weight[kids[i]]
+                        s += ws[i]
                     if s >= t:
-                        got = 1
-                if got > best_got or (got == best_got and add > best_add):
-                    best_got, best_add, best_set = got, add, s
-            for x in kids:
-                c += count[x]
-            c += best_got
-            if best_got:
-                least = min(least, best_set)
-            w += best_add
+                        add = 0
+                        for i in join:
+                            add += ws[i]
+                        if add > best_add:
+                            best_add, best_set = add, s
+                if best_add < 0:
+                    for i in plain:
+                        w += ws[i]
+                else:
+                    count += 1
+                    if best_set < least:
+                        least = best_set
+                    w += best_add
         if w >= t:
-            c += 1
-            least = min(least, w)
-            w = shut
-        count[v] = c
+            count += 1
+            if w < least:
+                least = w
+            w = -1
         weight[v] = w
-    return c, least
+    return count, least
 
 
 def _threshold_share(plan: tuple, wts: list[int], total: int, k: int) -> int:

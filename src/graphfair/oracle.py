@@ -181,16 +181,16 @@ def _weights_for(agent: Agent, ids: list[str]) -> tuple[list[int], int]:
     weights, so a negative utility is rejected here, as is any but an int or
     a Fraction.
     """
-    vals = []
+    ratios = []
     for v in ids:
         if v not in agent.utility:
             raise InvalidInputError(f"no utility for vertex {v!r}")
         val = agent.utility[v]
         if type(val) not in _EXACT:
             raise InvalidInputError(f"agent {agent.id} has {val!r} at {v!r}, not an int or a Fraction")
-        vals.append(val)
-    scale = lcm(*(val.denominator for val in vals))
-    wts = [val.numerator * (scale // val.denominator) for val in vals]
+        ratios.append(val.as_integer_ratio())
+    scale = lcm(*(q for _, q in ratios))
+    wts = [p * (scale // q) for p, q in ratios]
     low = min(wts, default=0)
     if low < 0:
         raise InvalidInputError(f"agent {agent.id} has a negative value at {ids[wts.index(low)]!r}")

@@ -9,7 +9,7 @@ itself does not need.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import lcm
 from typing import Iterable
 
@@ -679,8 +679,8 @@ def frozen_block_cut_tree(graph: GoodsGraph) -> FrozenBlockCutTree:
 # Frozen copies of the block DP's P(t) count and its plain bisection over
 # [0, total // k], as graphfair.blockdp ran them before the threshold search
 # jumped to the least closed set, taken verbatim; only their names are local.
-# They read the same plans.  tests/test_blocks.py holds `_threshold_share`
-# to them.
+# They read the plans of `frozen_plan` below.  tests/test_blocks.py holds
+# `_threshold_share` to them.
 
 
 def frozen_set_count(plan: tuple, wts: list[int], total: int, t: int) -> int:
@@ -734,6 +734,133 @@ def frozen_threshold_share(plan: tuple, wts: list[int], total: int, k: int) -> i
         else:
             hi = mid - 1
     return lo
+
+
+# Frozen copies of the block DP's plans and its jumping P(t) count, as
+# graphfair.blockdp ran them before the count read one table per set of open
+# children: the layouts of every block pattern of 1 to 4 vertices, a plan
+# that lists every child block with its layouts, and a count that keeps one
+# count per vertex.  They are taken verbatim with the private helpers above;
+# only their names are local.  tests/test_blocks.py holds `_set_count` to
+# `frozen_jump_set_count`.
+
+
+def _frozen_connected(adj: list[int], vertices) -> bool:
+    return _component_count(adj, sum(1 << v for v in vertices)) == 1
+
+
+def frozen_layouts(size: int, pairs: tuple[int, ...]) -> tuple:
+    """The ways a block's children can meet its parent vertex, as (join, group).
+
+    The block's `size` vertices are the parent and then its children, and
+    `pairs` holds 1 for each adjacent pair of them, in combinations order.
+    Layouts name children by their index among the children.  The children
+    in `join` add their open sets to the parent's, so join plus the parent
+    must be connected.  Of the other children, a `group` of two or more,
+    connected without the parent, may finish a set of its own; a block of at
+    most 4 vertices has at most 3 children, so there is at most one such
+    group.  A lone child needs no group: had its open set reached the
+    threshold, it would have closed it.  The empty group is listed only when
+    no other group exists.
+    """
+    adj = [0] * size
+    for (a, b), edge in zip(combinations(range(size), 2), pairs):
+        if edge:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    kids = range(1, size)
+    layouts = []
+    for r in range(size):
+        for join in combinations(kids, r):
+            if not _frozen_connected(adj, (0,) + join):
+                continue
+            rest = [x for x in kids if x not in join]
+            groups = [
+                group
+                for g in range(2, len(rest) + 1)
+                for group in combinations(rest, g)
+                if _frozen_connected(adj, group)
+            ]
+            for group in groups or [()]:
+                layouts.append((tuple(x - 1 for x in join), tuple(x - 1 for x in group)))
+    return tuple(layouts)
+
+
+# Every adjacency pattern of a block of 1 to 4 vertices, 75 in all, laid out
+# once at import.
+_FROZEN_LAYOUTS = {
+    (size, pairs): frozen_layouts(size, pairs)
+    for size in range(1, 5)
+    for pairs in product((0, 1), repeat=size * (size - 1) // 2)
+}
+
+
+def frozen_plan(pairs: list[tuple[int, int]], adj: list[int]) -> tuple:
+    """The DP's walk of a block-cut tree, from the pairs of `graphs.block_cut_tree`.
+
+    `pairs` are (parent vertex, block mask), each block after the blocks
+    below it, and `adj` is the bitmask adjacency.  The plan lists every
+    vertex after the vertices below it, each with its child blocks as
+    (children, layouts).
+    """
+    below: dict[int, list] = {}
+    steps = []
+    for v, block in pairs:
+        kids = tuple(_bits(block ^ (1 << v)))
+        # The blocks below these children came before this one.
+        steps += [(x, tuple(below.pop(x, ()))) for x in kids]
+        edges = tuple(adj[a] >> b & 1 for a, b in combinations((v,) + kids, 2))
+        below.setdefault(v, []).append((kids, _FROZEN_LAYOUTS[len(kids) + 1, edges]))
+    root = pairs[-1][0]
+    steps.append((root, tuple(below.pop(root, ()))))
+    return tuple(steps)
+
+
+def frozen_jump_set_count(plan: tuple, wts: list[int], total: int, t: int) -> tuple[int, int]:
+    """P(t) for t >= 1, and the least weight among the sets it closed.
+
+    `total` is the weight of the whole component; the least weight is
+    total + 1 when no set closed.  A closed vertex's open weight is
+    -(total + 1), so every sum that includes one is negative.
+    """
+    shut = -(total + 1)
+    least = total + 1
+    count = [0] * len(wts)
+    weight = [0] * len(wts)
+    for v, below in plan:
+        c = 0
+        w = wts[v]
+        for kids, layouts in below:
+            best_got = best_add = -1
+            best_set = 0
+            for join, group in layouts:
+                add = 0
+                for i in join:
+                    add += weight[kids[i]]
+                if add < 0:
+                    continue
+                got = 0
+                s = 0
+                if group:
+                    for i in group:
+                        s += weight[kids[i]]
+                    if s >= t:
+                        got = 1
+                if got > best_got or (got == best_got and add > best_add):
+                    best_got, best_add, best_set = got, add, s
+            for x in kids:
+                c += count[x]
+            c += best_got
+            if best_got:
+                least = min(least, best_set)
+            w += best_add
+        if w >= t:
+            c += 1
+            least = min(least, w)
+            w = shut
+        count[v] = c
+        weight[v] = w
+    return c, least
 
 
 # A frozen copy of the string-keyed in-block Hamiltonian path of

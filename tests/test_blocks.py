@@ -5,7 +5,11 @@ into vertex ids here, must equal `naive_oracles.frozen_block_cut_tree`, the
 string-keyed search it replaced, field by field; the search itself is held
 to networkx on connected vertex subsets.  The block DP reads its pairs, and
 its threshold search jumps to the least set a count closed; it must find
-the value of `naive_oracles.frozen_threshold_share`, the plain bisection.
+the value of `naive_oracles.frozen_threshold_share`, the plain bisection,
+run on `naive_oracles.frozen_plan` of the same component.  Its count reads
+one table per set of open children and must return the `(count, least)` of
+`naive_oracles.frozen_jump_set_count`, the count that scanned every layout,
+at every threshold; each table entry must pick as that scan does.
 Share calls must build no induced graph, and neither may the peels of a
 block-cactus allocation.  `hamiltonian_path_in_block` reads its clique and
 cycle tests off the same view and must equal
@@ -14,6 +18,7 @@ cycle tests off the same view and must equal
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
@@ -157,15 +162,16 @@ def test_blocks_of_vertex_subsets_match_networkx():
             assert_blocks_match_networkx(g, graph, mask)
 
 
-def assert_threshold_calls_match_the_bisection(calls) -> None:
+def assert_threshold_calls_match_the_bisection(calls, plans) -> None:
+    # Each live plan, by id, and `frozen_plan` of the same component.
+    frozen = {id(call.result): naive_oracles.frozen_plan(*call.args) for call in plans}
     for call in calls:
-        assert call.result == frozen_threshold_share(*call.args), call.args
+        plan, *rest = call.args
+        assert call.result == frozen_threshold_share(frozen[id(plan)], *rest), rest
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_threshold_share_matches_the_bisection_on_the_block_dp_draws(kind, record):
-    # The connected draws of tests/test_block_dp.py, in its order.
-    calls = record(oracle, "_threshold_share")
+def run_block_dp_draws(kind: str) -> None:
+    """The connected draws of tests/test_block_dp.py, in its order."""
     rng = random.Random(f"block-dp:{kind}")
     for size in range(1, 13):
         for _ in range(3):
@@ -174,12 +180,9 @@ def test_threshold_share_matches_the_bisection_on_the_block_dp_draws(kind, recor
             for n in range(2, size + 1):
                 oracle.clear_cache()
                 oracle.pmms(graph, agent, n)
-    assert calls
-    assert_threshold_calls_match_the_bisection(calls)
 
 
-def test_threshold_share_matches_the_bisection_on_disconnected_block_dp_draws(record):
-    calls = record(oracle, "_threshold_share")
+def run_disconnected_draws() -> None:
     rng = random.Random("block-dp:disconnected")
     for trial in range(20):
         parts = [small_block_graph(rng, rng.randint(1, 5), prefix=f"c{c}") for c in range(3)]
@@ -194,33 +197,59 @@ def test_threshold_share_matches_the_bisection_on_disconnected_block_dp_draws(re
                     share(graph, agent, n)
                 except UndefinedMmsError:
                     pass
-    assert calls
-    assert_threshold_calls_match_the_bisection(calls)
 
 
-def test_threshold_share_matches_the_bisection_on_cold_block_cactus_certificates(record):
-    calls = record(oracle, "_threshold_share")
+def run_cold_block_cactus_certificates() -> None:
     for seed in range(6):
         inst = gen.gen_block_cactus(seed, 12, 3, 20)
         allocate_block_cactus(inst)
         oracle.clear_cache()
         for a in inst.agents:
             oracle.pmms(inst.graph, a, inst.n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_threshold_share_matches_the_bisection_on_the_block_dp_draws(kind, record):
+    plans = record(oracle, "_plan")
+    calls = record(oracle, "_threshold_share")
+    run_block_dp_draws(kind)
     assert calls
-    assert_threshold_calls_match_the_bisection(calls)
+    assert_threshold_calls_match_the_bisection(calls, plans)
+
+
+def test_threshold_share_matches_the_bisection_on_disconnected_block_dp_draws(record):
+    plans = record(oracle, "_plan")
+    calls = record(oracle, "_threshold_share")
+    run_disconnected_draws()
+    assert calls
+    assert_threshold_calls_match_the_bisection(calls, plans)
+
+
+def test_threshold_share_matches_the_bisection_on_cold_block_cactus_certificates(record):
+    plans = record(oracle, "_plan")
+    calls = record(oracle, "_threshold_share")
+    run_cold_block_cactus_certificates()
+    assert calls
+    assert_threshold_calls_match_the_bisection(calls, plans)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(block_cactus_instances())
 def test_threshold_share_matches_the_bisection_on_block_cactus_properties(inst):
     found = []
-    share = oracle._threshold_share
+    frozen = {}
+    share, plan = oracle._threshold_share, oracle._plan
 
     def logged(*args):
         found.append((args, share(*args)))
         return found[-1][1]
 
-    oracle._threshold_share = logged
+    def planned(*args):
+        made = plan(*args)
+        frozen[id(made)] = naive_oracles.frozen_plan(*args)
+        return made
+
+    oracle._threshold_share, oracle._plan = logged, planned
     try:
         oracle.clear_cache()
         allocate_block_cactus(inst)
@@ -228,9 +257,63 @@ def test_threshold_share_matches_the_bisection_on_block_cactus_properties(inst):
         for a in inst.agents:
             oracle.pmms(inst.graph, a, inst.n)
     finally:
-        oracle._threshold_share = share
-    for args, value in found:
-        assert value == frozen_threshold_share(*args), args
+        oracle._threshold_share, oracle._plan = share, plan
+    for (live, *rest), value in found:
+        assert value == frozen_threshold_share(frozen[id(live)], *rest), rest
+
+
+def connected_set_weights(adj: list[int], comp: int, wts: list[int]) -> set[int]:
+    """The weight of every connected set of vertices in the component `comp`."""
+    found = set()
+    sub = comp
+    while sub:
+        if len(_components(adj, sub)) == 1:
+            found.add(sum(wts[i] for i in _bits(sub)))
+        sub = (sub - 1) & comp
+    return found
+
+
+def probes(adj: list[int], comp: int, wts: list[int], hi: int):
+    """Thresholds in [1, hi] that stand for every t in it.
+
+    P(t) and the least closed set compare t only with weights of connected
+    sets, so t and t' give the same count unless a connected set weighs at
+    least one of them and less than the other.  When the range is longer
+    than the component has vertex sets, the count is read at 1 and just
+    above each connected set's weight; otherwise at every t.
+    """
+    if hi <= 1 << comp.bit_count():
+        return range(1, hi + 1)
+    return sorted({1} | {s + 1 for s in connected_set_weights(adj, comp, wts) if s < hi})
+
+
+def test_set_count_matches_the_frozen_jump_count_at_every_threshold(record):
+    plans = record(oracle, "_plan")
+    calls = record(oracle, "_threshold_share")
+    for kind in KINDS:
+        run_block_dp_draws(kind)
+    run_disconnected_draws()
+    run_cold_block_cactus_certificates()
+    made = {id(call.result): call for call in plans}
+    bounds: dict = {}
+    for call in calls:
+        plan, wts, total, k = call.args
+        key = (id(plan), tuple(wts), total)
+        bounds[key] = max(bounds.get(key, 0), total // k + 1)
+    assert len(bounds) > 500
+    kinds = {"small": 0, "wide": 0}
+    for (plan_id, wts, total), hi in bounds.items():
+        pairs, adj = made[plan_id].args
+        live, frozen = made[plan_id].result, naive_oracles.frozen_plan(pairs, adj)
+        comp = 0
+        for _, block in pairs:
+            comp |= block
+        ts = probes(adj, comp, list(wts), hi)
+        kinds["small" if isinstance(ts, range) else "wide"] += 1
+        for t in ts:
+            got = blockdp._set_count(live, list(wts), total, t)
+            assert got == naive_oracles.frozen_jump_set_count(frozen, list(wts), total, t), (wts, t)
+    assert all(kinds.values()), kinds
 
 
 def test_the_jump_makes_fewer_counts_than_the_bisection(record):
@@ -239,11 +322,103 @@ def test_the_jump_makes_fewer_counts_than_the_bisection(record):
     # search is done; the bisection also counts at 6, 7 and 8.
     graph = GoodsGraph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
     plan = oracle._block_plan(graph, 0b1111)
+    frozen = naive_oracles.frozen_plan(block_cut_tree(graph.neighbor_masks, 0b1111)[0], graph.neighbor_masks)
     jumps = record(blockdp, "_set_count")
     steps = record(naive_oracles, "frozen_set_count")
     assert blockdp._threshold_share(plan, [8, 0, 1, 8], 17, 2) == 8
-    assert frozen_threshold_share(plan, [8, 0, 1, 8], 17, 2) == 8
+    assert frozen_threshold_share(frozen, [8, 0, 1, 8], 17, 2) == 8
     assert (len(jumps), len(steps)) == (1, 4)
+
+
+def test_the_tables_hold_the_eleven_biconnected_patterns():
+    expected = set()
+    for size in (3, 4):
+        for pairs in product((0, 1), repeat=size * (size - 1) // 2):
+            g = nx.Graph()
+            g.add_nodes_from(range(size))
+            g.add_edges_from(e for e, edge in zip(combinations(range(size), 2), pairs) if edge)
+            if nx.is_biconnected(g):
+                expected.add((size, pairs))
+    assert len(expected) == 11
+    assert set(blockdp._LAYOUTS) == expected
+
+
+def scanned_pick(layouts: tuple, ws: list[int], t: int) -> tuple:
+    """(closes a set, join weight added, weight of the set closed), scanning every layout."""
+    best_got = best_add = -1
+    best_set = None
+    for join, group in layouts:
+        add = sum(ws[i] for i in join)
+        if add < 0:
+            continue
+        s = sum(ws[i] for i in group)
+        got = int(bool(group) and s >= t)
+        if got > best_got or (got == best_got and add > best_add):
+            best_got, best_add, best_set = got, add, s if got else None
+    return best_got, best_add, best_set
+
+
+def table_pick(entry: tuple, ws: list[int], t: int) -> tuple:
+    """The same pick read off a table entry: the heaviest join beside a group that reaches t."""
+    plain, groups = entry
+    pick = (0, sum(ws[i] for i in plain), None)
+    for group, join in groups:
+        s = sum(ws[i] for i in group)
+        add = sum(ws[i] for i in join)
+        if s >= t and (not pick[0] or add > pick[1]):
+            pick = (1, add, s)
+    return pick
+
+
+@pytest.mark.parametrize("t", (1, 5, 2**64))
+def test_every_table_entry_picks_as_a_scan_of_the_layouts(t):
+    # Closed children weigh -(total + 1), as in the count the tables replaced.
+    draws = (0, 1, t - 1, t, 2**64)
+    for (size, pairs), table in blockdp._LAYOUTS.items():
+        layouts = blockdp._layouts(size, pairs)
+        assert len(table) == 1 << (size - 1)
+        for open_set, entry in enumerate(table):
+            kids = [i for i in range(size - 1) if open_set >> i & 1]
+            for drawn in product(draws, repeat=len(kids)):
+                total = sum(drawn)
+                ws = [-(total + 1)] * (size - 1)
+                for i, w in zip(kids, drawn):
+                    ws[i] = w
+                assert table_pick(entry, ws, t) == scanned_pick(layouts, ws, t), (pairs, ws)
+
+
+def test_every_small_block_of_an_atlas_graph_is_a_bridge_a_lone_vertex_or_tabled():
+    kinds = {"lone": 0, "bridge": 0}
+    tabled = set()
+    for _, graph in atlas():
+        adj = graph.neighbor_masks
+        for comp in _components(adj, (1 << len(graph.vertices)) - 1):
+            pairs, _ = block_cut_tree(adj, comp)
+            if any(block.bit_count() > 4 for _, block in pairs):
+                continue
+            for v, block in pairs:
+                kids = tuple(_bits(block ^ (1 << v)))
+                if len(kids) < 2:
+                    kinds["bridge" if kids else "lone"] += 1
+                    continue
+                key = len(kids) + 1, tuple(adj[a] >> b & 1 for a, b in combinations((v,) + kids, 2))
+                assert key in blockdp._LAYOUTS, key
+                tabled.add(key)
+            blockdp._plan(pairs, adj)
+    assert all(kinds.values()), kinds
+    assert tabled == set(blockdp._LAYOUTS)
+
+
+@pytest.mark.parametrize("w", (0, 1, 7, 2**64))
+def test_a_one_vertex_component_shares_as_the_frozen_dp(w):
+    pairs, _ = block_cut_tree([0], 1)
+    plan = blockdp._plan(pairs, [0])
+    frozen = naive_oracles.frozen_plan(pairs, [0])
+    assert plan == ((0, (), ()),)
+    for k in (1, 2, 3):
+        assert blockdp._threshold_share(plan, [w], w, k) == frozen_threshold_share(frozen, [w], w, k)
+    for t in {1, w, w + 1} - {0}:
+        assert blockdp._set_count(plan, [w], w, t) == naive_oracles.frozen_jump_set_count(frozen, [w], w, t)
 
 
 def split_graph_with_a_big_block() -> GoodsGraph:
