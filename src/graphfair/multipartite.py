@@ -69,8 +69,9 @@ def make_bipart_split(
     v2: frozenset[str] = frozenset().union(*parts[ell:])
     if len(v1) < n or len(v2) < n:
         raise GuaranteeViolationError("half sizes fell below the agent count")
-    n1 = tuple(a.id for a in agents if a.value(v1) >= a.value(v2))
-    n2 = tuple(a.id for a in agents if a.value(v1) < a.value(v2))
+    in_v1 = [a.value(v1) >= a.value(v2) for a in agents]
+    n1 = tuple(a.id for a, side in zip(agents, in_v1) if side)
+    n2 = tuple(a.id for a, side in zip(agents, in_v1) if not side)
     return BipartSplit(v1=v1, v2=v2, n1=n1, n2=n2)
 
 

@@ -16,8 +16,16 @@ The test also stops a bundle from growing: weights are nonnegative, so
 when a bundle leaves too little for the bundles after it, every superset
 leaves less.  Nor does a level go on growing bundles once `best` has
 reached its running minimum, since no bundle closed there can beat it.
-These cuts drop only nodes that could never recurse, so the search makes
-the same recursive calls in the same order as without them.
+These cuts drop only nodes that could never recurse.  The search also
+walks the components of each remainder and leaves one with more
+components than bundles to come.  Once a partition is known, the room cut
+leaves a remainder of two or more components at once when they cannot
+hold the bundles to come at best + 1 each: every bundle is connected, so
+it lies inside one component, the partition covers every component, and
+a component C holds at most w(C) // (best + 1) bundles.  This cut drops
+recursive calls, but only calls under which no partition beats `best`,
+which only rises; so the search closes the same partitions in the same
+order as without any cut, and returns the same result.
 With one bundle left, the whole remainder closes the partition in one step,
 since no other subset could.  No partition's smallest bundle is worth more
 than (total - top_j) // (n - j) for any j < n, top_j being the weight of
@@ -227,9 +235,12 @@ def _minmax_partition_search(
     Best starts at -1 without a floor and the running minimum at total + 1,
     so the state is all ints.  A bundle stops growing when it leaves less
     than best + 1 for each later bundle, and a level stops when best reaches
-    its running minimum.  Neither cut drops a node that could recurse, so
-    the recursive calls, and with them every result, are those of the uncut
-    enumeration.
+    its running minimum.  Neither cut drops a node that could recurse.  A
+    remainder in two or more components is left at once, once best is 0 or
+    more, when its components cannot hold the bundles still to come at
+    best + 1 each.  That room cut drops recursive calls, but only calls
+    under which no partition beats best, so the partitions that raise best,
+    and with them every result, are those of the uncut enumeration.
     """
     ws = [wts[i] for i in _bits(full)]
     total = sum(ws)
@@ -261,7 +272,8 @@ def _minmax_partition_search(
                 if best_val >= ceiling:
                     raise _Ceiling
             return
-        if len(_components(adj, remaining)) > parts_left:
+        comps = _components(adj, remaining)
+        if len(comps) > parts_left:
             return
         if parts_left == 1:
             # Only the whole remainder, connected, closes the partition.
@@ -270,6 +282,19 @@ def _minmax_partition_search(
             if best_val >= ceiling:
                 raise _Ceiling
             return
+        if best_val >= 0 and len(comps) > 1:
+            # A completion that beats best puts parts_left bundles worth
+            # need or more on the remainder, each inside one component and
+            # at least one in each, so component C holds 1 to w(C) // need.
+            need = best_val + 1
+            room = 0
+            for comp in comps:
+                fit = sum(wts[i] for i in _bits(comp)) // need
+                if not fit:
+                    return
+                room += fit
+            if room < parts_left:
+                return
         seed = (remaining & -remaining).bit_length() - 1
         seed_mask = 1 << seed
 

@@ -341,6 +341,44 @@ def test_search_stops_growing_bundles_that_cannot_win(monkeypatch):
     assert grown <= 95
 
 
+def test_search_stops_at_a_remainder_without_room_for_its_bundles(monkeypatch):
+    # A flat 12-vertex split instance whose four-bundle share, 28, is below
+    # total // 4 = 29, so the search runs to exhaustion.  Closing a bundle
+    # often strands independent vertices; once a partition worth best is
+    # known, a remainder with a component worth less than best + 1, or whose
+    # components hold fewer than the bundles still to come at best + 1 each,
+    # is left at once.  Counting only its components, the search made 1931
+    # connectivity checks here (pmms's own walk included) and grew 3279
+    # bundles; now it makes 431 and grows 847.
+    g = gen.gen_split(2, 12, 4, 20, 1).graph
+    rng = random.Random(2)
+    a = agent_with({v: rng.randint(8, 12) for v in g.vertices})
+    checks = []
+    walk = oracle._components
+
+    def counted(adj, mask):
+        checks.append(mask)
+        return walk(adj, mask)
+
+    monkeypatch.setattr(oracle, "_components", counted)
+    grown = 0
+
+    def profile(frame, event, arg):
+        nonlocal grown
+        if event == "call" and frame.f_code.co_name == "grow":
+            grown += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        rec = oracle.pmms(g, a, 4)
+    finally:
+        sys.setprofile(previous)
+    assert rec.value == 28 < sum(a.utility.values()) // 4
+    assert len(checks) == 431
+    assert grown == 847
+
+
 def test_negative_utilities_are_rejected():
     # The searches and the threshold DP assume nonnegative weights.  Here
     # the oracle would report 0 where the three-bundle share is -4.

@@ -23,11 +23,22 @@ positive target or with five agents, one whose assignment is not the first
 optimal permutation, and the block-cactus solver's single-block ratio call.  Each corner share search that finds a value runs again with
 that value as its floor, the path a witness read after the threshold DP
 takes, and must return the same first optimum.
+
+Two samples aim at the cut that leaves a remainder whose components cannot
+hold the bundles still to come: flat split and complete multipartite graphs
+of 12-14 vertices, where closing a bundle strands independent vertices, and
+every connected graph of at most 7 vertices in networkx's atlas.  The share
+search's `rec` and `grow` frames over the allocation sample and the first of
+these are counted and pinned.  The counts do not depend on the machine, so
+a weaker cut or extra work fails here on any host, and a stronger cut has
+to move the pins on purpose.
 """
 
 import random
+import sys
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from graphfair import generators as gen
@@ -114,7 +125,30 @@ def assert_ratio_calls_match(calls) -> None:
         assert frozen_max_min_ratio_allocation(*call.args) == call.result, call.args
 
 
-def test_allocation_and_share_searches_match_the_frozen_searches(record):
+def search_nodes(calls) -> dict[str, int]:
+    """The `rec` and `grow` frames the share search opens over `calls`.
+
+    Each call is replayed from its (args, kwargs); the share search calls
+    no other function of either name.
+    """
+    nodes = {"rec": 0, "grow": 0}
+
+    def profile(frame, event, arg):
+        name = frame.f_code.co_name
+        if event == "call" and name in nodes:
+            nodes[name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for args, kwargs in calls:
+            oracle._minmax_partition_search(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return nodes
+
+
+def test_allocation_and_share_searches_match_the_frozen_searches(record, monkeypatch):
     shares = record(oracle, "_minmax_partition_search")
     ratios = record(oracle, "max_min_ratio_allocation")
     for name, inst in sample():
@@ -142,6 +176,69 @@ def test_allocation_and_share_searches_match_the_frozen_searches(record):
     floored = ["floor" in call.kwargs for call in shares]
     assert any(floored) and not all(floored), len(shares)
     assert len(ratios) >= 8, len(ratios)
+    # Replayed without the recording wrappers.
+    monkeypatch.undo()
+    assert search_nodes((call.args, call.kwargs) for call in shares) == {"rec": 2361, "grow": 12032}
+
+
+def room_cases():
+    """Share searches on graphs where closing a bundle strands vertices.
+
+    Flat split graphs with one and with two agent types, and flat complete
+    multipartite graphs, of 12-14 vertices: each type's 8..12 profile is
+    searched for 3 and for 4 bundles.
+    """
+    rng = random.Random("search-replay:room")
+    for trial in range(18):
+        size, seed = rng.randint(12, 14), rng.randrange(2**31)
+        if trial % 3 == 2:
+            graph, types = gen.gen_multipartite(seed, size, 2, 20).graph, 1
+        else:
+            types = 1 + trial % 3
+            graph = gen.gen_split(seed, size, types, 20, types).graph
+        for _ in range(types):
+            wts = [rng.randint(8, 12) for _ in graph.vertices]
+            for n in (3, 4):
+                yield graph.neighbor_masks, (1 << len(graph.vertices)) - 1, wts, n
+
+
+def test_room_cut_searches_match_the_frozen_search():
+    cases = list(room_cases())
+    below = 0
+    for args in cases:
+        got = oracle._minmax_partition_search(*args)
+        assert got == frozen_minmax_partition_search(*args), args
+        assert oracle._minmax_partition_search(*args, floor=got[0]) == got
+        below += got[0] < heavy_ceiling(*args)
+    # Half the searches have to prove a value below the ceiling, where the
+    # search runs to exhaustion and the cut does its work.
+    assert below * 2 >= len(cases), below
+    assert search_nodes((args, {}) for args in cases) == {"rec": 16313, "grow": 116552}
+
+
+ALPHABETS = ((1, 1, 2), (0, 5, 5, 7), (3, 3, 3))
+
+
+def test_atlas_share_searches_match_the_frozen_search():
+    # Every connected graph of at most 7 vertices, each weighted from three
+    # alphabets with ties and zeros, for every n from 1 to one past its
+    # vertex count, with and without the optimum as floor.
+    rng = random.Random("search-replay:atlas")
+    searches = 0
+    for g in nx.graph_atlas_g()[1:]:
+        if not nx.is_connected(g):
+            continue
+        m = g.number_of_nodes()
+        adj = [sum(1 << j for j in g[i]) for i in range(m)]
+        full = (1 << m) - 1
+        for alphabet in ALPHABETS:
+            wts = [rng.choice(alphabet) for _ in range(m)]
+            for n in range(1, m + 2):
+                got = oracle._minmax_partition_search(adj, full, wts, n)
+                assert got == frozen_minmax_partition_search(adj, full, wts, n), (g.edges, wts, n)
+                assert oracle._minmax_partition_search(adj, full, wts, n, floor=got[0]) == got
+                searches += 1
+    assert searches == 23331
 
 
 def random_graph(rng: random.Random, size: int, density: float) -> GoodsGraph:
