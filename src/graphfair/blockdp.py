@@ -17,14 +17,17 @@ open set, the connected set through it that is still growing, or "closed"
 once that set is finished.  States rank by finished count first, then by
 open weight, with "closed" below any open weight.  That order is safe: an
 open set can finish at most one set higher up, and nothing above sees more
-of it than its weight.  Each child block takes its best layout in that
-order, and a vertex whose open weight reaches t closes a set.
+of it than its weight.  Each child block takes its best choice in that
+order, a join added to the parent's open set, perhaps beside a group that
+closes a set of its own (`_table` defines both), and a vertex whose open
+weight reaches t closes a set.
 
-A block's best layout depends only on its children's open weights, never on
+A block's best choice depends only on its children's open weights, never on
 how many sets they finished, so one counter counts every set closed
-anywhere.  Which layouts a block may take depends only on which of its
-children are still open, so each block pattern of 3 or 4 vertices has a
-table, built at import, indexed by that set of open children.  A bridge, a
+anywhere.  Which joins and groups a block may take depends only on which of
+its children are still open, so each block pattern of 3 or 4 vertices has a
+table, built at import, indexed by that set of open children, and each
+entry is read off reachability from the parent in the pattern.  A bridge, a
 block of 2 vertices, needs no table: its child's open weight joins the
 parent's.
 
@@ -42,7 +45,7 @@ def _connected(adj: list[int], vertices) -> bool:
 
 
 def _adjacency(size: int, pairs: tuple[int, ...]) -> list[int]:
-    """The bitmask adjacency of a block pattern, as `_layouts` reads `pairs`."""
+    """The bitmask adjacency of a block pattern, as `_table` reads `pairs`."""
     adj = [0] * size
     for (a, b), edge in zip(combinations(range(size), 2), pairs):
         if edge:
@@ -51,64 +54,46 @@ def _adjacency(size: int, pairs: tuple[int, ...]) -> list[int]:
     return adj
 
 
-def _layouts(size: int, pairs: tuple[int, ...]) -> tuple:
-    """The ways a block's children can meet its parent vertex, as (join, group).
-
-    The block's `size` vertices are the parent and then its children, and
-    `pairs` holds 1 for each adjacent pair of them, in combinations order.
-    Layouts name children by their index among the children.  The children
-    in `join` add their open sets to the parent's, so join plus the parent
-    must be connected.  Of the other children, a `group` of two or more,
-    connected without the parent, may finish a set of its own; a block of at
-    most 4 vertices has at most 3 children, so there is at most one such
-    group.  A lone child needs no group: had its open set reached the
-    threshold, it would have closed it.  The empty group is listed only when
-    no other group exists.
-    """
-    adj = _adjacency(size, pairs)
-    kids = range(1, size)
-    layouts = []
-    for r in range(size):
-        for join in combinations(kids, r):
-            if not _connected(adj, (0,) + join):
-                continue
-            rest = [x for x in kids if x not in join]
-            groups = [
-                group
-                for g in range(2, len(rest) + 1)
-                for group in combinations(rest, g)
-                if _connected(adj, group)
-            ]
-            for group in groups or [()]:
-                layouts.append((tuple(x - 1 for x in join), tuple(x - 1 for x in group)))
-    return tuple(layouts)
+def _reach(adj: list[int], mask: int) -> tuple[int, ...]:
+    """The children that the parent, vertex 0, reaches through `mask`, by child index."""
+    return tuple(_bits(_components(adj, mask | 1)[0] >> 1))
 
 
 def _table(size: int, pairs: tuple[int, ...]) -> tuple:
-    """A block pattern's layouts, indexed by its set of open children.
+    """A block pattern's joins and groups, indexed by its set of open children.
 
-    Bit i of the index is set when child i is open.  Each entry is
-    (plain join, ((group, join), ...)).  A layout whose join takes a closed
-    child is dropped, and a group that takes one can never reach the
-    threshold, so its layout counts as a join alone.  Weights are
-    nonnegative, so the plain join is the largest join left, and each group
-    keeps the largest join beside it; groups stay in the order they first
-    appear in `_layouts`.  The union of two joins is still connected to the
-    parent, so each largest join is unique.
+    The pattern's `size` vertices are the parent and then its children, and
+    `pairs` holds 1 for each adjacent pair, in combinations order.  Bit i of
+    the index is set when child i is open; entries name children by index.
+    A join is open children whose open sets add to the parent's, so it is
+    connected to the parent.  A group is two or more open children,
+    connected without the parent, that may close a set of their own (a lone
+    child would have closed its own set, and a closed child never reaches
+    the threshold).  Two disjoint groups would need four children, so a
+    block closes at most one set.
+
+    Each entry is (plain join, ((group, join), ...)), groups by size and
+    then in combinations order.  Weights are nonnegative and the union of
+    two joins is a join, so the best join is unique: the open children the
+    parent reaches through open children, or, beside a group, through the
+    open children outside it.
     """
-    layouts = _layouts(size, pairs)
+    adj = _adjacency(size, pairs)
+    groups = [
+        sum(1 << x for x in group)
+        for g in range(2, size)
+        for group in combinations(range(1, size), g)
+        if _connected(adj, group)
+    ]
     table = []
     for open_set in range(1 << (size - 1)):
-        joins = []
-        beside: dict[tuple, tuple] = {}
-        for join, group in layouts:
-            if any(open_set >> i & 1 == 0 for i in join):
-                continue
-            joins.append(join)
-            if group and all(open_set >> i & 1 for i in group):
-                if len(join) >= len(beside.get(group, ())):
-                    beside[group] = join
-        table.append((max(joins, key=len), tuple(beside.items())))
+        open_mask = open_set << 1
+        beside = tuple(
+            (tuple(_bits(group >> 1)), _reach(adj, open_mask & ~group))
+            for group in groups
+            if group & open_mask == group
+        )
+        table.append((_reach(adj, open_mask), beside))
     return tuple(table)
 
 
@@ -121,7 +106,7 @@ def _biconnected(size: int, pairs: tuple[int, ...]) -> bool:
 # The blocks of 3 or 4 vertices a lowpoint search can return, 11 patterns in
 # all (the triangle and every labelling of the 4-cycle, the diamond and the
 # 4-clique), tabled once at import.
-_LAYOUTS = {
+_TABLES = {
     (size, pairs): _table(size, pairs)
     for size in (3, 4)
     for pairs in product((0, 1), repeat=size * (size - 1) // 2)
@@ -136,8 +121,9 @@ def _plan(pairs: list[tuple[int, int]], adj: list[int]) -> tuple:
     below it, and `adj` is the bitmask adjacency.  The plan lists every
     vertex after the vertices below it, as (vertex, bridges, blocks): the
     child of each bridge below it, and each larger child block as
-    (children, table), the table `_LAYOUTS` holds for its pattern.  A
-    lone-vertex block has no children.
+    (children, table), the table `_TABLES` holds for its pattern; entry i of
+    the table holds the block's joins and groups when the children in bit
+    set i are open.  A lone-vertex block has no children.
     """
     bridges: dict[int, list[int]] = {}
     blocks: dict[int, list] = {}
@@ -150,7 +136,7 @@ def _plan(pairs: list[tuple[int, int]], adj: list[int]) -> tuple:
             bridges.setdefault(v, []).append(kids[0])
         elif kids:
             edges = tuple(adj[a] >> b & 1 for a, b in combinations((v,) + kids, 2))
-            blocks.setdefault(v, []).append((kids, _LAYOUTS[len(kids) + 1, edges]))
+            blocks.setdefault(v, []).append((kids, _TABLES[len(kids) + 1, edges]))
     root = pairs[-1][0]
     steps.append((root, tuple(bridges.pop(root, ())), tuple(blocks.pop(root, ()))))
     return tuple(steps)

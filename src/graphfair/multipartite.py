@@ -119,6 +119,14 @@ def allocate_bounded_multipartite(
     multipartite, there are at least two agents and at least 5 vertices per
     agent, and every vertex is worth less than a quarter target to every
     agent.  The bundles output partition the whole vertex set.
+
+    The reduction meets the vertex count.  It calls here with a component
+    C, the k agents routed to it, and each one's k-bundle mms of C as her
+    target.  k bundles of her share witness lie in C, so her target is at
+    least her share, which is positive (a zero-share agent peels while goods
+    remain).  She values every leftover vertex below a quarter of her share,
+    so below a quarter of her target.  Each of the k bundles of her mms of C
+    is worth her target, so it needs five or more vertices: C has at least 5k.
     """
     for a in agents:
         if targets[a.id] < 0:

@@ -52,9 +52,13 @@ def check_allocation(
     `alpha` and every supplied share must be an int or a Fraction, and a
     supplied `mms_records` must hold a record for every agent; otherwise
     InvalidInputError is raised, since a float has already lost exactness.
+    A negative `alpha` is refused too: every ratio is at least 0, so it
+    would pass any sound allocation.
     """
     if type(alpha) not in _EXACT:
         raise InvalidInputError(f"alpha is {alpha!r}, not an int or a Fraction")
+    if alpha < 0:
+        raise InvalidInputError(f"alpha is {alpha}, below 0")
     notes: list[str] = []
     known = {a.id for a in inst.agents}
     labels = [label for label, _ in alloc.bundles]

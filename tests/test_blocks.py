@@ -9,7 +9,9 @@ the value of `naive_oracles.frozen_threshold_share`, the plain bisection,
 run on `naive_oracles.frozen_plan` of the same component.  Its count reads
 one table per set of open children and must return the `(count, least)` of
 `naive_oracles.frozen_jump_set_count`, the count that scanned every layout,
-at every threshold; each table entry must pick as that scan does.
+at every threshold; each table, read off reachability, must equal the
+table the count built by filtering `naive_oracles.frozen_layouts`, and each
+entry must pick as a scan of those layouts does.
 Share calls must build no induced graph, and neither may the peels of a
 block-cactus allocation.  `hamiltonian_path_in_block` reads its clique and
 cycle tests off the same view and must equal
@@ -340,7 +342,30 @@ def test_the_tables_hold_the_eleven_biconnected_patterns():
             if nx.is_biconnected(g):
                 expected.add((size, pairs))
     assert len(expected) == 11
-    assert set(blockdp._LAYOUTS) == expected
+    assert set(blockdp._TABLES) == expected
+
+
+def scanned_table(size: int, pairs: tuple[int, ...]) -> tuple:
+    """A pattern's table as the count built it, by filtering its frozen layouts."""
+    layouts = naive_oracles.frozen_layouts(size, pairs)
+    table = []
+    for open_set in range(1 << (size - 1)):
+        joins = []
+        beside: dict[tuple, tuple] = {}
+        for join, group in layouts:
+            if any(open_set >> i & 1 == 0 for i in join):
+                continue
+            joins.append(join)
+            if group and all(open_set >> i & 1 for i in group):
+                if len(join) >= len(beside.get(group, ())):
+                    beside[group] = join
+        table.append((max(joins, key=len), tuple(beside.items())))
+    return tuple(table)
+
+
+def test_every_table_equals_the_filter_of_the_frozen_layouts():
+    for (size, pairs), table in blockdp._TABLES.items():
+        assert table == scanned_table(size, pairs), pairs
 
 
 def scanned_pick(layouts: tuple, ws: list[int], t: int) -> tuple:
@@ -374,8 +399,8 @@ def table_pick(entry: tuple, ws: list[int], t: int) -> tuple:
 def test_every_table_entry_picks_as_a_scan_of_the_layouts(t):
     # Closed children weigh -(total + 1), as in the count the tables replaced.
     draws = (0, 1, t - 1, t, 2**64)
-    for (size, pairs), table in blockdp._LAYOUTS.items():
-        layouts = blockdp._layouts(size, pairs)
+    for (size, pairs), table in blockdp._TABLES.items():
+        layouts = naive_oracles.frozen_layouts(size, pairs)
         assert len(table) == 1 << (size - 1)
         for open_set, entry in enumerate(table):
             kids = [i for i in range(size - 1) if open_set >> i & 1]
@@ -402,11 +427,11 @@ def test_every_small_block_of_an_atlas_graph_is_a_bridge_a_lone_vertex_or_tabled
                     kinds["bridge" if kids else "lone"] += 1
                     continue
                 key = len(kids) + 1, tuple(adj[a] >> b & 1 for a, b in combinations((v,) + kids, 2))
-                assert key in blockdp._LAYOUTS, key
+                assert key in blockdp._TABLES, key
                 tabled.add(key)
             blockdp._plan(pairs, adj)
     assert all(kinds.values()), kinds
-    assert tabled == set(blockdp._LAYOUTS)
+    assert tabled == set(blockdp._TABLES)
 
 
 @pytest.mark.parametrize("w", (0, 1, 7, 2**64))

@@ -172,6 +172,19 @@ def test_verify_zero_denominator_alpha_exit_2(tmp_path, capsys):
     assert "not a rational value: '1/0'" in capsys.readouterr().err
 
 
+def test_verify_negative_alpha_exit_2(tmp_path, capsys):
+    g = cycle(4)
+    f = tmp_path / "c4.json"
+    write_instance(f, g, [{v: 1 for v in g.vertices}])
+    alloc = tmp_path / "alloc.json"
+    assert cli.main(["allocate", str(f), "--out", str(alloc)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", str(f), str(alloc), "--alpha", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out
+    assert "alpha is -1, below 0" in captured.err
+
+
 def test_size_cap_exit_4(tmp_path):
     names = [f"v{i:02d}" for i in range(15)]
     g = GoodsGraph.build(names, [(names[i], names[i + 1]) for i in range(14)])

@@ -119,6 +119,40 @@ def test_bounded_call_input_checks():
             allocate_bounded_multipartite(g, parts, agents, {1: Fraction(60)})
 
 
+def unshaped_profile(rng: random.Random, kind: str, graph: GoodsGraph) -> dict:
+    if kind == "raw":
+        return {v: Fraction(rng.randint(0, 20)) for v in graph.vertices}
+    if kind == "flat":
+        return {v: Fraction(rng.randint(8, 12)) for v in graph.vertices}
+    return {v: Fraction(rng.randint(1, 20) if rng.random() < 0.3 else 0) for v in graph.vertices}
+
+
+def test_every_bounded_call_on_unshaped_graphs_has_five_light_vertices_per_agent(record):
+    # Random part sizes, unlike gen_multipartite's shaped ones.  The docstring
+    # of allocate_bounded_multipartite argues both checks for every call.
+    rng = random.Random("unshaped-multipartite")
+    bounded = record(mp, "allocate_bounded_multipartite")
+    for _ in range(800):
+        m = rng.randint(4, 13)
+        count = rng.randint(2, m)
+        sizes = [1] * count
+        for _ in range(m - count):
+            sizes[rng.randrange(count)] += 1
+        g = multipartite(*sizes)
+        kind = rng.choice(["raw", "flat", "sparse"])
+        agents = tuple(
+            Agent(id=i, type_id=i, utility=unshaped_profile(rng, kind, g))
+            for i in range(1, rng.randint(2, 3) + 1)
+        )
+        allocate_multipartite(Instance(graph=g, agents=agents))
+    assert len(bounded) >= 30
+    for call in bounded:
+        graph, _, agents, targets = call.args
+        assert len(graph.vertices) >= 5 * len(agents)
+        for a in agents:
+            assert all(4 * a.utility[v] < targets[a.id] for v in graph.vertices)
+
+
 def test_allocate_multipartite_end_to_end_flat(record):
     g = multipartite(4, 6)
     inst = Instance(graph=g, agents=flat_agents(g, 2))

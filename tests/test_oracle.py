@@ -23,7 +23,7 @@ from graphfair.core import (
     UndefinedMmsError,
 )
 from graphfair.blockcactus import allocate_block_cactus
-from graphfair.graphs import is_connected_subset
+from graphfair.graphs import connected_components, is_connected_subset
 from graphfair.multipartite import allocate_multipartite
 from graphfair.splitgraph import allocate_split
 from graphfair.verify import check_allocation
@@ -168,6 +168,54 @@ def test_pmms_matches_naive_on_disconnected_graphs():
                     assert rec.value == expected
                     assert is_partition_of(rec.witness, g)
                     assert min(a.value(b) for b in rec.witness) == rec.value
+
+
+def flat_agent(graph: GoodsGraph, rng: random.Random) -> Agent:
+    return agent_with({v: rng.randint(8, 12) for v in graph.vertices})
+
+
+def union(*graphs: GoodsGraph) -> GoodsGraph:
+    """The disjoint union, with each graph's vertices tagged by its position."""
+    names = [f"{i}{v}" for i, g in enumerate(graphs) for v in g.vertices]
+    edges = [(f"{i}{a}", f"{i}{b}") for i, g in enumerate(graphs) for a, b in g.edges]
+    return GoodsGraph.build(names, edges)
+
+
+def share_sweeps() -> list[tuple[str, GoodsGraph, Agent]]:
+    """(kind, graph, agent) triples, each graph with raw and flat agents.
+
+    Block-cactus graphs go to the block DP, multipartite and split graphs
+    to the search, and one union of three components to both.
+    """
+    rng = random.Random("share-sweeps")
+    graphs = []
+    for seed in range(6):
+        graphs.append(("cactus", gen.gen_block_cactus(seed, 14, 2, 20)))
+        graphs.append(("multipartite", gen.gen_multipartite(seed, 11, 2, 20)))
+        graphs.append(("split", gen.gen_split(seed, 10, 2, 20)))
+    pieces = [gen.gen_block_cactus(9, 6, 1, 20), gen.gen_split(9, 5, 1, 20), gen.gen_split(9, 2, 1, 20)]
+    g = union(*(inst.graph for inst in pieces))
+    raw = {f"{i}{v}": x for i, inst in enumerate(pieces) for v, x in inst.agents[0].utility.items()}
+    sweeps = [("union", g, agent_with(raw)), ("union", g, flat_agent(g, rng))]
+    for kind, inst in graphs:
+        for a in inst.agents:
+            sweeps += [(kind, inst.graph, a), (kind, inst.graph, flat_agent(inst.graph, rng))]
+    return sweeps
+
+
+def test_shares_never_rise_with_the_bundle_count():
+    # Merging two bundles of an (n + 1)-bundle packing or partition, or
+    # dropping an empty one, gives an n-bundle one whose least bundle is no
+    # lighter.
+    sweeps = share_sweeps()
+    assert any(len(connected_components(g)) > 1 for _, g, _ in sweeps)
+    for kind, g, a in sweeps:
+        m = len(g.vertices)
+        shares = [oracle.pmms(g, a, n).value for n in range(1, m + 2)]
+        assert shares == sorted(shares, reverse=True), (kind, shares)
+        first = len(connected_components(g))
+        shares = [oracle.mms(g, a, n).value for n in range(first, m + 2)]
+        assert shares == sorted(shares, reverse=True), (kind, shares)
 
 
 def count_searches(monkeypatch) -> list[tuple[int, int]]:

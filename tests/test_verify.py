@@ -96,6 +96,15 @@ def test_alpha_zero_accepts_any_sound_packing():
     assert cert.min_ratio == Fraction(0)
 
 
+@pytest.mark.parametrize("alpha", [-1, Fraction(-1, 2)])
+def test_a_negative_alpha_is_refused(alpha):
+    # Every ratio is at least 0, so a negative alpha would pass anything.
+    inst = path_instance()
+    alloc = alloc_of((1, set()), (2, {"d"}))
+    with pytest.raises(InvalidInputError, match="below 0"):
+        check_allocation(inst, alloc, alpha)
+
+
 def test_zero_share_agents_are_satisfied_by_anything():
     g = GoodsGraph.build(["a"], [])
     hungry = Agent(id=1, type_id=1, utility={"a": Fraction(5)})
