@@ -44,7 +44,7 @@ from .graphs import (
     hamiltonian_path_in_block,
     recognize,
 )
-from .reduction import allocate_reduction, finish_allocation
+from .reduction import allocate_reduction, check_targets, finish_allocation
 from . import oracle
 
 HALF = Fraction(1, 2)
@@ -73,9 +73,7 @@ def allocate_bounded(
     """
     if not agents:
         return finish_allocation(agents, targets, {}, HALF)
-    for a in agents:
-        if targets[a.id] < 0:
-            raise InvalidInputError(f"negative target for agent {a.id}")
+    check_targets(agents, targets)
 
     if len(agents) == 1:
         return finish_allocation(agents, targets, {agents[0].id: frozenset(graph.vertices)}, HALF)

@@ -29,7 +29,7 @@ from .core import (
     validate_instance,
 )
 from .graphs import recognize
-from .reduction import allocate_reduction, finish_allocation
+from .reduction import allocate_reduction, check_targets, finish_allocation
 
 QUARTER = Fraction(1, 4)
 
@@ -128,9 +128,7 @@ def allocate_bounded_multipartite(
     so below a quarter of her target.  Each of the k bundles of her mms of C
     is worth her target, so it needs five or more vertices: C has at least 5k.
     """
-    for a in agents:
-        if targets[a.id] < 0:
-            raise InvalidInputError(f"negative target for agent {a.id}")
+    check_targets(agents, targets)
     n = len(agents)
     if n < 2 or len(graph) < 5 * n:
         raise GuaranteeViolationError(

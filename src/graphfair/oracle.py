@@ -87,7 +87,16 @@ bundle.  So each bundle goes to the first agent who keeps the min over it and
 all later bundles at its best, not always the first optimal permutation, and
 the first partition with the best value[0] wins.  The search closes the last
 bundle in one step too, but has no ceiling: agents who value different goods
-can all get more than the least of their total // n.
+can all get more than the least of their total // n.  It has the share
+search's two bundle cuts instead.  A partition beats the best score only if
+every agent's ratio on her bundle is above it.  The bundles after S lie in
+what S leaves and go to distinct agents, so a bundle S stops growing once
+fewer agents than the bundles still to come value that remainder above best;
+every superset of S leaves less.  And S is closed only when some agent values
+S itself above best, a target-0 agent always; it keeps growing either way.
+Both cuts drop only calls under which no partition beats best, which only
+rises, so the partitions that raise it, and the first optimum with its
+assignment, are those of the uncut search.
 
 These routines are meant for desk-scale inputs; everything refuses graphs
 with more than `MAX_VERTICES` vertices, and the ratio search also refuses
@@ -493,6 +502,11 @@ def max_min_ratio_allocation(
     int or a Fraction, and two agents with one id are rejected, and more
     than `MAX_VERTICES` agents raise SizeLimitError.  Ties keep the first
     optimum in canonical enumeration order, so the result is deterministic.
+
+    A bundle stops growing once fewer agents than the bundles still to come
+    value what it leaves above the best min ratio so far, and is closed only
+    when some agent values it above that.  Neither cut drops a partition
+    that beats the best so far, so the first optimum stays the result.
     """
     if len(agents) > MAX_VERTICES:
         raise SizeLimitError(f"{len(agents)} agents, the ratio search's cap is {MAX_VERTICES}")
@@ -533,6 +547,7 @@ def max_min_ratio_allocation(
     # included, as `top`, above every ratio weight another agent can reach.
     top = 1 + max(map(sum, rows))
     base = [0 if t else top for t in tlist]
+    free = not all(tlist)
     # cols[i]: the ratio weight of vertex i for each agent.
     cols = list(zip(*rows))
     size = 1 << n
@@ -584,14 +599,23 @@ def max_min_ratio_allocation(
         seed_mask = 1 << seed
 
         def grow(s_mask, s_vals, cand, banned):
-            rec(
-                remaining ^ s_mask,
-                parts_left - 1,
-                closed_masks + [s_mask],
-                closed_vals + [s_vals],
-                list(map(max, closed_best, s_vals)),
-                list(map(sub, rem_wt, s_vals)),
-            )
+            # The parts_left - 1 later bundles lie in what S leaves and go to
+            # distinct agents, so a partition that beats best needs that many
+            # agents who value the remainder above it; every superset of S
+            # leaves less.  And S itself goes to an agent who values it above
+            # best, as a target-0 agent values every bundle.
+            left = list(map(sub, rem_wt, s_vals))
+            if sorted(left)[1 - parts_left] <= best_score:
+                return
+            if free or max(s_vals) > best_score:
+                rec(
+                    remaining ^ s_mask,
+                    parts_left - 1,
+                    closed_masks + [s_mask],
+                    closed_vals + [s_vals],
+                    list(map(max, closed_best, s_vals)),
+                    left,
+                )
             live = cand & ~banned
             local_ban = banned
             while live:

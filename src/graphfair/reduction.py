@@ -45,6 +45,7 @@ from .core import (
     GoodsGraph,
     GuaranteeViolationError,
     Instance,
+    InvalidInputError,
     StructuralError,
     Value,
 )
@@ -111,6 +112,15 @@ def compute_kj(sorted_f: Sequence[int]) -> int:
         if c >= p:
             k = p
     return k
+
+
+def check_targets(agents: Sequence[Agent], targets: Mapping[int, Value]) -> None:
+    """Refuse a missing or negative target, naming its agent."""
+    for a in agents:
+        if a.id not in targets:
+            raise InvalidInputError(f"no target for agent {a.id}")
+        if targets[a.id] < 0:
+            raise InvalidInputError(f"negative target for agent {a.id}")
 
 
 def finish_allocation(

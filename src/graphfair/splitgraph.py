@@ -31,7 +31,7 @@ from .core import (
     validate_instance,
 )
 from .graphs import recognize, split_partition
-from .reduction import allocate_reduction, finish_allocation
+from .reduction import allocate_reduction, check_targets, finish_allocation
 from . import oracle
 
 THREE_QUARTERS = Fraction(3, 4)
@@ -242,9 +242,7 @@ def _allocate_bounded_split(
     all present agents; the reduction guarantees that and the witnesses are
     recomputed from the same oracle, so a mismatch raises.
     """
-    for a in agents:
-        if targets[a.id] < 0:
-            raise InvalidInputError(f"negative target for agent {a.id}")
+    check_targets(agents, targets)
     n = len(agents)
 
     split_pair = split_partition(graph)

@@ -8,7 +8,7 @@ from graphfair.blockcactus import (
     allocate_bounded,
     is_block_cactus_graph,
 )
-from graphfair.core import Agent, ClassMismatchError, GoodsGraph, Instance
+from graphfair.core import Agent, ClassMismatchError, GoodsGraph, Instance, InvalidInputError
 from graphfair.verify import check_allocation
 
 HALF = Fraction(1, 2)
@@ -180,3 +180,11 @@ def test_class_mismatch_rejected():
     inst = Instance(graph=k23, agents=flat_agents(k23, 2))
     with pytest.raises(ClassMismatchError):
         allocate_block_cactus(inst)
+
+
+def test_bounded_call_names_the_agent_without_a_target():
+    # A missing target is an input error naming the agent, as in the ratio
+    # search, not a KeyError.
+    k3 = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    with pytest.raises(InvalidInputError, match="no target for agent 2"):
+        allocate_bounded(k3, flat_agents(k3, 2), {1: Fraction(1)})

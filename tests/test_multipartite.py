@@ -119,6 +119,15 @@ def test_bounded_call_input_checks():
             allocate_bounded_multipartite(g, parts, agents, {1: Fraction(60)})
 
 
+def test_bounded_call_names_the_agent_without_a_target():
+    # A missing target is an input error naming the agent, as in the ratio
+    # search, not a KeyError.
+    g = multipartite(5, 5)
+    parts = sorted(recognize(g).parts, key=lambda p: (len(p), sorted(p)))
+    with pytest.raises(InvalidInputError, match="no target for agent 2"):
+        allocate_bounded_multipartite(g, parts, flat_agents(g, 2), {1: Fraction(10)})
+
+
 def unshaped_profile(rng: random.Random, kind: str, graph: GoodsGraph) -> dict:
     if kind == "raw":
         return {v: Fraction(rng.randint(0, 20)) for v in graph.vertices}

@@ -4,7 +4,8 @@ import pkgutil
 import random
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -715,6 +716,109 @@ def test_max_min_ratio_brute_force_cross_check():
                 a.value(bundles[a.id]) / targets[a.id] for a in agents if targets[a.id] > 0
             )
             assert got == best
+
+
+def subset_sums(values: list) -> list:
+    """sums[mask]: the total of values[i] over the bits i of mask."""
+    sums = [0] * (1 << len(values))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    return sums
+
+
+def least_ratio(*pairs):
+    """The least value/target over (value, target) pairs with target > 0.
+
+    None when every target is 0: such agents are unconstrained, so they
+    never set the min.
+    """
+    ratios = [value / target for value, target in pairs if target > 0]
+    return min(ratios, default=None)
+
+
+def better(a, b):
+    if a is None or b is None:
+        return b if a is None else a
+    return max(a, b)
+
+
+def clique_two_agent_optimum(values, targets):
+    """Every subset is connected on a clique: the best of the two
+    assignments of (T, V - T), over every subset T."""
+    first, second = map(subset_sums, values)
+    full = len(first) - 1
+    best = None
+    for t in range(full + 1):
+        rest = full ^ t
+        best = better(best, least_ratio((first[t], targets[0]), (second[rest], targets[1])))
+        best = better(best, least_ratio((first[rest], targets[0]), (second[t], targets[1])))
+    return best
+
+
+def best_halving(weights: list[int]) -> int:
+    """The most the lighter of two bundles can hold: the largest reachable
+    subset sum at most half the total, from an int bitset of reachable sums."""
+    reach = 1
+    for w in weights:
+        reach |= reach << w
+    half = sum(weights) // 2
+    return (reach & ((2 << half) - 1)).bit_length() - 1
+
+
+def clique_two_type_optimum(a_values, a_target, b_values, b_target):
+    """Two agents of type A with one target and one agent of type B: the
+    best over B's bundle T of B's ratio and A's best halving of V - T."""
+    scale = lcm(*(x.denominator for x in a_values))
+    a_ints = [int(x * scale) for x in a_values]
+    b_sums = subset_sums(b_values)
+    full = len(b_sums) - 1
+    best = None
+    for t in range(full + 1):
+        rest = [w for i, w in enumerate(a_ints) if not t >> i & 1]
+        half = Fraction(best_halving(rest), scale)
+        best = better(best, least_ratio((b_sums[t], b_target), (half, a_target)))
+    return best
+
+
+def clique_utility(rng: random.Random, kind: str) -> Fraction:
+    if kind == "pq":
+        return Fraction(rng.randint(0, 20), rng.choice([1, 2, 3, 5, 7]))
+    return Fraction(rng.randint(0, 20))
+
+
+def test_max_min_ratio_reaches_the_subset_sum_optimum_on_cliques():
+    # An optimum worked out from subset sums alone, sharing no code with the
+    # search: two agents of any types, and three agents of two types, on
+    # K2-K12, with int and p/q utilities and with target-0 agents.
+    rng = random.Random("ratio-clique")
+    for m in range(2, 13):
+        names = [f"v{i:02d}" for i in range(m)]
+        graph = GoodsGraph.build(names, combinations(names, 2))
+        for kind in ("int", "pq", "target 0"):
+            rows = [[clique_utility(rng, kind) for _ in names] for _ in range(2)]
+            ts = [Fraction(rng.randint(1, 4 * m), rng.randint(1, 3)) for _ in range(2)]
+            if kind == "target 0":
+                ts[rng.randrange(2)] = Fraction(0)
+            cases = [
+                ([(1, rows[0], ts[0]), (2, rows[1], ts[1])], clique_two_agent_optimum(rows, ts)),
+                (
+                    [(1, rows[0], ts[0]), (1, rows[0], ts[0]), (2, rows[1], ts[1])],
+                    clique_two_type_optimum(rows[0], ts[0], rows[1], ts[1]),
+                ),
+            ]
+            for spec, optimum in cases:
+                # B goes anywhere in the agent order.
+                rng.shuffle(spec)
+                agents = [
+                    Agent(id=i, type_id=type_id, utility=dict(zip(names, row)))
+                    for i, (type_id, row, _) in enumerate(spec, 1)
+                ]
+                targets = {i: t for i, (_, _, t) in enumerate(spec, 1)}
+                bundles = oracle.max_min_ratio_allocation(graph, agents, targets)
+                assert is_partition_of(bundles.values(), graph)
+                got = least_ratio(*((a.value(bundles[a.id]), targets[a.id]) for a in agents))
+                assert got == optimum, (m, kind, spec)
 
 
 def test_max_min_ratio_gives_every_agent_a_bundle():

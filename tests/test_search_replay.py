@@ -3,11 +3,11 @@
 `naive_oracles.frozen_minmax_partition_search` and
 `naive_oracles.frozen_max_min_ratio_allocation` are verbatim copies of the
 share search and the ratio search from before the last-bundle close, the
-ceiling stop and the integer cut.  Both searches must return the first
-optimum in canonical order, because the reduction, the absorb step and the
-split tournament read the witness and the output bytes follow from it.  So
-every call is compared whole: the share search's `(value, parts)` and the
-ratio search's `{agent: bundle}`.
+ceiling stop, the integer cut and the ratio search's bundle cuts.  Both
+searches must return the first optimum in canonical order, because the
+reduction, the absorb step and the split tournament read the witness and
+the output bytes follow from it.  So every call is compared whole: the share
+search's `(value, parts)` and the ratio search's `{agent: bundle}`.
 
 The sample: for each class, SEEDS_PER_CELL generator seeds drawn from one
 named `random.Random`, each instance allocated once with the generator's
@@ -32,6 +32,12 @@ search's `rec` and `grow` frames over the allocation sample and the first of
 these are counted and pinned.  The counts do not depend on the machine, so
 a weaker cut or extra work fails here on any host, and a stronger cut has
 to move the pins on purpose.
+
+The kernel sample aims at the ratio search's bundle cuts: the clique
+kernels that `allocate_split` solves on flat two-type split graphs of 12-14
+vertices, K8-K12 with two and three agents, each compared whole with the
+frozen ratio search.  The ratio search's `rec`, `grow` and `leaf` frames
+over it and over the allocation sample are pinned the same way.
 """
 
 import random
@@ -45,7 +51,7 @@ from graphfair import generators as gen
 from graphfair import oracle
 from graphfair.blockcactus import allocate_block_cactus, allocate_bounded
 from graphfair.core import Agent, GoodsGraph, Instance
-from graphfair.graphs import is_connected
+from graphfair.graphs import is_connected, split_partition
 from graphfair.multipartite import allocate_multipartite
 from graphfair.splitgraph import allocate_split
 
@@ -125,27 +131,46 @@ def assert_ratio_calls_match(calls) -> None:
         assert frozen_max_min_ratio_allocation(*call.args) == call.result, call.args
 
 
-def search_nodes(calls) -> dict[str, int]:
-    """The `rec` and `grow` frames the share search opens over `calls`.
+def _codes(code):
+    """`code` and every code object defined inside it."""
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_consts"):
+            yield from _codes(const)
 
-    Each call is replayed from its (args, kwargs); the share search calls
-    no other function of either name.
+
+def count_frames(search, names, replays) -> dict[str, int]:
+    """The frames of each nested function in `names` that `search` opens.
+
+    Each call is replayed from its (args, kwargs).  Frames are matched by
+    code object, not by name alone, so the share search that the ratio
+    search runs for a one-group witness adds nothing to the ratio pins.
     """
-    nodes = {"rec": 0, "grow": 0}
+    codes = {code for code in _codes(search.__code__) if code.co_name in names}
+    nodes = dict.fromkeys(names, 0)
 
     def profile(frame, event, arg):
-        name = frame.f_code.co_name
-        if event == "call" and name in nodes:
-            nodes[name] += 1
+        if event == "call" and frame.f_code in codes:
+            nodes[frame.f_code.co_name] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for args, kwargs in calls:
-            oracle._minmax_partition_search(*args, **kwargs)
+        for args, kwargs in replays:
+            search(*args, **kwargs)
     finally:
         sys.setprofile(previous)
     return nodes
+
+
+def search_nodes(calls) -> dict[str, int]:
+    """The `rec` and `grow` frames the share search opens over `calls`."""
+    return count_frames(oracle._minmax_partition_search, ("rec", "grow"), calls)
+
+
+def ratio_nodes(calls) -> dict[str, int]:
+    """The `rec`, `grow` and `leaf` frames the ratio search opens over `calls`."""
+    return count_frames(oracle.max_min_ratio_allocation, ("rec", "grow", "leaf"), calls)
 
 
 def test_allocation_and_share_searches_match_the_frozen_searches(record, monkeypatch):
@@ -179,6 +204,7 @@ def test_allocation_and_share_searches_match_the_frozen_searches(record, monkeyp
     # Replayed without the recording wrappers.
     monkeypatch.undo()
     assert search_nodes((call.args, call.kwargs) for call in shares) == {"rec": 2361, "grow": 12032}
+    assert ratio_nodes((call.args, {}) for call in ratios) == {"rec": 3, "grow": 3, "leaf": 2}
 
 
 def room_cases():
@@ -360,6 +386,49 @@ def test_corner_ratio_searches_match_the_frozen_search():
     for graph, agents, targets in calls:
         got = oracle.max_min_ratio_allocation(graph, agents, targets)
         assert got == frozen_max_min_ratio_allocation(graph, agents, targets), (graph, targets)
+
+
+# Kernel ratio calls wanted per (kernel size, agent count): two of each up
+# to K11 and one at K12, whose frozen replay with three agents takes
+# seconds.
+KERNEL_STRATA = {(k, n): 1 if k == 12 else 2 for k in range(8, 13) for n in (2, 3)}
+
+
+def kernel_calls(record) -> list[tuple]:
+    """Kernel ratio calls of flat two-type split graphs of 12-14 vertices.
+
+    `allocate_split` contracts each graph to a clique kernel and runs the
+    ratio search there with every agent's kernel share as her target.  Both
+    types differ, so the search runs in full rather than reading a share
+    witness.  Graphs are drawn until every stratum of KERNEL_STRATA is
+    full; a graph whose clique fills no open stratum is not allocated.
+    """
+    ratios = record(oracle, "max_min_ratio_allocation")
+    rng = random.Random("search-replay:kernel")
+    kept: dict[tuple[int, int], list] = {stratum: [] for stratum in KERNEL_STRATA}
+    while any(len(kept[s]) < want for s, want in KERNEL_STRATA.items()):
+        size, n = rng.randint(12, 14), rng.choice((2, 3))
+        inst = flatten(gen.gen_split(rng.randrange(2**31), size, n, 20, 2), rng)
+        clique, _ = split_partition(inst.graph)
+        if len(kept.get((len(clique), n), ())) >= KERNEL_STRATA.get((len(clique), n), 0):
+            continue
+        before = len(ratios)
+        oracle.clear_cache()
+        allocate_split(inst)
+        for call in ratios[before:]:
+            graph, agents, _ = call.args
+            stratum = (len(graph.vertices), len(agents))
+            if len(kept.get(stratum, ())) < KERNEL_STRATA.get(stratum, 0):
+                kept[stratum].append(call.args)
+    return [args for stratum in KERNEL_STRATA for args in kept[stratum]]
+
+
+def test_kernel_ratio_searches_match_the_frozen_search(record, monkeypatch):
+    calls = kernel_calls(record)
+    monkeypatch.undo()
+    for args in calls:
+        assert oracle.max_min_ratio_allocation(*args) == frozen_max_min_ratio_allocation(*args), args
+    assert ratio_nodes((args, {}) for args in calls) == {"rec": 8195, "grow": 64500, "leaf": 4428}
 
 
 def path_graph(size: int) -> GoodsGraph:
