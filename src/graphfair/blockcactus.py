@@ -34,6 +34,7 @@ from .core import (
     InvalidInputError,
     StructuralError,
     Value,
+    check_targets,
     validate_instance,
 )
 from .graphs import (
@@ -44,7 +45,7 @@ from .graphs import (
     hamiltonian_path_in_block,
     recognize,
 )
-from .reduction import allocate_reduction, check_targets, finish_allocation
+from .reduction import allocate_reduction, finish_allocation
 from . import oracle
 
 HALF = Fraction(1, 2)
@@ -71,14 +72,11 @@ def allocate_bounded(
     into len(agents) connected bundles worth each agent's target.  The
     returned bundles are disjoint but need not cover the graph.
     """
-    if not agents:
-        return finish_allocation(agents, targets, {}, HALF)
     check_targets(agents, targets)
-
-    if len(agents) == 1:
-        return finish_allocation(agents, targets, {agents[0].id: frozenset(graph.vertices)}, HALF)
-
     ids = graph.vertices
+    if len(agents) <= 1:
+        return finish_allocation(agents, targets, {a.id: frozenset(ids) for a in agents}, HALF)
+
     full = (1 << len(ids)) - 1
     pairs, reached = block_cut_tree(graph.neighbor_masks, full) if ids else ([], None)
     if reached != full:

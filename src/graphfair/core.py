@@ -6,7 +6,7 @@ Fractions, or "p/q" strings.  Every container here is immutable after
 construction so that instances and results can be shared freely.
 """
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -82,6 +82,20 @@ def require_int(x, what: str) -> int:
     return x
 
 
+def check_targets(agents: Sequence["Agent"], targets: Mapping[int, Value]) -> None:
+    """Refuse two agents with one id, then a missing, inexact or negative target."""
+    if len({a.id for a in agents}) < len(agents):
+        raise InvalidInputError("two agents share an id")
+    for a in agents:
+        if a.id not in targets:
+            raise InvalidInputError(f"no target for agent {a.id}")
+        t = targets[a.id]
+        if type(t) not in _EXACT:
+            raise InvalidInputError(f"target of agent {a.id} is {t!r}, not an int or a Fraction")
+        if t < 0:
+            raise InvalidInputError(f"negative target for agent {a.id}")
+
+
 def value_str(v: Value) -> str:
     """Render a rational as "p/q" (denominator kept even when it is 1)."""
     return f"{v.numerator}/{v.denominator}"
@@ -102,10 +116,13 @@ class GoodsGraph:
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "GoodsGraph":
-        verts = tuple(sorted(vertices))
-        if len(set(verts)) != len(verts):
-            raise InvalidInputError("duplicate vertex id")
+        verts = tuple(vertices)
+        for v in verts:
+            if not isinstance(v, str):
+                raise InvalidInputError(f"vertex id {v!r} is not a string")
         vset = set(verts)
+        if len(vset) != len(verts):
+            raise InvalidInputError("duplicate vertex id")
         seen: set[tuple[str, str]] = set()
         for a, b in edges:
             if a == b:
@@ -116,7 +133,7 @@ class GoodsGraph:
             if e in seen:
                 raise InvalidInputError(f"duplicate edge ({e[0]!r}, {e[1]!r})")
             seen.add(e)
-        return cls(vertices=verts, edges=frozenset(seen))
+        return cls(vertices=tuple(sorted(verts)), edges=frozenset(seen))
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:

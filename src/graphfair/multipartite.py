@@ -26,10 +26,11 @@ from .core import (
     Instance,
     InvalidInputError,
     Value,
+    check_targets,
     validate_instance,
 )
 from .graphs import recognize
-from .reduction import allocate_reduction, check_targets, finish_allocation
+from .reduction import allocate_reduction, finish_allocation
 
 QUARTER = Fraction(1, 4)
 

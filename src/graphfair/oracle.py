@@ -120,6 +120,7 @@ from .core import (
     Value,
     ZERO,
     _EXACT,
+    check_targets,
     require_int,
 )
 from .blockdp import _plan, _threshold_share
@@ -498,10 +499,9 @@ def max_min_ratio_allocation(
 
     Returns {agent id: bundle} for every agent, target-0 agents included,
     and no ratios; a bundle may be empty.  Agents with target 0 are
-    unconstrained.  A missing or negative target, a target that is not an
-    int or a Fraction, and two agents with one id are rejected, and more
-    than `MAX_VERTICES` agents raise SizeLimitError.  Ties keep the first
-    optimum in canonical enumeration order, so the result is deterministic.
+    unconstrained; the targets must pass `core.check_targets`.  More than
+    `MAX_VERTICES` agents raise SizeLimitError.  Ties keep the first optimum
+    in canonical enumeration order, so the result is deterministic.
 
     A bundle stops growing once fewer agents than the bundles still to come
     value what it leaves above the best min ratio so far, and is closed only
@@ -518,18 +518,9 @@ def max_min_ratio_allocation(
     adj = graph.neighbor_masks
     if len(_components(adj, full)) > 1:
         raise StructuralError("graph is disconnected")
+    check_targets(agents, targets)
     n = len(agents)
-    if len({a.id for a in agents}) < n:
-        raise InvalidInputError("two agents share an id")
-    for a in agents:
-        if a.id not in targets:
-            raise InvalidInputError(f"no target for agent {a.id}")
     tlist = [targets[a.id] for a in agents]
-    for a, t in zip(agents, tlist):
-        if type(t) not in _EXACT:
-            raise InvalidInputError(f"target of agent {a.id} is {t!r}, not an int or a Fraction")
-        if t < 0:
-            raise InvalidInputError(f"negative target for agent {a.id}")
     scaled = [_weights_for(a, ids) for a in agents]
     # Ratio weights: value/target of agent a is (sum of rows[a]) / common.
     common = lcm(*(scale * t.numerator for (_, scale), t in zip(scaled, tlist) if t))

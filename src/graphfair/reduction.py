@@ -45,7 +45,6 @@ from .core import (
     GoodsGraph,
     GuaranteeViolationError,
     Instance,
-    InvalidInputError,
     StructuralError,
     Value,
 )
@@ -86,16 +85,15 @@ def peel_heavy_vertices(
     pool = set(graph.vertices)
     heavy: list[tuple[str, int]] = []
     unmatched: list[int] = []
-    for aid in sorted(a.id for a in inst.agents):
-        agent = inst.agent(aid)
-        cut = alpha * pmms_values[aid]
+    for agent in sorted(inst.agents, key=lambda a: a.id):
+        cut = alpha * pmms_values[agent.id]
         # Graph vertices are sorted and max keeps the first maximum.
         acceptable = [v for v in graph.vertices if v in pool and agent.utility[v] >= cut]
         best = max(acceptable, key=agent.utility.__getitem__, default=None)
         if best is None:
-            unmatched.append(aid)
+            unmatched.append(agent.id)
         else:
-            heavy.append((best, aid))
+            heavy.append((best, agent.id))
             pool.discard(best)
     left = _components(graph.neighbor_masks, _vertex_mask(graph, pool))
     return ReductionState(
@@ -112,15 +110,6 @@ def compute_kj(sorted_f: Sequence[int]) -> int:
         if c >= p:
             k = p
     return k
-
-
-def check_targets(agents: Sequence[Agent], targets: Mapping[int, Value]) -> None:
-    """Refuse a missing or negative target, naming its agent."""
-    for a in agents:
-        if a.id not in targets:
-            raise InvalidInputError(f"no target for agent {a.id}")
-        if targets[a.id] < 0:
-            raise InvalidInputError(f"negative target for agent {a.id}")
 
 
 def finish_allocation(

@@ -28,10 +28,11 @@ from .core import (
     InvalidInputError,
     StructuralError,
     Value,
+    check_targets,
     validate_instance,
 )
 from .graphs import recognize, split_partition
-from .reduction import allocate_reduction, check_targets, finish_allocation
+from .reduction import allocate_reduction, finish_allocation
 from . import oracle
 
 THREE_QUARTERS = Fraction(3, 4)

@@ -52,8 +52,8 @@ def check_allocation(
     `alpha` and every supplied share must be an int or a Fraction, and a
     supplied `mms_records` must hold a record for every agent; otherwise
     InvalidInputError is raised, since a float has already lost exactness.
-    A negative `alpha` is refused too: every ratio is at least 0, so it
-    would pass any sound allocation.
+    A negative `alpha` or share is refused too: such an alpha would pass any
+    sound allocation, and such a share scores any bundle at ratio 1.
     """
     if type(alpha) not in _EXACT:
         raise InvalidInputError(f"alpha is {alpha!r}, not an int or a Fraction")
@@ -97,6 +97,8 @@ def check_allocation(
         share = mms_records[a.id].value
         if type(share) not in _EXACT:
             raise InvalidInputError(f"share of agent {a.id} is {share!r}, not an int or a Fraction")
+        if share < 0:
+            raise InvalidInputError(f"share of agent {a.id} is {share}, below 0")
         ratio = value / share if share > 0 else Fraction(1)
         rows.append((a.id, bundle, value, share, ratio))
         ratios.append(ratio)

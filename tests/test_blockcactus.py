@@ -183,8 +183,21 @@ def test_class_mismatch_rejected():
 
 
 def test_bounded_call_names_the_agent_without_a_target():
-    # A missing target is an input error naming the agent, as in the ratio
-    # search, not a KeyError.
+    # A missing or inexact target, or a repeated agent id, is an input error
+    # with the ratio search's message, not a KeyError, a float comparison or
+    # a dropped agent.  The path has five blocks, so the refusals after the
+    # first are the solver's own and not the ratio search's.
     k3 = GoodsGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
-    with pytest.raises(InvalidInputError, match="no target for agent 2"):
-        allocate_bounded(k3, flat_agents(k3, 2), {1: Fraction(1)})
+    path = GoodsGraph.build(
+        ["p1", "p2", "p3", "p4", "p5", "p6"],
+        [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p5"), ("p5", "p6")],
+    )
+    cases = [
+        (k3, flat_agents(k3, 2), {1: Fraction(1)}, "no target for agent 2"),
+        (path, flat_agents(path, 2), {1: 3.0, 2: 3.0}, "target of agent 1 is 3.0, not an int"),
+        (path, flat_agents(path, 2), {1: True, 2: True}, "target of agent 1 is True, not an int"),
+        (path, flat_agents(path, 1) * 2, {1: Fraction(3)}, "two agents share an id"),
+    ]
+    for graph, agents, targets, message in cases:
+        with pytest.raises(InvalidInputError, match=message):
+            allocate_bounded(graph, agents, targets)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,22 @@ def test_graph_build_rejects_bad_input():
         GoodsGraph.build(["a"], [("a", "b")])
     with pytest.raises(InvalidInputError):
         GoodsGraph.build(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, named",
+    [
+        ([1, 2], [(1, 2)], "1"),
+        ([("x",), ("y",)], [], "('x',)"),
+        ([None], [], "None"),
+        (["a", 1], [], "1"),
+    ],
+)
+def test_graph_build_refuses_ids_that_are_not_strings(vertices, edges, named):
+    # Vertex ids are strings in lexicographic order; an int would sort by
+    # number, and a mixed list would fail in sorted with a bare TypeError.
+    with pytest.raises(InvalidInputError, match=re.escape(f"vertex id {named} is not a string")):
+        GoodsGraph.build(vertices, edges)
 
 
 def test_induced_subgraph():

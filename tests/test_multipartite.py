@@ -120,12 +120,20 @@ def test_bounded_call_input_checks():
 
 
 def test_bounded_call_names_the_agent_without_a_target():
-    # A missing target is an input error naming the agent, as in the ratio
-    # search, not a KeyError.
+    # A missing or inexact target, or a repeated agent id, is an input error
+    # with the ratio search's message, not a KeyError, a float comparison or
+    # a dropped agent.  Each flat agent's share of K5,5 is 50.
     g = multipartite(5, 5)
     parts = sorted(recognize(g).parts, key=lambda p: (len(p), sorted(p)))
-    with pytest.raises(InvalidInputError, match="no target for agent 2"):
-        allocate_bounded_multipartite(g, parts, flat_agents(g, 2), {1: Fraction(10)})
+    cases = [
+        (flat_agents(g, 2), {1: Fraction(10)}, "no target for agent 2"),
+        (flat_agents(g, 2), {1: 50.0, 2: 50.0}, "target of agent 1 is 50.0, not an int"),
+        (flat_agents(g, 2), {1: True, 2: True}, "target of agent 1 is True, not an int"),
+        (flat_agents(g, 1) * 2, {1: Fraction(50)}, "two agents share an id"),
+    ]
+    for agents, targets, message in cases:
+        with pytest.raises(InvalidInputError, match=message):
+            allocate_bounded_multipartite(g, parts, agents, targets)
 
 
 def unshaped_profile(rng: random.Random, kind: str, graph: GoodsGraph) -> dict:

@@ -283,6 +283,31 @@ def test_one_type_kernel_solve_runs_no_search(monkeypatch):
     assert check_allocation(inst, alloc, alloc.target_alpha).passes
 
 
+def split_refusals() -> dict:
+    """Bounded split calls that must be refused, with the message of each."""
+    inst = gen_split(2, 10, 2, 20, 2)
+    g, agents = inst.graph, inst.agents
+    shares = {a.id: oracle.mms(g, a, 2).value for a in agents}
+    first = agents[0]
+    return {
+        "float": (g, agents, {i: float(t) for i, t in shares.items()}, "target of agent 1 is 64.0"),
+        "bool": (g, agents, {1: True, 2: True}, "target of agent 1 is True, not an int"),
+        "shared id": (g, (first, first), {1: shares[1]}, "two agents share an id"),
+    }
+
+
+@pytest.mark.parametrize("case", list(split_refusals()))
+def test_bounded_split_refuses_inexact_targets_and_shared_ids(case, record):
+    # The solver refuses at entry, with the ratio search's message, before
+    # it reads a share; a float target would otherwise be compared in float
+    # arithmetic, and a repeated id would reach the kernel's ratio search.
+    graph, agents, targets, message = split_refusals()[case]
+    shares = record(oracle, "mms")
+    with pytest.raises(InvalidInputError, match=message):
+        splitgraph._allocate_bounded_split(graph, agents, targets, 1)
+    assert shares == []
+
+
 def test_single_agent_takes_everything():
     g = star(3)
     inst = Instance(

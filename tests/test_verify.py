@@ -105,6 +105,16 @@ def test_a_negative_alpha_is_refused(alpha):
         check_allocation(inst, alloc, alpha)
 
 
+def test_a_negative_share_is_refused():
+    # A share below 0 would score any bundle, the empty one too, at ratio 1.
+    g = GoodsGraph.build(["a"], [])
+    inst = Instance(graph=g, agents=(Agent(id=1, type_id=1, utility={"a": Fraction(1)}),))
+    alloc = Allocation(bundles=((1, frozenset()),), target_alpha=Fraction(1))
+    records = {1: MmsRecord(Fraction(-5), ())}
+    with pytest.raises(InvalidInputError, match="share of agent 1 is -5, below 0"):
+        check_allocation(inst, alloc, Fraction(1), records)
+
+
 def test_zero_share_agents_are_satisfied_by_anything():
     g = GoodsGraph.build(["a"], [])
     hungry = Agent(id=1, type_id=1, utility={"a": Fraction(5)})
