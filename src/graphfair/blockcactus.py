@@ -31,11 +31,10 @@ from .core import (
     ClassMismatchError,
     GoodsGraph,
     Instance,
-    InvalidInputError,
     StructuralError,
     Value,
+    check_instance,
     check_targets,
-    validate_instance,
 )
 from .graphs import (
     _bits,
@@ -142,9 +141,7 @@ def allocate_block_cactus(inst: Instance) -> Allocation:
     a clique or a cycle); disconnected graphs are fine, the reduction routes
     agents into components.
     """
-    problems = validate_instance(inst)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    check_instance(inst)
     if not is_block_cactus_graph(inst.graph):
         raise ClassMismatchError("graph is not a block-cactus graph")
     return allocate_reduction(inst, HALF, allocate_bounded)

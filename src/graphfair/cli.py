@@ -22,7 +22,7 @@ from .core import (
     UndefinedMmsError,
     UnsupportedBlockError,
     as_value,
-    validate_instance,
+    check_instance,
     value_str,
 )
 from .graphs import _sorted_blocks, block_cut_tree, recognize
@@ -45,9 +45,7 @@ ALLOCATORS = [
 
 def _load_valid_instance(path: str) -> Instance:
     inst, _names = io.load_instance(path)
-    problems = validate_instance(inst)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    check_instance(inst)
     return inst
 
 

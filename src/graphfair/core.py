@@ -258,6 +258,13 @@ def validate_instance(inst: Instance) -> list[str]:
     return problems
 
 
+def check_instance(inst: Instance) -> None:
+    """Refuse an instance with every problem `validate_instance` finds, in one message."""
+    problems = validate_instance(inst)
+    if problems:
+        raise InvalidInputError("; ".join(problems))
+
+
 @dataclass(frozen=True)
 class Allocation:
     """Bundles labelled by agent id, with the alpha they claim.

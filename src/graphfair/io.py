@@ -79,10 +79,7 @@ def parse_instance_doc(doc) -> tuple[Instance, dict[int, str]]:
     g = doc["graph"]
     verts = g.get("vertices")
     edges = g.get("edges")
-    _require(
-        isinstance(verts, list) and all(isinstance(v, str) for v in verts),
-        '"vertices" must be a list of strings',
-    )
+    _require(isinstance(verts, list), '"vertices" must be a list')
     _require(isinstance(edges, list), '"edges" must be a list')
     pairs = []
     for e in edges:
@@ -104,11 +101,10 @@ def parse_instance_doc(doc) -> tuple[Instance, dict[int, str]]:
         _require(isinstance(utilities, dict), f"agent {aid} needs a utilities object")
         util: dict[str, Value] = {}
         for v, x in utilities.items():
-            if isinstance(x, float) or isinstance(x, bool):
-                raise InvalidInputError(
-                    f"agent {aid} has a non-exact value at {v!r}: {x!r}"
-                )
-            util[v] = as_value(x)
+            try:
+                util[v] = as_value(x)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"agent {aid} at {v!r}: {exc}") from None
         labels.add(label)
         raw_agents.append((aid, label, util))
     ids = [aid for aid, _, _ in raw_agents]

@@ -24,10 +24,9 @@ from .core import (
     GoodsGraph,
     GuaranteeViolationError,
     Instance,
-    InvalidInputError,
     Value,
+    check_instance,
     check_targets,
-    validate_instance,
 )
 from .graphs import recognize
 from .reduction import allocate_reduction, finish_allocation
@@ -171,9 +170,7 @@ def allocate_multipartite(inst: Instance) -> Allocation:
     The instance graph must be connected complete multipartite with at least
     two parts.
     """
-    problems = validate_instance(inst)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    check_instance(inst)
     witness = recognize(inst.graph)
     # Two or more parts make the graph connected: every vertex is adjacent
     # to every vertex outside its own part.

@@ -48,18 +48,29 @@ cacti of small blocks, gets its k-bundle value from the threshold DP of
 `blockdp` instead of the search.  Its blocks come from the lowpoint search
 `graphs.block_cut_tree` on the component's mask, with no induced graph.
 Before that search, a component with more than 2(|C| - 1) edges is turned
-away, since blocks of at most 4 vertices allow no more; every other
-component keeps the search.  Plans, and None for a component turned away,
-are cached per graph and component, and clear_cache() drops them with the
-records.
+away, since blocks of at most 4 vertices allow no more.  Any other component
+with a simplicial vertex, one whose neighbourhood in the component is a
+clique, as on the independent side of a split graph, gets its value from the
+search run on a fail-first view: the component relabelled fewest neighbours
+first, ties by index, with the weights permuted to match.  Each bundle then
+starts from the remaining vertex with the fewest ways to grow, so a search
+that must prove its value fails sooner (Haralick and Elliott, AIJ 1980).  On
+a component with no simplicial vertex, such as a complete multipartite
+graph, where every vertex order is alike, the relabelling would cost more
+than it saves, so the search keeps the canonical order.  Plans, views, and
+None for a component searched in canonical order, are cached per graph and
+component, and clear_cache() drops them with the records.
 
 Share records are made here and nowhere else, all one way: a record builds
-its witness the first time it is read, and keeps it.  A searched component
-gives the parts its search found.  A component whose value came from the DP
-runs a search that knows the value: it starts from best = value - 1 and
-stops at the first partition worth the value, which is the first optimum in
-canonical order, the witness the full search returns.  A caller that reads
-only values, as the certificate does, runs no search on such a graph.
+its witness the first time it is read, and keeps it.  One bundle is its
+component.  Every split of two or more bundles, whatever gave its value,
+comes from the canonical search told the value: it starts from
+best = value - 1 and stops at the first partition worth the value, which is
+the first optimum in canonical order, the witness the full search returns.
+Should it find another value, GuaranteeViolationError names both searches,
+so each witness read cross-checks the DP or the view against the canonical
+order.  A caller that reads only values, as the certificate does, runs no
+witness search.
 
 Shares are cached per utility function: the key is the graph, the int
 weights, their scale and n, never the agent, and which share was asked for
@@ -129,8 +140,8 @@ from .graphs import _bits, _components, block_cut_tree
 MAX_VERTICES = 14
 
 # Share cache: key -> MmsRecord, one key per utility function.  Plan cache:
-# (graph, component mask) -> block DP plan, or None for a component the DP
-# does not serve.
+# (graph, component mask) -> block DP plan, fail-first view, or None for a
+# component searched in canonical order.
 _CACHE_LIMIT = 1024
 _cache: dict = {}
 _plans: dict = {}
@@ -343,12 +354,65 @@ def _minmax_partition_search(
     return (None, None) if best_parts is None else (best_val, best_parts)
 
 
-def _block_plan(graph: GoodsGraph, mask: int):
-    """The block DP's plan for one component, or None if a block is too big.
+@dataclass(frozen=True)
+class _View:
+    """A component relabelled fewest neighbours first, for the value search.
 
-    `mask` is the component's bitmask.  The DP serves components whose blocks
-    have at most 4 vertices.  Plans, None included, are cached per graph and
-    component until clear_cache().
+    Vertex `order[p]` of the graph is vertex p of the view, `adj` is the
+    component's adjacency in the new labels, and `full` covers all of them.
+    """
+
+    order: tuple[int, ...]
+    adj: tuple[int, ...]
+    full: int
+
+
+def _has_simplicial(adj, mask: int) -> bool:
+    """Whether some vertex's neighbourhood within `mask` is a clique."""
+    rest = mask
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        nb = adj[b.bit_length() - 1] & mask
+        todo = nb
+        while todo:
+            c = todo & -todo
+            # In a clique each member misses only itself among the others.
+            if nb & ~adj[c.bit_length() - 1] != c:
+                break
+            todo ^= c
+        else:
+            return True
+    return False
+
+
+def _fail_first_view(adj, mask: int) -> _View:
+    """The component `mask` relabelled fewest neighbours first, ties by index."""
+    # `_bits` is ascending and the sort stable, so ties keep index order.
+    order = tuple(sorted(_bits(mask), key=lambda i: (adj[i] & mask).bit_count()))
+    label = [0] * len(adj)
+    for p, i in enumerate(order):
+        label[i] = 1 << p
+    view_adj = []
+    for i in order:
+        nb = adj[i] & mask
+        relabelled = 0
+        while nb:
+            b = nb & -nb
+            nb ^= b
+            relabelled |= label[b.bit_length() - 1]
+        view_adj.append(relabelled)
+    return _View(order, tuple(view_adj), (1 << len(order)) - 1)
+
+
+def _component_plan(graph: GoodsGraph, mask: int):
+    """How the value search treats one component: a DP plan, a view or None.
+
+    `mask` is the component's bitmask.  The block DP's plan serves components
+    whose blocks have at most 4 vertices.  Any other component with a
+    simplicial vertex gets a fail-first `_View`; the rest get None and the
+    search in canonical order.  Entries, None included, are cached per graph
+    and component until clear_cache().
     """
     key = (graph, mask)
     if key in _plans:
@@ -362,6 +426,8 @@ def _block_plan(graph: GoodsGraph, mask: int):
         pairs, _ = block_cut_tree(adj, mask)
         if all(block.bit_count() <= 4 for _, block in pairs):
             plan = _plan(pairs, adj)
+    if plan is None and _has_simplicial(adj, mask):
+        plan = _fail_first_view(adj, mask)
     _store(_plans, key, plan)
     return plan
 
@@ -398,24 +464,28 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
 
     sizes = [mask.bit_count() for mask in comp_masks]
     least = 1 if cover else 0
-    table: dict[tuple[int, int], tuple[int, tuple]] = {}
+    table: dict[tuple[int, int], tuple[int, str | None]] = {}
 
-    def comp_split(j: int, k: int):
-        # Best k-bundle split of component j, worked out on first use only:
-        # (value, parts), with parts None when the threshold DP gave the
-        # value.  One bundle needs neither: it is the component itself.
+    def comp_value(j: int, k: int):
+        # The k-bundle share of component j, worked out on first use only,
+        # with the name of what found it: None for one bundle, which is the
+        # component itself.
         state = (j, k)
         if state not in table:
             mask = comp_masks[j]
             if k == 1:
-                table[state] = sum(wts[i] for i in _bits(mask)), (mask,)
+                table[state] = sum(wts[i] for i in _bits(mask)), None
             else:
-                plan = _block_plan(graph, mask)
+                plan = _component_plan(graph, mask)
                 if plan is None:
-                    table[state] = _minmax_partition_search(adj, mask, wts, k)
+                    table[state] = _minmax_partition_search(adj, mask, wts, k)[0], "the share search"
+                elif type(plan) is _View:
+                    view_wts = [wts[i] for i in plan.order]
+                    got = _minmax_partition_search(plan.adj, plan.full, view_wts, k)[0]
+                    table[state] = got, "the fail-first search"
                 else:
                     total = sum(wts[i] for i in _bits(mask))
-                    table[state] = _threshold_share(plan, wts, total, k), None
+                    table[state] = _threshold_share(plan, wts, total, k), "the threshold DP"
         return table[state]
 
     memo: dict[tuple[int, int], tuple] = {}
@@ -436,7 +506,7 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
                 continue
             cand = sub
             if k:
-                mine = comp_split(j, k)[0]
+                mine = comp_value(j, k)[0]
                 if cand is None or mine < cand:
                     cand = mine
             if not best[0] or (best[1] is not None and (cand is None or cand > best[1])):
@@ -447,22 +517,26 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
     feasible, best_val, picks = dp(0, n)
     if feasible:
         value = Fraction(best_val, scale)
-        splits = [(comp_masks[j], k) + comp_split(j, k) for j, k in enumerate(picks) if k]
+        splits = [(comp_masks[j], k) + comp_value(j, k) for j, k in enumerate(picks) if k]
     else:
         # More bundles than vertices: each vertex is a bundle of its own, the
         # rest are empty, and the share is 0.
         value = ZERO
-        splits = [(1 << i, 1, wts[i], (1 << i,)) for i in range(m)]
+        splits = [(1 << i, 1, wts[i], None) for i in range(m)]
 
     def witness():
+        # Every split of two or more bundles is the first partition in
+        # canonical order worth the value found, whatever found it.
         parts = []
-        for mask, k, v, found in splits:
-            if found is None:
-                got, found = _minmax_partition_search(adj, mask, wts, k, floor=v)
-                if got != v:
-                    raise GuaranteeViolationError(
-                        f"the share search found {got}, the threshold DP {v}"
-                    )
+        for mask, k, v, source in splits:
+            if k == 1:
+                parts.append(mask)
+                continue
+            got, found = _minmax_partition_search(adj, mask, wts, k, floor=v)
+            if got != v:
+                raise GuaranteeViolationError(
+                    f"the canonical floor search found {got}, {source} {v}"
+                )
             parts += found
         parts += [0] * (n - len(parts))
         return tuple(frozenset(graph.vertices[i] for i in _bits(mask)) for mask in parts)

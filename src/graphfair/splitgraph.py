@@ -28,8 +28,8 @@ from .core import (
     InvalidInputError,
     StructuralError,
     Value,
+    check_instance,
     check_targets,
-    validate_instance,
 )
 from .graphs import recognize, split_partition
 from .reduction import allocate_reduction, finish_allocation
@@ -289,9 +289,7 @@ def allocate_split(inst: Instance) -> Allocation:
     the instance: alpha = 3/(7*2^k - 3) with k = ceil(log2 p).  Identical
     agents (p = 1) get 3/4.
     """
-    problems = validate_instance(inst)
-    if problems:
-        raise InvalidInputError("; ".join(problems))
+    check_instance(inst)
     witness = recognize(inst.graph)
     if not (witness.has("connected") and witness.has("split")):
         raise ClassMismatchError("graph is not a connected split graph")

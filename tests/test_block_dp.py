@@ -105,7 +105,7 @@ def test_dp_value_and_witness_match_the_frozen_search(kind, record):
 def searched_records(graph: GoodsGraph, agent: Agent, n: int, monkeypatch) -> dict:
     """pmms and mms records with the DP turned off, so every share is searched."""
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_block_plan", lambda *args: None)
+        patch.setattr(oracle, "_component_plan", lambda *args: None)
         oracle.clear_cache()
         records = {}
         for share in (oracle.pmms, oracle.mms):
@@ -148,11 +148,17 @@ def test_a_block_of_five_vertices_falls_back_to_the_search(record, monkeypatch):
         expected = searched_records(graph, agent, n, monkeypatch)
         calls.clear()
         rec = oracle.pmms(graph, agent, n)
-        # The share itself searched, and the witness came with it.
+        # The value came from one search of the component's fail-first view
+        # (the triangle's f and g are simplicial); the witness, on first
+        # read, from a canonical search that knew the value.
+        view = oracle._plans[graph, 0b1111111]
         assert searches(calls) == [(0b1111111, n)]
+        assert calls[0].args[0] == view.adj != graph.neighbor_masks
         assert (rec.value, rec.witness) == expected[oracle.pmms]
         assert oracle.mms(graph, agent, n) is rec
-        assert searches(calls) == [(0b1111111, n)]
+        assert searches(calls) == [(0b1111111, n)] * 2
+        assert calls[1].args[0] == graph.neighbor_masks
+        assert calls[1].kwargs == {"floor": rec.value * scale_of(agent)}
 
 
 def cold_certificate_searches(inst: Instance, allocate, calls) -> int:

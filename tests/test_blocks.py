@@ -323,7 +323,7 @@ def test_the_jump_makes_fewer_counts_than_the_bisection(record):
     # at t = 4, closes {d} and {a, b, c}, both worth 8 = 17 // 2, so the
     # search is done; the bisection also counts at 6, 7 and 8.
     graph = GoodsGraph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
-    plan = oracle._block_plan(graph, 0b1111)
+    plan = oracle._component_plan(graph, 0b1111)
     frozen = naive_oracles.frozen_plan(block_cut_tree(graph.neighbor_masks, 0b1111)[0], graph.neighbor_masks)
     jumps = record(blockdp, "_set_count")
     steps = record(naive_oracles, "frozen_set_count")
@@ -471,7 +471,10 @@ def test_shares_build_no_induced_graph(record):
             oracle.pmms(graph, agent, n)
             oracle.mms(graph, agent, n)
             if graph is split:
-                assert oracle._plans == {(split, (1 << 10) - 1): None}
+                # The DP turns it away; its pendants are simplicial, so the
+                # plan cache holds its fail-first view instead.
+                assert list(oracle._plans) == [(split, (1 << 10) - 1)]
+                assert type(oracle._plans[split, (1 << 10) - 1]) is oracle._View
     assert induced == []
 
 

@@ -5,9 +5,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from graphfair import cli, graphs, io
-from graphfair.core import Agent, GoodsGraph, Instance
+from graphfair.blockcactus import allocate_block_cactus
+from graphfair.core import Agent, GoodsGraph, Instance, InvalidInputError
 from graphfair.generators import generate
+from graphfair.multipartite import allocate_multipartite
+from graphfair.splitgraph import allocate_split
 from naive_oracles import frozen_block_cut_tree
 
 
@@ -424,3 +429,44 @@ def test_malformed_input_file_exit_2(tmp_path, capsys):
     for argv in unreadable_file_commands(tmp_path, broken):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith(f"error: {broken}: invalid JSON at line 3"), argv
+
+
+def write_doc(path, vertices, utilities) -> None:
+    doc = {"graph": {"vertices": vertices, "edges": []}, "agents": [{"id": 1, "utilities": utilities}]}
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+
+
+def test_allocate_refuses_a_vertex_id_that_is_not_a_string(tmp_path, capsys):
+    # The graph's own check is the only vertex-id check.
+    f = tmp_path / "inst.json"
+    write_doc(f, ["a", 1], {"a": 1, "1": 1})
+    assert cli.main(["allocate", str(f), "--out", str(tmp_path / "a.json")]) == 2
+    assert capsys.readouterr().err == "error: vertex id 1 is not a string\n"
+
+
+def test_allocate_refuses_a_float_or_bool_utility_with_its_agent_and_vertex(tmp_path, capsys):
+    # `as_value` is the only exactness check; the parser adds where it failed.
+    f = tmp_path / "inst.json"
+    for x in (1.5, True):
+        write_doc(f, ["a", "b"], {"a": 1, "b": x})
+        assert cli.main(["allocate", str(f), "--out", str(tmp_path / "a.json")]) == 2
+        assert capsys.readouterr().err == f"error: agent 1 at 'b': not a rational value: {x!r}\n"
+
+
+def test_one_bad_instance_gets_one_message_from_every_entry_point(tmp_path, capsys):
+    g = cycle(4)
+    utils = [{v: 1 for v in g.vertices}, {**{v: 1 for v in g.vertices}, "c1": -2}]
+    agents = (
+        Agent(id=1, type_id=1, utility={v: Fraction(x) for v, x in utils[0].items()}),
+        Agent(id=3, type_id=3, utility={v: Fraction(x) for v, x in utils[1].items()}),
+    )
+    inst = Instance(graph=g, agents=agents)
+    message = "agent ids are [1, 3], expected 1..2; agent 3 has a negative value at 'c1'"
+    for allocate in (allocate_block_cactus, allocate_multipartite, allocate_split):
+        with pytest.raises(InvalidInputError) as caught:
+            allocate(inst)
+        assert str(caught.value) == message, allocate
+    f = tmp_path / "inst.json"
+    Path(f).write_bytes(io.canonical_dumps(io.instance_to_doc(inst)).encode("utf-8"))
+    assert cli.main(["allocate", str(f), "--out", str(tmp_path / "a.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

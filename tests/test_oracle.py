@@ -359,10 +359,12 @@ def test_search_stops_growing_bundles_that_cannot_win(monkeypatch):
     # after it leaves too little for the later ones, or after best reached
     # its level's running minimum, never reaches a connectivity check: the
     # search's check count stays 11, while the bundles grown fell from 949
-    # to 95.  pmms's own component walk of the whole graph makes it 12.
+    # to 95.  The search runs on the graph's own labels: pmms searches a
+    # relabelled view for the value, so the pins would not be these.
     g = gen.gen_split(2, 10, 3, 20, 1).graph
     rng = random.Random(2)
     a = agent_with({v: rng.randint(8, 12) for v in g.vertices})
+    wts, _ = oracle._weights_for(a, list(g.vertices))
     checks = []
     walk = oracle._components
 
@@ -374,7 +376,6 @@ def test_search_stops_growing_bundles_that_cannot_win(monkeypatch):
     grown = 0
 
     def profile(frame, event, arg):
-        # pmms runs only the share search, so every `grow` frame is its own.
         nonlocal grown
         if event == "call" and frame.f_code.co_name == "grow":
             grown += 1
@@ -382,11 +383,11 @@ def test_search_stops_growing_bundles_that_cannot_win(monkeypatch):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        rec = oracle.pmms(g, a, 3)
+        value, _ = oracle._minmax_partition_search(g.neighbor_masks, (1 << 10) - 1, wts, 3)
     finally:
         sys.setprofile(previous)
-    assert rec.value == 31 < sum(a.utility.values()) // 3
-    assert len(checks) == 12
+    assert value == 31 < sum(wts) // 3
+    assert len(checks) == 11
     assert grown <= 95
 
 
@@ -396,12 +397,13 @@ def test_search_stops_at_a_remainder_without_room_for_its_bundles(monkeypatch):
     # often strands independent vertices; once a partition worth best is
     # known, a remainder with a component worth less than best + 1, or whose
     # components hold fewer than the bundles still to come at best + 1 each,
-    # is left at once.  Counting only its components, the search made 1931
-    # connectivity checks here (pmms's own walk included) and grew 3279
-    # bundles; now it makes 431 and grows 847.
+    # is left at once.  Counting only its components, the search made 1930
+    # connectivity checks here and grew 3279 bundles; now it makes 430 and
+    # grows 847.  The search runs on the graph's own labels, as above.
     g = gen.gen_split(2, 12, 4, 20, 1).graph
     rng = random.Random(2)
     a = agent_with({v: rng.randint(8, 12) for v in g.vertices})
+    wts, _ = oracle._weights_for(a, list(g.vertices))
     checks = []
     walk = oracle._components
 
@@ -420,11 +422,11 @@ def test_search_stops_at_a_remainder_without_room_for_its_bundles(monkeypatch):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        rec = oracle.pmms(g, a, 4)
+        value, _ = oracle._minmax_partition_search(g.neighbor_masks, (1 << 12) - 1, wts, 4)
     finally:
         sys.setprofile(previous)
-    assert rec.value == 28 < sum(a.utility.values()) // 4
-    assert len(checks) == 431
+    assert value == 28 < sum(wts) // 4
+    assert len(checks) == 430
     assert grown == 847
 
 
@@ -585,7 +587,7 @@ def test_oracle_searches_stay_in_exact_arithmetic():
         if isinstance(node, ast.Name) and node.id == "float"
     ]
     assert floats == [], f"`float` used at lines {floats}"
-    search_fns = {"rec", "grow", "leaf", "assign", "dp", "comp_split"}
+    search_fns = {"rec", "grow", "leaf", "assign", "dp", "comp_value", "witness"}
     divisions = [
         (fn.name, node.lineno)
         for fn in ast.walk(tree)

@@ -21,8 +21,8 @@ ratio calls whose agents share one ratio-weight row (which read the share
 witness instead of searching), ratio calls with every target 0, with one
 positive target or with five agents, one whose assignment is not the first
 optimal permutation, and the block-cactus solver's single-block ratio call.  Each corner share search that finds a value runs again with
-that value as its floor, the path a witness read after the threshold DP
-takes, and must return the same first optimum.
+that value as its floor, the path every witness read takes, and must return
+the same first optimum.
 
 Two samples aim at the cut that leaves a remainder whose components cannot
 hold the bundles still to come: flat split and complete multipartite graphs
@@ -119,9 +119,8 @@ def heavy_ceiling(adj, full, wts, n) -> int:
 
 
 def assert_share_calls_match(calls) -> None:
-    # A witness read after the threshold DP passes the known optimum as
-    # `floor`; the frozen search takes no floor and must return the same
-    # first optimum.
+    # A witness read passes the known optimum as `floor`; the frozen search
+    # takes no floor and must return the same first optimum.
     for call in calls:
         assert frozen_minmax_partition_search(*call.args[:4]) == call.result, call
 
@@ -196,14 +195,14 @@ def test_allocation_and_share_searches_match_the_frozen_searches(record, monkeyp
             value, even, heavy = call.result[0], ceiling(*call.args), heavy_ceiling(*call.args)
             exits["even" if value == even else "heavy" if value == heavy else "below"] += 1
     assert all(exits.values()), exits
-    # It reaches both kinds of search too: witnesses read after the DP, with
-    # a floor, and full searches on components with a block of 5+ vertices.
+    # It reaches both kinds of search too: witness reads, with a floor, and
+    # value searches on components with a block of 5+ vertices.
     floored = ["floor" in call.kwargs for call in shares]
     assert any(floored) and not all(floored), len(shares)
     assert len(ratios) >= 8, len(ratios)
     # Replayed without the recording wrappers.
     monkeypatch.undo()
-    assert search_nodes((call.args, call.kwargs) for call in shares) == {"rec": 2361, "grow": 12032}
+    assert search_nodes((call.args, call.kwargs) for call in shares) == {"rec": 1985, "grow": 11349}
     assert ratio_nodes((call.args, {}) for call in ratios) == {"rec": 3, "grow": 3, "leaf": 2}
 
 

@@ -253,13 +253,15 @@ def test_kernel_solve_below_three_quarters_raises(monkeypatch):
 def test_one_type_kernel_solve_runs_no_search(monkeypatch):
     # Four agents of one type on a 14-vertex split graph: the kernel solve
     # reads the share record its targets just cached instead of searching.
+    # Its witness is built on that first read, by the one search inside the
+    # solve, which starts from the value the record already holds.
     inst = gen_split(2, 14, 4, 20, 1)
     assert len({a.type_id for a in inst.agents}) == 1
     solve = oracle.max_min_ratio_allocation
     search = oracle._minmax_partition_search
     kernels: list[int] = []
     inside = False
-    searches_inside = 0
+    searches_inside: list[dict] = []
 
     def counted_solve(graph, agents, targets):
         nonlocal inside
@@ -270,16 +272,16 @@ def test_one_type_kernel_solve_runs_no_search(monkeypatch):
         finally:
             inside = False
 
-    def counted_search(*args):
-        nonlocal searches_inside
-        searches_inside += inside
-        return search(*args)
+    def counted_search(*args, **kwargs):
+        if inside:
+            searches_inside.append(kwargs)
+        return search(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "max_min_ratio_allocation", counted_solve)
     monkeypatch.setattr(oracle, "_minmax_partition_search", counted_search)
     alloc = allocate_split(inst)
     assert kernels == [12]
-    assert searches_inside == 0
+    assert [set(kwargs) for kwargs in searches_inside] == [{"floor"}]
     assert check_allocation(inst, alloc, alloc.target_alpha).passes
 
 
