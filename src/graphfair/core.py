@@ -115,7 +115,8 @@ class GoodsGraph:
     edges: frozenset[tuple[str, str]]
 
     @classmethod
-    def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "GoodsGraph":
+    def build(cls, vertices: Iterable[str], edges: Iterable[Sequence[str]]) -> "GoodsGraph":
+        """The graph on `vertices` with `edges`, each a tuple or list of two of them."""
         verts = tuple(vertices)
         for v in verts:
             if not isinstance(v, str):
@@ -124,10 +125,19 @@ class GoodsGraph:
         if len(vset) != len(verts):
             raise InvalidInputError("duplicate vertex id")
         seen: set[tuple[str, str]] = set()
-        for a, b in edges:
+        for e in edges:
+            if not isinstance(e, (tuple, list)) or len(e) != 2:
+                raise InvalidInputError(f"edge {e!r} is not a pair of vertex ids")
+            a, b = e
             if a == b:
                 raise InvalidInputError(f"self-loop at {a!r}")
-            if a not in vset or b not in vset:
+            # Every vertex id is a string, so an end of another type is
+            # unknown, and an unhashable one fails the lookup itself.
+            try:
+                known = a in vset and b in vset
+            except TypeError:
+                known = False
+            if not known:
                 raise InvalidInputError(f"edge ({a!r}, {b!r}) mentions an unknown vertex")
             e = (a, b) if a < b else (b, a)
             if e in seen:
@@ -233,7 +243,11 @@ def validate_instance(inst: Instance) -> list[str]:
     if not inst.agents:
         problems.append("instance has no agents")
     ids = [a.id for a in inst.agents]
-    if sorted(ids) != list(range(1, len(ids) + 1)):
+    # An id that is not an int, a bool included, would mis-sort or be
+    # written back as something else.
+    bad_ids = [aid for aid in ids if type(aid) is not int]
+    problems += [f"agent id must be an integer, got {aid!r}" for aid in bad_ids]
+    if not bad_ids and sorted(ids) != list(range(1, len(ids) + 1)):
         problems.append(f"agent ids are {sorted(ids)}, expected 1..{len(ids)}")
     vset = set(inst.graph.vertices)
     for a in inst.agents:

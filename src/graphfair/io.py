@@ -64,6 +64,9 @@ def read_json(path: str):
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # Bytes that are not UTF-8, or an integer past Python's digit limit.
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def parse_instance_doc(doc) -> tuple[Instance, dict[int, str]]:
@@ -81,14 +84,7 @@ def parse_instance_doc(doc) -> tuple[Instance, dict[int, str]]:
     edges = g.get("edges")
     _require(isinstance(verts, list), '"vertices" must be a list')
     _require(isinstance(edges, list), '"edges" must be a list')
-    pairs = []
-    for e in edges:
-        _require(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e),
-            f"bad edge entry {e!r}",
-        )
-        pairs.append((e[0], e[1]))
-    graph = GoodsGraph.build(verts, pairs)
+    graph = GoodsGraph.build(verts, edges)
 
     raw_agents = []
     labels = set()

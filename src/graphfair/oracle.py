@@ -43,23 +43,29 @@ k-bundle share is worked out only when the DP first reads it, so a connected
 graph needs k = n alone, and one bundle, the component itself, needs no
 search.
 
-A component whose blocks all have at most 4 vertices, as on block graphs and
-cacti of small blocks, gets its k-bundle value from the threshold DP of
-`blockdp` instead of the search.  Its blocks come from the lowpoint search
-`graphs.block_cut_tree` on the component's mask, with no induced graph.
-Before that search, a component with more than 2(|C| - 1) edges is turned
-away, since blocks of at most 4 vertices allow no more.  Any other component
-with a simplicial vertex, one whose neighbourhood in the component is a
-clique, as on the independent side of a split graph, gets its value from the
-search run on a fail-first view: the component relabelled fewest neighbours
-first, ties by index, with the weights permuted to match.  Each bundle then
-starts from the remaining vertex with the fewest ways to grow, so a search
-that must prove its value fails sooner (Haralick and Elliott, AIJ 1980).  On
-a component with no simplicial vertex, such as a complete multipartite
-graph, where every vertex order is alike, the relabelling would cost more
-than it saves, so the search keeps the canonical order.  Plans, views, and
-None for a component searched in canonical order, are cached per graph and
-component, and clear_cache() drops them with the records.
+Each component's value comes from one entry of the plan cache: the name of a
+method and its value function, which maps the graph's int weights and a
+bundle count k >= 2 to the component's k-bundle share.  `_component_plan`
+picks the method and `_share` only calls it.  A component whose blocks all
+have at most 4 vertices, as on block graphs and cacti of small blocks, is
+valued by the threshold DP of `blockdp`.  Its blocks come from the lowpoint
+search `graphs.block_cut_tree` on the component's mask, with no induced
+graph.  Before that search, a component with more than 2(|C| - 1) edges is
+turned away, since blocks of at most 4 vertices allow no more.  Any other
+component with a simplicial vertex, one whose neighbourhood in the
+component is a clique, as on the independent side of a split graph, is
+valued by the fail-first search: the share search on the component
+relabelled fewest neighbours first, ties by index, with the weights
+permuted to match.  Each bundle then starts from the remaining vertex with
+the fewest ways to grow, so a search that must prove its value fails sooner
+(Haralick and Elliott, AIJ 1980).  One pass over the component's degrees
+serves the DP's edge count and that order.  When the order is the index
+order already, a relabelling would change nothing, and on a component with
+no simplicial vertex, such as a complete multipartite graph, where every
+vertex order is alike, it would cost more than it saves; both get the
+index-order search, the share search on the component as it is.  Entries
+are cached per graph and component, and clear_cache() drops them with the
+records.
 
 Share records are made here and nowhere else, all one way: a record builds
 its witness the first time it is read, and keeps it.  One bundle is its
@@ -67,10 +73,11 @@ component.  Every split of two or more bundles, whatever gave its value,
 comes from the canonical search told the value: it starts from
 best = value - 1 and stops at the first partition worth the value, which is
 the first optimum in canonical order, the witness the full search returns.
-Should it find another value, GuaranteeViolationError names both searches,
-so each witness read cross-checks the DP or the view against the canonical
-order.  A caller that reads only values, as the certificate does, runs no
-witness search.
+Should it find another value, GuaranteeViolationError names the canonical
+search and the method of the cached entry, so each witness read
+cross-checks the DP or the fail-first search against the canonical order.
+A caller that reads only values, as the certificate does, runs no witness
+search.
 
 Shares are cached per utility function: the key is the graph, the int
 weights, their scale and n, never the agent, and which share was asked for
@@ -140,8 +147,7 @@ from .graphs import _bits, _components, block_cut_tree
 MAX_VERTICES = 14
 
 # Share cache: key -> MmsRecord, one key per utility function.  Plan cache:
-# (graph, component mask) -> block DP plan, fail-first view, or None for a
-# component searched in canonical order.
+# (graph, component mask) -> (method name, value function).
 _CACHE_LIMIT = 1024
 _cache: dict = {}
 _plans: dict = {}
@@ -354,19 +360,6 @@ def _minmax_partition_search(
     return (None, None) if best_parts is None else (best_val, best_parts)
 
 
-@dataclass(frozen=True)
-class _View:
-    """A component relabelled fewest neighbours first, for the value search.
-
-    Vertex `order[p]` of the graph is vertex p of the view, `adj` is the
-    component's adjacency in the new labels, and `full` covers all of them.
-    """
-
-    order: tuple[int, ...]
-    adj: tuple[int, ...]
-    full: int
-
-
 def _has_simplicial(adj, mask: int) -> bool:
     """Whether some vertex's neighbourhood within `mask` is a clique."""
     rest = mask
@@ -386,50 +379,59 @@ def _has_simplicial(adj, mask: int) -> bool:
     return False
 
 
-def _fail_first_view(adj, mask: int) -> _View:
-    """The component `mask` relabelled fewest neighbours first, ties by index."""
-    # `_bits` is ascending and the sort stable, so ties keep index order.
-    order = tuple(sorted(_bits(mask), key=lambda i: (adj[i] & mask).bit_count()))
-    label = [0] * len(adj)
-    for p, i in enumerate(order):
-        label[i] = 1 << p
-    view_adj = []
-    for i in order:
-        nb = adj[i] & mask
-        relabelled = 0
-        while nb:
-            b = nb & -nb
-            nb ^= b
-            relabelled |= label[b.bit_length() - 1]
-        view_adj.append(relabelled)
-    return _View(order, tuple(view_adj), (1 << len(order)) - 1)
-
-
 def _component_plan(graph: GoodsGraph, mask: int):
-    """How the value search treats one component: a DP plan, a view or None.
+    """How one component is valued: a method's name and its value function.
 
-    `mask` is the component's bitmask.  The block DP's plan serves components
-    whose blocks have at most 4 vertices.  Any other component with a
-    simplicial vertex gets a fail-first `_View`; the rest get None and the
-    search in canonical order.  Entries, None included, are cached per graph
-    and component until clear_cache().
+    `mask` is the component's bitmask.  The function maps the graph's int
+    weights and a bundle count k, 2 <= k <= |C|, to the component's k-bundle
+    share.  The threshold DP serves components whose blocks have at most 4
+    vertices.  Any other component with a simplicial vertex, whose
+    fewest-neighbours-first order (ties by index) is not the index order, is
+    searched relabelled in that order; the rest are searched in index order.
+    Entries are cached per graph and component until clear_cache().
     """
     key = (graph, mask)
     if key in _plans:
         return _plans[key]
+    adj = graph.neighbor_masks
+    members = list(_bits(mask))
+    degrees = [(adj[i] & mask).bit_count() for i in members]
+    plan = None
     # A block of b <= 4 vertices has at most 2(b - 1) edges, and the b - 1
     # add up to |C| - 1 over the blocks, so a denser component is turned away
     # before its blocks are computed.  The degree sum counts each edge twice.
-    adj = graph.neighbor_masks
-    plan = None
-    if sum((adj[i] & mask).bit_count() for i in _bits(mask)) <= 4 * (mask.bit_count() - 1):
+    if sum(degrees) <= 4 * (len(members) - 1):
         pairs, _ = block_cut_tree(adj, mask)
         if all(block.bit_count() <= 4 for _, block in pairs):
             plan = _plan(pairs, adj)
+    order = members
     if plan is None and _has_simplicial(adj, mask):
-        plan = _fail_first_view(adj, mask)
-    _store(_plans, key, plan)
-    return plan
+        # Fewest neighbours first; members ascend, so ties keep index order.
+        order = [i for _, i in sorted(zip(degrees, members))]
+    if plan is not None:
+        entry = "the threshold DP", lambda wts, k: _threshold_share(plan, wts, sum(wts[i] for i in members), k)
+    elif order != members:
+        # Vertex order[p] of the graph is vertex p of the relabelled search.
+        label = [0] * len(adj)
+        for p, i in enumerate(order):
+            label[i] = 1 << p
+        view = []
+        for i in order:
+            nb = adj[i] & mask
+            relabelled = 0
+            while nb:
+                b = nb & -nb
+                nb ^= b
+                relabelled |= label[b.bit_length() - 1]
+            view.append(relabelled)
+        full = (1 << len(order)) - 1
+        entry = "the fail-first search", lambda wts, k: _minmax_partition_search(
+            view, full, [wts[i] for i in order], k
+        )[0]
+    else:
+        entry = "the index-order search", lambda wts, k: _minmax_partition_search(adj, mask, wts, k)[0]
+    _store(_plans, key, entry)
+    return entry
 
 
 def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
@@ -464,28 +466,18 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
 
     sizes = [mask.bit_count() for mask in comp_masks]
     least = 1 if cover else 0
-    table: dict[tuple[int, int], tuple[int, str | None]] = {}
+    table: dict[tuple[int, int], int] = {}
 
-    def comp_value(j: int, k: int):
-        # The k-bundle share of component j, worked out on first use only,
-        # with the name of what found it: None for one bundle, which is the
-        # component itself.
+    def comp_value(j: int, k: int) -> int:
+        # The k-bundle share of component j, worked out on first use only;
+        # one bundle is the component itself.
         state = (j, k)
         if state not in table:
             mask = comp_masks[j]
             if k == 1:
-                table[state] = sum(wts[i] for i in _bits(mask)), None
+                table[state] = sum(wts[i] for i in _bits(mask))
             else:
-                plan = _component_plan(graph, mask)
-                if plan is None:
-                    table[state] = _minmax_partition_search(adj, mask, wts, k)[0], "the share search"
-                elif type(plan) is _View:
-                    view_wts = [wts[i] for i in plan.order]
-                    got = _minmax_partition_search(plan.adj, plan.full, view_wts, k)[0]
-                    table[state] = got, "the fail-first search"
-                else:
-                    total = sum(wts[i] for i in _bits(mask))
-                    table[state] = _threshold_share(plan, wts, total, k), "the threshold DP"
+                table[state] = _component_plan(graph, mask)[1](wts, k)
         return table[state]
 
     memo: dict[tuple[int, int], tuple] = {}
@@ -506,7 +498,7 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
                 continue
             cand = sub
             if k:
-                mine = comp_value(j, k)[0]
+                mine = comp_value(j, k)
                 if cand is None or mine < cand:
                     cand = mine
             if not best[0] or (best[1] is not None and (cand is None or cand > best[1])):
@@ -517,25 +509,25 @@ def _share(graph: GoodsGraph, agent: Agent, n: int, cover: bool) -> MmsRecord:
     feasible, best_val, picks = dp(0, n)
     if feasible:
         value = Fraction(best_val, scale)
-        splits = [(comp_masks[j], k) + comp_value(j, k) for j, k in enumerate(picks) if k]
+        splits = [(comp_masks[j], k, comp_value(j, k)) for j, k in enumerate(picks) if k]
     else:
         # More bundles than vertices: each vertex is a bundle of its own, the
         # rest are empty, and the share is 0.
         value = ZERO
-        splits = [(1 << i, 1, wts[i], None) for i in range(m)]
+        splits = [(1 << i, 1, wts[i]) for i in range(m)]
 
     def witness():
         # Every split of two or more bundles is the first partition in
         # canonical order worth the value found, whatever found it.
         parts = []
-        for mask, k, v, source in splits:
+        for mask, k, v in splits:
             if k == 1:
                 parts.append(mask)
                 continue
             got, found = _minmax_partition_search(adj, mask, wts, k, floor=v)
             if got != v:
                 raise GuaranteeViolationError(
-                    f"the canonical floor search found {got}, {source} {v}"
+                    f"the canonical floor search found {got}, {_component_plan(graph, mask)[0]} {v}"
                 )
             parts += found
         parts += [0] * (n - len(parts))

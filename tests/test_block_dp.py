@@ -22,6 +22,7 @@ from graphfair.multipartite import allocate_multipartite
 from graphfair.verify import check_allocation
 
 from naive_oracles import frozen_minmax_partition_search
+from test_fail_first import fail_first
 
 BIG = 2**64
 KINDS = ("0..3", "0..20", "zero", "{0, 1, 2^64 + small}")
@@ -102,10 +103,16 @@ def test_dp_value_and_witness_match_the_frozen_search(kind, record):
                 assert [call.kwargs for call in calls] == [{"floor": value * scale_of(agent)}]
 
 
+def index_order_entry(graph: GoodsGraph, mask: int):
+    """The plan entry that searches component `mask` as it is, in index order."""
+    adj = graph.neighbor_masks
+    return "the index-order search", lambda wts, k: oracle._minmax_partition_search(adj, mask, wts, k)[0]
+
+
 def searched_records(graph: GoodsGraph, agent: Agent, n: int, monkeypatch) -> dict:
     """pmms and mms records with the DP turned off, so every share is searched."""
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_component_plan", lambda *args: None)
+        patch.setattr(oracle, "_component_plan", index_order_entry)
         oracle.clear_cache()
         records = {}
         for share in (oracle.pmms, oracle.mms):
@@ -148,12 +155,13 @@ def test_a_block_of_five_vertices_falls_back_to_the_search(record, monkeypatch):
         expected = searched_records(graph, agent, n, monkeypatch)
         calls.clear()
         rec = oracle.pmms(graph, agent, n)
-        # The value came from one search of the component's fail-first view
-        # (the triangle's f and g are simplicial); the witness, on first
-        # read, from a canonical search that knew the value.
-        view = oracle._plans[graph, 0b1111111]
+        # The value came from one search of the component relabelled fewest
+        # neighbours first (the triangle's f and g are simplicial); the
+        # witness, on first read, from a canonical search that knew the value.
+        assert oracle._plans[graph, 0b1111111][0] == "the fail-first search"
         assert searches(calls) == [(0b1111111, n)]
-        assert calls[0].args[0] == view.adj != graph.neighbor_masks
+        view = fail_first(graph.neighbor_masks, 0b1111111)[1]
+        assert calls[0].args[0] == view != list(graph.neighbor_masks)
         assert (rec.value, rec.witness) == expected[oracle.pmms]
         assert oracle.mms(graph, agent, n) is rec
         assert searches(calls) == [(0b1111111, n)] * 2

@@ -323,11 +323,12 @@ def test_the_jump_makes_fewer_counts_than_the_bisection(record):
     # at t = 4, closes {d} and {a, b, c}, both worth 8 = 17 // 2, so the
     # search is done; the bisection also counts at 6, 7 and 8.
     graph = GoodsGraph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
-    plan = oracle._component_plan(graph, 0b1111)
+    name, value = oracle._component_plan(graph, 0b1111)
     frozen = naive_oracles.frozen_plan(block_cut_tree(graph.neighbor_masks, 0b1111)[0], graph.neighbor_masks)
     jumps = record(blockdp, "_set_count")
     steps = record(naive_oracles, "frozen_set_count")
-    assert blockdp._threshold_share(plan, [8, 0, 1, 8], 17, 2) == 8
+    assert name == "the threshold DP"
+    assert value([8, 0, 1, 8], 2) == 8
     assert frozen_threshold_share(frozen, [8, 0, 1, 8], 17, 2) == 8
     assert (len(jumps), len(steps)) == (1, 4)
 
@@ -472,9 +473,10 @@ def test_shares_build_no_induced_graph(record):
             oracle.mms(graph, agent, n)
             if graph is split:
                 # The DP turns it away; its pendants are simplicial, so the
-                # plan cache holds its fail-first view instead.
-                assert list(oracle._plans) == [(split, (1 << 10) - 1)]
-                assert type(oracle._plans[split, (1 << 10) - 1]) is oracle._View
+                # plan cache holds the fail-first search instead.
+                assert [(key, name) for key, (name, _) in oracle._plans.items()] == [
+                    ((split, (1 << 10) - 1), "the fail-first search")
+                ]
     assert induced == []
 
 
@@ -493,9 +495,11 @@ def test_block_cactus_allocation_peels_build_no_induced_graph(record):
     assert induced == []
 
 
-def test_a_component_too_dense_for_the_dp_is_cached_as_none():
+def test_a_component_too_dense_for_the_dp_is_searched_in_index_order():
     graph = gen.gen_multipartite(0, 10, 2, 20).graph
     full = (1 << len(graph.vertices)) - 1
     agent = Agent(id=1, type_id=1, utility=dict.fromkeys(graph.vertices, Fraction(1)))
     oracle.pmms(graph, agent, 2)
-    assert oracle._plans == {(graph, full): None}
+    assert [(key, name) for key, (name, _) in oracle._plans.items()] == [
+        ((graph, full), "the index-order search")
+    ]

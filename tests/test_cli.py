@@ -431,6 +431,31 @@ def test_malformed_input_file_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {broken}: invalid JSON at line 3"), argv
 
 
+def test_undecodable_input_file_exit_2_naming_the_file(tmp_path, capsys):
+    # Bytes that are not UTF-8, and an integer past Python's 4,300-digit
+    # limit for int(), both fail before any JSON syntax error can.
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff{}")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"graph": ' + "9" * 5000 + "}", encoding="utf-8")
+    for path, message in ((latin, "'utf-8' codec can't decode byte 0xff"), (huge, "Exceeds the limit (4300 digits)")):
+        assert cli.main(["mms", str(path)]) == 2, path
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}"), path
+
+
+def test_allocate_refuses_a_malformed_edge(tmp_path, capsys):
+    # The graph's own check is the only edge check.
+    f = tmp_path / "inst.json"
+    for edge, message in (
+        (["a", "b", "a"], "edge ['a', 'b', 'a'] is not a pair of vertex ids"),
+        ([["a"], "b"], "edge (['a'], 'b') mentions an unknown vertex"),
+    ):
+        doc = {"graph": {"vertices": ["a", "b"], "edges": [edge]}, "agents": [{"id": 1, "utilities": {}}]}
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["allocate", str(f), "--out", str(tmp_path / "a.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def write_doc(path, vertices, utilities) -> None:
     doc = {"graph": {"vertices": vertices, "edges": []}, "agents": [{"id": 1, "utilities": utilities}]}
     Path(path).write_text(json.dumps(doc), encoding="utf-8")

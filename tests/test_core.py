@@ -79,6 +79,26 @@ def test_graph_build_refuses_ids_that_are_not_strings(vertices, edges, named):
         GoodsGraph.build(vertices, edges)
 
 
+@pytest.mark.parametrize("edge", [("a",), ("a", "b", "a"), "ab", None])
+def test_graph_build_refuses_an_edge_that_is_not_a_pair(edge):
+    # An edge of the wrong length would escape as a ValueError from the
+    # unpacking, and a string of two ids would unpack into an edge.
+    with pytest.raises(InvalidInputError, match=re.escape(f"edge {edge!r} is not a pair of vertex ids")):
+        GoodsGraph.build(["a", "b"], [edge])
+
+
+@pytest.mark.parametrize("edge", [(["a"], "b"), ("a", {}), ("a", 1), (None, "b")])
+def test_graph_build_refuses_an_edge_end_that_is_not_a_vertex_id(edge):
+    # An unhashable end would escape as a TypeError from the vertex lookup.
+    a, b = edge
+    with pytest.raises(InvalidInputError, match=re.escape(f"edge ({a!r}, {b!r}) mentions an unknown vertex")):
+        GoodsGraph.build(["a", "b"], [edge])
+
+
+def test_graph_build_takes_an_edge_as_a_list():
+    assert GoodsGraph.build(["a", "b"], [["b", "a"]]) == GoodsGraph.build(["a", "b"], [("a", "b")])
+
+
 def test_induced_subgraph():
     g = triangle_pendant()
     sub = g.induced({"a", "b", "d"})
@@ -155,6 +175,20 @@ def test_validate_instance_flags_problems():
         ),
     )
     assert validate_instance(twins)
+
+
+def test_validate_instance_refuses_agent_ids_that_are_not_ints():
+    g = triangle_pendant()
+    u = {v: Fraction(1) for v in g.vertices}
+    # Mixed ids would fail in sorted with a bare TypeError.
+    mixed = Instance(graph=g, agents=(Agent(id=1, type_id=1, utility=u), Agent(id="2", type_id=1, utility=u)))
+    assert validate_instance(mixed) == ["agent id must be an integer, got '2'"]
+    # True equals 1, but an allocation file would write it back as true.
+    flag = Instance(graph=g, agents=(Agent(id=True, type_id=1, utility=u),))
+    assert validate_instance(flag) == ["agent id must be an integer, got True"]
+    for allocate in (allocate_block_cactus, allocate_multipartite, allocate_split):
+        with pytest.raises(InvalidInputError, match="agent id must be an integer, got True"):
+            allocate(flag)
 
 
 def allocation_bytes(inst: Instance, allocate) -> bytes:

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -62,10 +63,17 @@ def test_parse_rejects_malformed_documents():
         io.parse_instance_doc([])
     with pytest.raises(InvalidInputError):
         io.parse_instance_doc({"graph": {"vertices": ["x"]}, "agents": []})
-    with pytest.raises(InvalidInputError):
-        io.parse_instance_doc(
-            {"graph": {"vertices": ["x"], "edges": [["x"]]}, "agents": []}
-        )
+    # The graph's own check is the only edge check.
+    for edge, message in (
+        (["x"], "edge ['x'] is not a pair of vertex ids"),
+        (["x", "y", "x"], "edge ['x', 'y', 'x'] is not a pair of vertex ids"),
+        ("xy", "edge 'xy' is not a pair of vertex ids"),
+        ([["x"], "y"], "edge (['x'], 'y') mentions an unknown vertex"),
+    ):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            io.parse_instance_doc({"graph": {"vertices": ["x", "y"], "edges": [edge]}, "agents": []})
+    with pytest.raises(InvalidInputError, match='"edges" must be a list'):
+        io.parse_instance_doc({"graph": {"vertices": ["x"], "edges": {}}, "agents": []})
     # duplicate agent ids
     with pytest.raises(InvalidInputError):
         io.parse_instance_doc(

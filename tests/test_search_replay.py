@@ -37,7 +37,8 @@ The kernel sample aims at the ratio search's bundle cuts: the clique
 kernels that `allocate_split` solves on flat two-type split graphs of 12-14
 vertices, K8-K12 with two and three agents, each compared whole with the
 frozen ratio search.  The ratio search's `rec`, `grow` and `leaf` frames
-over it and over the allocation sample are pinned the same way.
+over it, over the allocation sample and over the corner ratio calls are
+pinned the same way.
 """
 
 import random
@@ -385,6 +386,11 @@ def test_corner_ratio_searches_match_the_frozen_search():
     for graph, agents, targets in calls:
         got = oracle.max_min_ratio_allocation(graph, agents, targets)
         assert got == frozen_max_min_ratio_allocation(graph, agents, targets), (graph, targets)
+    # Many of these calls have target-0 agents, who value every bundle above
+    # best, so the bundle cuts do little there; the reach bound at each `rec`
+    # (best closed bundle or everything left) keeps them small, and the
+    # benchmark makes no such calls, so only this pin holds it.
+    assert ratio_nodes((args, {}) for args in calls) == {"rec": 626, "grow": 673, "leaf": 110}
 
 
 # Kernel ratio calls wanted per (kernel size, agent count): two of each up
