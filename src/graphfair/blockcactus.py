@@ -15,9 +15,12 @@ two ways:
   targets are cut greedily from a Hamiltonian path of B ending at v, the
   served agents leave, and the rest of the graph is unchanged.
 
-Targets are fixed by the caller and threaded through unchanged, the absorb
-passing them to the reduction as its targets; each step preserves "the graph
-still admits an n-bundle partition giving every active agent her target" and
+Targets are fixed by the caller.  A carve passes them unchanged to the rest
+of the graph.  An absorb passes them to the reduction, where they hold only
+in its peel and its final check: each leftover component that serves two or
+more agents goes back to allocate_bounded with its agents' mms values on
+that component as their targets.  Each step preserves "the graph still
+admits an n-bundle partition giving every active agent her target", and
 every served agent walks away with at least half hers.
 """
 

@@ -117,7 +117,12 @@ class GoodsGraph:
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[Sequence[str]]) -> "GoodsGraph":
         """The graph on `vertices` with `edges`, each a tuple or list of two of them."""
-        verts = tuple(vertices)
+        try:
+            verts, edges = tuple(vertices), iter(edges)
+        except TypeError:
+            raise InvalidInputError(
+                f"vertices {vertices!r} and edges {edges!r} must both be iterable"
+            ) from None
         for v in verts:
             if not isinstance(v, str):
                 raise InvalidInputError(f"vertex id {v!r} is not a string")
@@ -254,7 +259,8 @@ def validate_instance(inst: Instance) -> list[str]:
         dom = set(a.utility)
         if dom != vset:
             missing = sorted(vset - dom)
-            extra = sorted(dom - vset)
+            # A key of any hashable type may be extra; repr orders them all.
+            extra = sorted(dom - vset, key=repr)
             if missing:
                 problems.append(f"agent {a.id} lacks values for {missing}")
             if extra:
@@ -266,6 +272,11 @@ def validate_instance(inst: Instance) -> list[str]:
                 problems.append(f"agent {a.id} has a negative value at {v!r}")
     by_type: dict[int, dict] = {}
     for a in inst.agents:
+        try:
+            hash(a.type_id)
+        except TypeError:
+            problems.append(f"agent {a.id} has an unhashable type id {a.type_id!r}")
+            continue
         ref = by_type.setdefault(a.type_id, dict(a.utility))
         if dict(a.utility) != ref:
             problems.append(f"agents of type {a.type_id} disagree on utilities")

@@ -15,14 +15,20 @@ component target, which is exactly the boundedness the per-component solvers
 need.
 
 When the peel leaves a single component the count has a known answer, as
-long as every leftover agent's pmms value is positive.  Her witness then
-holds n disjoint, nonempty, connected bundles; the h peeled vertices meet at
-most h of them, so the other n - h, one per leftover agent, lie in the pool,
-and a connected bundle of a one-component pool lies in that component.  So
-every f is at least the number of leftover agents, the component serves all
-of them, and no witness is read.  The witnesses are read, and an agent whom
-no component takes is an error, only with two or more components or a
-leftover pmms value of 0.  Either way a solver gets its agents in id order.
+long as every leftover agent values at least n vertices above 0.  That
+count test is "her pmms value is positive" without a share search: n
+positive singletons are n disjoint connected bundles worth more than 0, and
+n disjoint bundles each worth more than 0 hold n distinct positive
+vertices, since utilities are nonnegative after the entry checks and a
+fold keeps them so.  Her witness then holds n disjoint, nonempty,
+connected bundles; the h peeled vertices meet at most h of them, so the
+other n - h, one per leftover agent, lie in the pool, and a connected
+bundle of a one-component pool lies in that component.  So every f is at
+least the number of leftover agents, the component serves all of them, and
+no witness is read.  The witnesses are read, and an agent whom no
+component takes is an error, only with two or more components or a
+leftover agent who values fewer than n vertices above 0.  Either way a
+solver gets its agents in id order.
 
 A lone agent skips both stages: she takes the witness bundle of her share,
 which is the most valuable component whole.  Likewise a component that
@@ -31,9 +37,12 @@ agents.  Every allocator ends with the same check, finish_allocation, which
 raises when a bundle falls short of alpha times its target.
 
 A caller may fix the targets, as the block-cactus absorb does: they replace
-the shares in the peel and in the final check, while the routing still
-reads each agent's pmms record, its value for the single-component case and
-otherwise the bundles of its witness.
+the shares in the peel and in the final check.  Such a call builds no share
+record up front.  It computes the pmms record of a leftover agent only when
+the witness counts read it, so an agent the peel serves, and every agent
+of a single component that passes the count test, costs no share search.
+Without fixed targets every agent's record is built first, since the
+values are the targets and a lone agent takes her witness.
 """
 
 from collections.abc import Callable, Mapping, Sequence
@@ -143,37 +152,52 @@ def allocate_reduction(
     """Full pipeline: peel, split into components, serve each via the solver.
 
     Guarantees every agent a connected bundle worth alpha times her target,
-    her pmms unless `targets` fixes it.  Without targets a lone agent takes
-    the witness bundle of her pmms, the most valuable component whole.
+    her pmms unless `targets` fixes it.  Without targets every agent's pmms
+    record is built first, and a lone agent takes its witness bundle, the
+    most valuable component whole.  With targets no record is built until
+    the witness counts need one, and then only for the leftover agents.
     A single leftover component serves every leftover agent without reading
-    a witness when all their pmms values are positive (the counting argument
-    of the module docstring); otherwise the witness counts route them.  The
+    a witness when each of them values at least n vertices above 0, which
+    holds exactly when her pmms value is positive (the counting argument of
+    the module docstring); otherwise the witness counts route them.  The
     solver gets each component's agents in id order.
     Input validation is the caller's job; the public allocators do it at
     entry, so recursive re-entries with partial agent sets stay cheap.
     """
-    records = {a.id: oracle.pmms(inst.graph, a, inst.n) for a in inst.agents}
+    graph = inst.graph
+    records: dict[int, oracle.MmsRecord] = {}
     if targets is None:
+        records = {a.id: oracle.pmms(graph, a, inst.n) for a in inst.agents}
         if inst.n == 1:
             aid = inst.agents[0].id
             rec = records[aid]
             return finish_allocation(inst.agents, {aid: rec.value}, {aid: rec.witness[0]}, alpha)
         targets = {aid: rec.value for aid, rec in records.items()}
 
+    def witness(aid: int) -> tuple[frozenset[str], ...]:
+        # Under fixed targets a leftover agent's share is first computed here.
+        if aid not in records:
+            records[aid] = oracle.pmms(graph, inst.agent(aid), inst.n)
+        return records[aid].witness
+
     state = peel_heavy_vertices(inst, alpha, targets)
 
     bundles: dict[int, frozenset[str]] = {aid: frozenset({v}) for v, aid in state.heavy}
     pending = list(state.residual_agents)
-    # One component and positive pmms values: every f(i, j) is at least
-    # |pending|, so the component takes everyone (module docstring).
-    lone = len(state.components) == 1 and all(records[aid].value > 0 for aid in pending)
+    # One component, and every leftover agent values n vertices above 0 (a
+    # nonzero utility is positive), so her pmms is positive: every f(i, j)
+    # is at least |pending|, and the component takes everyone (module
+    # docstring).
+    lone = len(state.components) == 1 and all(
+        sum(1 for v in graph.vertices if a.utility[v]) >= inst.n for a in map(inst.agent, pending)
+    )
     capacities: list[int] = []
     for comp in state.components:
         if lone:
             chosen_ids = list(pending)
         else:
             # f(i, j) of the module docstring, for this component j.
-            f = {aid: sum(1 for b in records[aid].witness if b and b <= comp) for aid in pending}
+            f = {aid: sum(1 for b in witness(aid) if b and b <= comp) for aid in pending}
             ranked = sorted(pending, key=lambda aid: (-f[aid], aid))
             chosen_ids = sorted(ranked[: compute_kj([f[aid] for aid in ranked])])
         k = len(chosen_ids)
@@ -186,7 +210,7 @@ def allocate_reduction(
         if k == 1:
             bundles[chosen[0].id] = comp
             continue
-        sub_graph = inst.graph.induced(comp)
+        sub_graph = graph.induced(comp)
         sub_targets = {a.id: oracle.mms(sub_graph, a, k).value for a in chosen}
         sub_alloc = connected_solver(sub_graph, chosen, sub_targets)
         for a in chosen:

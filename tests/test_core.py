@@ -95,6 +95,16 @@ def test_graph_build_refuses_an_edge_end_that_is_not_a_vertex_id(edge):
         GoodsGraph.build(["a", "b"], [edge])
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, named",
+    [(["a"], 5, "vertices ['a'] and edges 5"), (5, [], "vertices 5 and edges []")],
+)
+def test_graph_build_refuses_vertices_or_edges_that_are_not_iterable(vertices, edges, named):
+    # Either would escape as a bare TypeError from the iteration.
+    with pytest.raises(InvalidInputError, match=re.escape(f"{named} must both be iterable")):
+        GoodsGraph.build(vertices, edges)
+
+
 def test_graph_build_takes_an_edge_as_a_list():
     assert GoodsGraph.build(["a", "b"], [["b", "a"]]) == GoodsGraph.build(["a", "b"], [("a", "b")])
 
@@ -189,6 +199,30 @@ def test_validate_instance_refuses_agent_ids_that_are_not_ints():
     for allocate in (allocate_block_cactus, allocate_multipartite, allocate_split):
         with pytest.raises(InvalidInputError, match="agent id must be an integer, got True"):
             allocate(flag)
+
+
+def test_validate_instance_refuses_unknown_utility_keys_of_mixed_types():
+    # Keys 3 and 'z' would fail to sort together with a bare TypeError.
+    g = GoodsGraph.build(["a"], [])
+    inst = Instance(graph=g, agents=(Agent(id=1, type_id=1, utility={"a": 1, 3: 1, "z": 1}),))
+    assert validate_instance(inst) == ["agent 1 values unknown vertices ['z', 3]"]
+    for allocate in (allocate_block_cactus, allocate_multipartite, allocate_split):
+        with pytest.raises(InvalidInputError, match=re.escape("unknown vertices ['z', 3]")):
+            allocate(inst)
+
+
+def test_validate_instance_refuses_an_unhashable_type_id():
+    # Grouping agents by type would fail with a bare TypeError.
+    g = triangle_pendant()
+    u = {v: Fraction(1) for v in g.vertices}
+    inst = Instance(
+        graph=g,
+        agents=(Agent(id=1, type_id=[1], utility=u), Agent(id=2, type_id=1, utility=u)),
+    )
+    assert validate_instance(inst) == ["agent 1 has an unhashable type id [1]"]
+    for allocate in (allocate_block_cactus, allocate_multipartite, allocate_split):
+        with pytest.raises(InvalidInputError, match=re.escape("unhashable type id [1]")):
+            allocate(inst)
 
 
 def allocation_bytes(inst: Instance, allocate) -> bytes:

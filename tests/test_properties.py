@@ -5,6 +5,10 @@ into one of four regimes: small integers, p/q values with mixed
 denominators, integers just above 2^64, and flat integers 20..21, which
 leave no vertex heavy enough to peel and so reach the bounded solvers.
 Agents of one type keep one shared utility function.
+
+The last property checks the share oracle alone, on generated graphs and
+on disconnected ones: a pmms value is positive exactly when the agent
+values at least n vertices above 0, the count the reduction reads instead.
 """
 
 from fractions import Fraction
@@ -13,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphfair import io, oracle
 from graphfair.blockcactus import allocate_block_cactus
-from graphfair.core import Agent, GuaranteeViolationError, Instance
+from graphfair.core import Agent, GoodsGraph, GuaranteeViolationError, Instance
 from graphfair.generators import gen_block_cactus, gen_multipartite, gen_split
 from graphfair.multipartite import allocate_multipartite
 from graphfair.splitgraph import allocate_split, split_alpha
@@ -124,3 +128,54 @@ def test_multipartite_allocations_certify_at_one_quarter_and_repeat_byte_for_byt
         raise AssertionError(f"the allocator broke its own guarantee: {exc}") from exc
     assert alpha == Fraction(1, 4)
     assert second == first
+
+
+@st.composite
+def generated_graphs(draw, low: int, high: int) -> GoodsGraph:
+    """A generated block-cactus, complete multipartite or split graph."""
+    gen = draw(st.sampled_from([gen_block_cactus, gen_multipartite, gen_split]))
+    vertices = draw(st.integers(max(low, 1 if gen is gen_block_cactus else 2), high))
+    return gen(draw(st.integers(0, 10**6)), vertices, 1, 20).graph
+
+
+@st.composite
+def share_graphs(draw) -> GoodsGraph:
+    """A generated graph, or two side by side with some edges dropped."""
+    if draw(st.booleans()):
+        return draw(generated_graphs(1, 9))
+    halves = [draw(generated_graphs(1, 5)), draw(generated_graphs(1, 4))]
+    names = [{v: f"{side}{v}" for v in g.vertices} for side, g in zip("xy", halves)]
+    edges = [(rename[u], rename[v]) for rename, g in zip(names, halves) for u, v in sorted(g.edges)]
+    kept = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return GoodsGraph.build(
+        [n for rename in names for n in rename.values()],
+        [e for e, keep in zip(edges, kept) if keep],
+    )
+
+
+@st.composite
+def share_profiles(draw, graph: GoodsGraph) -> dict:
+    """int, p/q or all-zero utilities; the first two are often 0 too."""
+    regime = draw(st.sampled_from(["int", "p/q", "zero"]))
+    utility = {}
+    for v in graph.vertices:
+        if regime == "zero" or draw(st.integers(0, 2)) == 0:
+            utility[v] = 0
+        elif regime == "int":
+            utility[v] = draw(st.integers(1, 20))
+        else:
+            utility[v] = Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 13)))
+    return utility
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_a_share_is_positive_exactly_when_n_vertices_are(data):
+    # The reduction's one-component test reads this count in place of the
+    # pmms value: n positive singletons are n disjoint connected bundles,
+    # and n disjoint bundles worth more than 0 hold n positive vertices.
+    graph = data.draw(share_graphs())
+    agent = Agent(id=1, type_id=1, utility=data.draw(share_profiles(graph)))
+    positive = sum(1 for v in graph.vertices if agent.utility[v] > 0)
+    for n in range(1, len(graph) + 2):
+        assert (oracle.pmms(graph, agent, n).value > 0) == (positive >= n), (n, positive)

@@ -1,9 +1,12 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from graphfair import blockcactus, generators, multipartite, oracle, reduction, splitgraph
+from graphfair import blockcactus, core, generators, multipartite, oracle, reduction, splitgraph
 from graphfair.core import (
     Agent,
     Allocation,
@@ -353,22 +356,140 @@ def test_a_lone_component_takes_its_agents_in_id_order_without_reading_witnesses
 
 
 def test_a_lone_component_still_counts_witnesses_for_a_zero_share(monkeypatch):
-    # One component and a positive target, but a pmms record of value 0:
-    # the counting argument needs nonempty witness bundles, so the routing
-    # reads the witness, finds no bundle inside the path and raises.
-    inst = inst_of(path(["a", "b", "c", "d"]), {"a": 1, "b": 1, "c": 1, "d": 1})
-    zero = WitnessReads(oracle.MmsRecord(value=Fraction(0), witness=(frozenset(),)))
-    monkeypatch.setattr(oracle, "pmms", lambda graph, agent, n: zero)
-    with pytest.raises(StructuralError, match="never routed"):
-        allocate_reduction(inst, Fraction(1, 2), halves_solver, targets={1: Fraction(8)})
-    assert zero.reads > 0
+    # One vertex, two agents and targets that keep either from peeling it.
+    # Neither values n = 2 vertices above 0, so both shares are 0 and the
+    # counting argument does not hold: the routing reads the real witnesses,
+    # ({a}, {}) for both, finds one bundle in the component for each, sends
+    # agent 1 there and raises for agent 2, whose target is positive.
+    inst = inst_of(GoodsGraph.build(["a"], []), {"a": 1}, {"a": 2})
+    counted: dict = {}
+    real = oracle.pmms
 
-    # With a positive value the same witness is never read.
-    positive = WitnessReads(oracle.MmsRecord(value=Fraction(8), witness=(frozenset(),)))
-    monkeypatch.setattr(oracle, "pmms", lambda graph, agent, n: positive)
-    alloc = allocate_reduction(inst, Fraction(1, 2), halves_solver, targets={1: Fraction(8)})
-    assert alloc.bundle_of(1) == frozenset("abcd")
-    assert positive.reads == 0
+    def spy(graph, agent, n):
+        counted[agent.id] = WitnessReads(real(graph, agent, n))
+        return counted[agent.id]
+
+    monkeypatch.setattr(oracle, "pmms", spy)
+    with pytest.raises(StructuralError, match="agent 2 was never routed"):
+        allocate_reduction(
+            inst, Fraction(1, 2), halves_solver, targets={1: Fraction(4), 2: Fraction(8)}
+        )
+    assert sorted(counted) == [1, 2]
+    for rec in counted.values():
+        assert rec.value == 0
+        assert rec._witness == (frozenset("a"), frozenset())
+        assert rec.reads > 0
+
+    # Agent 1 values exactly n = 2 vertices above 0 and agent 2 all four, so
+    # both shares are positive and the lone component takes both unread:
+    # under fixed targets no share is even computed.
+    counted.clear()
+    inst = inst_of(path(list("abcd")), {"a": 1, "b": 1, "c": 0, "d": 0}, dict.fromkeys("abcd", 1))
+    served: list = []
+    alloc = allocate_reduction(
+        inst,
+        Fraction(1, 2),
+        recording(halves_solver, served),
+        targets={1: Fraction(3), 2: Fraction(3)},
+    )
+    assert [[a.id for a in agents] for _, agents, _ in served] == [[1, 2]]
+    assert alloc.bundle_of(1) == frozenset("ab")
+    assert alloc.bundle_of(2) == frozenset("cd")
+    assert counted == {}
+    assert all(oracle.pmms(inst.graph, a, 2).value > 0 for a in inst.agents)
+
+
+def test_an_absorb_computes_shares_only_for_the_agents_the_counts_route(monkeypatch):
+    # Every reduction that an absorb re-enters under fixed targets logs the
+    # pmms calls made on its own graph, outside the solvers it calls.  The
+    # absorb keeps every target reachable on the folded graph, so a leftover
+    # agent with a positive target values n vertices above 0: one leftover
+    # component takes its agents unread and calls pmms for nobody, and two
+    # or more call it once for each leftover agent, never for a peeled one.
+    frames: list = []
+    checked = {"one": 0, "several": 0}
+    real_reduction = blockcactus.allocate_reduction
+    real_peel = reduction.peel_heavy_vertices
+    real_pmms = oracle.pmms
+
+    def reentry(inst, alpha, connected_solver, targets=None):
+        frame = {"graph": inst.graph, "calls": [], "state": None}
+        frames.append(frame)
+        alloc = real_reduction(inst, alpha, connected_solver, targets)
+        assert frames.pop() is frame
+        if targets is not None:
+            state = frame["state"]
+            assert not {aid for _, aid in state.heavy} & set(frame["calls"])
+            if len(state.components) >= 2:
+                assert sorted(frame["calls"]) == state.residual_agents
+                checked["several"] += bool(frame["calls"])
+            else:
+                assert frame["calls"] == []
+                checked["one"] += len(state.components)
+        return alloc
+
+    def peel(inst, alpha, values):
+        state = real_peel(inst, alpha, values)
+        if frames and frames[-1]["graph"] is inst.graph and frames[-1]["state"] is None:
+            frames[-1]["state"] = state
+        return state
+
+    def pmms(graph, agent, n):
+        if frames and frames[-1]["graph"] is graph:
+            frames[-1]["calls"].append(agent.id)
+        return real_pmms(graph, agent, n)
+
+    monkeypatch.setattr(blockcactus, "allocate_reduction", reentry)
+    monkeypatch.setattr(reduction, "peel_heavy_vertices", peel)
+    monkeypatch.setattr(oracle, "pmms", pmms)
+    for seed in range(12):
+        inst = generators.gen_block_cactus(seed, 10 + seed % 3, 2 + seed % 3, 20)
+        for drawn in (inst, flattened(inst, seed)):
+            oracle.clear_cache()
+            blockcactus.allocate_block_cactus(drawn)
+    assert frames == []
+    assert checked["one"] and checked["several"], checked
+
+
+def benchmark_pool(workload: str, seed: int) -> list:
+    """The benchmark's instance pool, built by perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lib = SimpleNamespace(core=core, generators=generators)
+    return workloads.make_pool(lib, workloads.WORKLOADS[workload], seed)
+
+
+def test_the_seed_3_cactus_pool_builds_the_pinned_share_records(monkeypatch):
+    # Each allocation starts from an empty cache, as the benchmark's do.
+    # An absorb's re-entry that built a record for every agent, those the
+    # peel serves included, would make 1620 pmms calls and 1737 records;
+    # the 135 witnesses built are the same either way.
+    counts = {"pmms": 0, "records": 0, "witnesses": 0}
+    real_pmms = oracle.pmms
+    real_record = oracle._lazy_record
+
+    def pmms(graph, agent, n):
+        counts["pmms"] += 1
+        return real_pmms(graph, agent, n)
+
+    def lazy_record(value, build):
+        counts["records"] += 1
+
+        def witness():
+            counts["witnesses"] += 1
+            return build()
+
+        return real_record(value, witness)
+
+    monkeypatch.setattr(oracle, "pmms", pmms)
+    monkeypatch.setattr(oracle, "_lazy_record", lazy_record)
+    for inst in benchmark_pool("cactus", 3):
+        oracle.clear_cache()
+        blockcactus.allocate_block_cactus(inst)
+    assert counts == {"pmms": 1134, "records": 1361, "witnesses": 135}
 
 
 def recorded_routings(monkeypatch) -> list:
