@@ -22,6 +22,14 @@ more agents goes back to allocate_bounded with its agents' mms values on
 that component as their targets.  Each step preserves "the graph still
 admits an n-bundle partition giving every active agent her target", and
 every served agent walks away with at least half hers.
+
+Every block question here reads the memo `graphs._blocks`, so each graph
+and component is searched once per operation: the class check's search of
+the instance graph is the one the share oracle's plans then read, and each
+smaller graph a round makes is searched once, for the round and the `mms`
+targets on it alike.  The class check takes each component's pairs from
+one `recognize` witness, with no induced graph per component, and stops at
+the first block that is neither a clique nor a cycle.
 """
 
 from collections.abc import Mapping, Sequence
@@ -41,9 +49,9 @@ from .core import (
 )
 from .graphs import (
     _bits,
+    _block_flags,
+    _blocks,
     _sorted_blocks,
-    block_cut_tree,
-    connected_components,
     hamiltonian_path_in_block,
     recognize,
 )
@@ -54,13 +62,14 @@ HALF = Fraction(1, 2)
 
 
 def is_block_cactus_graph(graph: GoodsGraph) -> bool:
-    if len(graph) == 0:
-        return False
-    for comp in connected_components(graph):
-        witness = recognize(graph.induced(frozenset(comp)))
-        if not witness.has("block_cactus"):
-            return False
-    return True
+    """Is every block of every component a clique or a cycle?  The empty graph is not.
+
+    Stops at the first component with a block that is neither.
+    """
+    adj = graph.neighbor_masks
+    return len(graph) > 0 and all(
+        "block_cactus" in _block_flags(adj, pairs) for pairs in recognize(graph).component_blocks()
+    )
 
 
 def allocate_bounded(
@@ -80,7 +89,7 @@ def allocate_bounded(
         return finish_allocation(agents, targets, {a.id: frozenset(ids) for a in agents}, HALF)
 
     full = (1 << len(ids)) - 1
-    pairs, reached = block_cut_tree(graph.neighbor_masks, full) if ids else ([], None)
+    pairs, reached = _blocks(graph, full) if ids else ([], None)
     if reached != full:
         raise StructuralError("graph is empty or disconnected")
 

@@ -25,7 +25,7 @@ from .core import (
     check_instance,
     value_str,
 )
-from .graphs import _sorted_blocks, block_cut_tree, recognize
+from .graphs import _sorted_blocks, recognize
 from .multipartite import allocate_multipartite
 from .splitgraph import allocate_split
 from .verify import check_allocation
@@ -63,7 +63,8 @@ def cmd_recognize(args) -> int:
         k, i = witness.split_pair
         print(f"split clique={len(k)} independent={len(i)}")
     if witness.has("connected") and len(inst.graph) >= 1:
-        pairs, _ = block_cut_tree(inst.graph.neighbor_masks, (1 << len(inst.graph)) - 1)
+        # The one component's search, which the block flags above ran.
+        pairs = next(witness.component_blocks())
         _, cuts = _sorted_blocks(pairs)
         print(f"blocks={len(pairs)} cut_vertices={cuts.bit_count()}")
     return EXIT_OK

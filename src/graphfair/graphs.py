@@ -1,17 +1,25 @@
 """Structural graph algorithms: connectivity, blocks, class recognition.
 
-Every connectivity question goes to one breadth-first walk, `_components`,
-and every block question to one lowpoint search, `block_cut_tree`, both on
-the bitmask view a graph derives once (`GoodsGraph.neighbor_masks`).  The
-class witness, the block-cactus allocator, the block DP and the CLI read its
-(parent, block mask) pairs.
+Connectivity questions go to one breadth-first walk, `_components`, and
+block questions to one lowpoint search, `block_cut_tree`, both on the
+bitmask view a graph derives once (`GoodsGraph.neighbor_masks`).  The
+package reads blocks through `_blocks`, which memoizes the search per
+(graph, vertex mask), so the class check, the share oracle's plans, the
+block-cactus allocator and the CLI make one search per graph and component
+between two calls of `oracle.clear_cache()`.  The memo, like the oracle's
+caches, holds at most `_CACHE_LIMIT` entries.  `block_cut_tree` itself
+stays a pure function of any adjacency list, which tests call with a plain
+list.
 
 Everything here is deterministic.  Components are reported sorted by their
 smallest member, blocks are sorted by their sorted vertex tuples, and the
 split partition is the lexicographically least one among the valid choices.
 The class recognizers read degrees and neighbourhoods only, so they run in
 polynomial time on any input, and `recognize` runs each class test only when
-its witness first reads a flag or field that needs it.
+its witness first reads a flag or field that needs it.  The block flags and
+the block-cactus check read connectivity off the reached mask of each
+component's search, with no walk, and tell a clique block from a cycle
+block by one degree pass.
 """
 
 from functools import cached_property
@@ -132,6 +140,39 @@ def block_cut_tree(adj, mask: int) -> tuple[list[tuple[int, int]], int]:
     return pairs or [(root, reached)], reached
 
 
+# Every cache the package keeps across calls, this memo and the oracle's
+# share and plan caches, holds at most _CACHE_LIMIT entries and drops the
+# oldest first; oracle.clear_cache() empties them all.
+_CACHE_LIMIT = 1024
+# (graph, vertex mask) -> block_cut_tree(graph.neighbor_masks, mask).
+_searches: dict = {}
+
+
+def _store(table: dict, key, entry) -> None:
+    if len(table) >= _CACHE_LIMIT:
+        del table[next(iter(table))]
+    table[key] = entry
+
+
+def _blocks(graph: GoodsGraph, mask: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """`block_cut_tree` on `graph`'s bitmask view, memoized per (graph, mask).
+
+    Every caller shares the result, so the pairs come as a tuple.  When
+    `mask` is more than the component it reaches, the search is stored under
+    the component's mask too, since a search from the same root inside the
+    component alone gives the same pairs.
+    """
+    key = (graph, mask)
+    found = _searches.get(key)
+    if found is None:
+        pairs, reached = block_cut_tree(graph.neighbor_masks, mask)
+        found = tuple(pairs), reached
+        _store(_searches, key, found)
+        if reached != mask:
+            _store(_searches, (graph, reached), found)
+    return found
+
+
 def _sorted_blocks(pairs) -> tuple[list[int], int]:
     """The block masks of `block_cut_tree` pairs sorted as id tuples, and the cut vertex mask.
 
@@ -156,6 +197,31 @@ def _is_cycle(adj, block: int) -> bool:
     )
 
 
+_BLOCK_FLAGS = frozenset({"block_graph", "cactus", "block_cactus"})
+
+
+def _block_flags(adj, pairs) -> frozenset[str]:
+    """The flags among block_graph, cactus and block_cactus that the blocks in `pairs` allow.
+
+    `pairs` are one component's `block_cut_tree` pairs.  A block of at most
+    3 vertices is a lone vertex, an edge or a triangle: a clique, and a
+    cycle or too small to be one, so it allows every flag.  A larger block
+    is biconnected, so it is a clique when each of its vertices has |B| - 1
+    neighbours in it, a chordless cycle when each has 2, and neither
+    otherwise: one degree pass, which stops at the first vertex that differs.
+    """
+    flags = _BLOCK_FLAGS
+    for _, block in pairs:
+        size = block.bit_count()
+        if size <= 3:
+            continue
+        degree = (adj[(block & -block).bit_length() - 1] & block).bit_count()
+        if degree not in (2, size - 1) or any((adj[i] & block).bit_count() != degree for i in _bits(block)):
+            return frozenset()
+        flags = flags - {"block_graph" if degree == 2 else "cactus"}
+    return flags
+
+
 class ClassWitness:
     """Which structured classes a graph belongs to, plus the evidence.
 
@@ -166,8 +232,9 @@ class ClassWitness:
 
     Each class test runs the first time a flag or field that needs it is
     read, and its answer is kept: has("split") runs the degree test alone,
-    parts the neighbourhood grouping alone, and only the block flags run
-    the block search.  Reading flags runs every test.
+    parts the neighbourhood grouping alone, and only the block flags and
+    component_blocks() run the block search, through the memo `_blocks`.
+    Reading flags runs every test.
     """
 
     # The test that decides each flag, by the name of the attribute that
@@ -221,21 +288,28 @@ class ClassWitness:
             flags.add("tree")
         return frozenset(flags)
 
+    def component_blocks(self):
+        """Each component's `block_cut_tree` pairs, the component of the lowest vertex first.
+
+        Each search starts in the vertices no earlier search reached, and
+        the components are read off the reached masks, with no walk of
+        their own.
+        """
+        rest = (1 << len(self._graph.vertices)) - 1
+        while rest:
+            pairs, reached = _blocks(self._graph, rest)
+            yield pairs
+            rest &= ~reached
+
     @cached_property
     def _block_kinds(self) -> frozenset[str]:
-        graph = self._graph
-        flags: set[str] = set()
-        if "connected" in self._connectivity and graph.vertices:
-            adj = graph.neighbor_masks
-            pairs, _ = block_cut_tree(adj, (1 << len(graph.vertices)) - 1)
-            kinds = [(_is_clique(adj, b), _is_cycle(adj, b), b.bit_count()) for _, b in pairs]
-            if all(cl for cl, _, _ in kinds):
-                flags.add("block_graph")
-            if all(cy or size <= 2 for _, cy, size in kinds):
-                flags.add("cactus")
-            if all(cl or cy for cl, cy, _ in kinds):
-                flags.add("block_cactus")
-        return frozenset(flags)
+        # The first search of component_blocks(); it reaches every vertex
+        # exactly when the graph is connected.
+        full = (1 << len(self._graph.vertices)) - 1
+        if not full:
+            return frozenset()
+        pairs, reached = _blocks(self._graph, full)
+        return _block_flags(self._graph.neighbor_masks, pairs) if reached == full else frozenset()
 
     @property
     def _multipartite(self) -> frozenset[str]:

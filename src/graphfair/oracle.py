@@ -50,8 +50,10 @@ picks the method and `_share` only calls it.  A component whose blocks all
 have at most 4 vertices, as on block graphs and cacti of small blocks, is
 valued by the threshold DP of `blockdp`.  Its blocks come from the lowpoint
 search `graphs.block_cut_tree` on the component's mask, with no induced
-graph.  Before that search, a component with more than 2(|C| - 1) edges is
-turned away, since blocks of at most 4 vertices allow no more.  Any other
+graph, read through the memo `graphs._blocks`: in a block-cactus
+allocation the class check has already searched the instance graph's
+components.  Before that search, a component with more than 2(|C| - 1)
+edges is turned away, since blocks of at most 4 vertices allow no more.  Any other
 component with a simplicial vertex, one whose neighbourhood in the
 component is a clique, as on the independent side of a split graph, is
 valued by the fail-first search: the share search on the component
@@ -85,7 +87,7 @@ only when the graph has two or more components.  The components are walked
 only after the key without that flag misses, so a hit on a connected graph
 costs the weight scaling alone.  A record names no agent, so agents of one
 type share one search and receive the same record object.  The cache holds
-at most `_CACHE_LIMIT` records and drops the oldest first.
+at most `graphs._CACHE_LIMIT` records and drops the oldest first.
 
 The max-min ratio search compares value/target across agents.  It gives each
 agent ratio weights, her scaled utilities multiplied so that every agent's
@@ -142,20 +144,22 @@ from .core import (
     require_int,
 )
 from .blockdp import _plan, _threshold_share
-from .graphs import _bits, _components, block_cut_tree
+from .graphs import _bits, _blocks, _components, _searches, _store
 
 MAX_VERTICES = 14
 
 # Share cache: key -> MmsRecord, one key per utility function.  Plan cache:
-# (graph, component mask) -> (method name, value function).
-_CACHE_LIMIT = 1024
+# (graph, component mask) -> (method name, value function).  Each holds at
+# most `graphs._CACHE_LIMIT` entries, as the block search memo there does.
 _cache: dict = {}
 _plans: dict = {}
 
 
 def clear_cache() -> None:
+    """Empty the share and plan caches and the block search memo."""
     _cache.clear()
     _plans.clear()
+    _searches.clear()
 
 
 def _cap(graph: GoodsGraph) -> None:
@@ -199,12 +203,6 @@ def _lazy_record(value: Value, build) -> MmsRecord:
     object.__setattr__(record, "value", value)
     object.__setattr__(record, "_build", build)
     return record
-
-
-def _store(table: dict, key, entry) -> None:
-    if len(table) >= _CACHE_LIMIT:
-        del table[next(iter(table))]
-    table[key] = entry
 
 
 def _weights_for(agent: Agent, ids: list[str]) -> tuple[list[int], int]:
@@ -401,7 +399,7 @@ def _component_plan(graph: GoodsGraph, mask: int):
     # add up to |C| - 1 over the blocks, so a denser component is turned away
     # before its blocks are computed.  The degree sum counts each edge twice.
     if sum(degrees) <= 4 * (len(members) - 1):
-        pairs, _ = block_cut_tree(adj, mask)
+        pairs, _ = _blocks(graph, mask)
         if all(block.bit_count() <= 4 for _, block in pairs):
             plan = _plan(pairs, adj)
     order = members

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from graphfair import blockcactus, oracle, reduction
+from graphfair import blockcactus, graphs, oracle, reduction
 from graphfair.blockcactus import (
     allocate_block_cactus,
     allocate_bounded,
     is_block_cactus_graph,
 )
 from graphfair.core import Agent, ClassMismatchError, GoodsGraph, Instance, InvalidInputError
+from graphfair.generators import gen_block_cactus
 from graphfair.verify import check_allocation
 
 HALF = Fraction(1, 2)
@@ -201,3 +202,48 @@ def test_bounded_call_names_the_agent_without_a_target():
     for graph, agents, targets, message in cases:
         with pytest.raises(InvalidInputError, match=message):
             allocate_bounded(graph, agents, targets)
+
+
+def union_instance(first: Instance, second: Instance) -> Instance:
+    """Both instances side by side, vertices renamed apart; agent i values both graphs."""
+    sides = [("a", first.graph), ("b", second.graph)]
+    graph = GoodsGraph.build(
+        [f"{tag}{v}" for tag, g in sides for v in g.vertices],
+        [(f"{tag}{x}", f"{tag}{y}") for tag, g in sides for x, y in g.edges],
+    )
+    agents = tuple(
+        Agent(
+            id=a.id,
+            type_id=a.type_id,
+            utility={**{f"a{v}": x for v, x in a.utility.items()},
+                     **{f"b{v}": x for v, x in b.utility.items()}},
+        )
+        for a, b in zip(first.agents, second.agents)
+    )
+    return Instance(graph=graph, agents=agents)
+
+
+def test_an_allocation_searches_no_graph_and_mask_twice(record):
+    # `_blocks` runs block_cut_tree only on a memo miss and then stores the
+    # search under its (graph, mask) key, and under the component's mask when
+    # the search started in more; so one key stored twice in one run is one
+    # search made twice, and more searches than components stored is one
+    # component searched twice.  Flat profiles keep the absorb and carve
+    # rounds busy, and the unions start the class check's searches in more
+    # than a component.
+    stores = record(graphs, "_store")
+    searches = record(graphs, "block_cut_tree")
+    small = [gen_block_cactus(seed, 7, 2, 20) for seed in range(8)]
+    cases = [gen_block_cactus(seed, 12, 3, 20) for seed in range(6)] + small
+    cases = [Instance(graph=inst.graph, agents=flat_agents(inst.graph, inst.n)) for inst in cases]
+    cases += [union_instance(*pair) for pair in zip(small[::2], small[1::2])]
+    for inst in cases:
+        oracle.clear_cache()
+        stores.clear()
+        searches.clear()
+        allocate_block_cactus(inst)
+        assert all(call.args[0] is graphs._searches for call in stores)
+        keys = [call.args[1] for call in stores]
+        components = {(graph, reached) for (graph, _), (_, reached) in (call.args[1:] for call in stores)}
+        assert searches and len(searches) == len(components), inst.graph
+        assert len(keys) == len(set(keys)), inst.graph

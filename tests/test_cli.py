@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from graphfair import cli, graphs, io
+from graphfair import blockcactus, cli, graphs, io, oracle
 from graphfair.blockcactus import allocate_block_cactus
 from graphfair.core import Agent, GoodsGraph, Instance, InvalidInputError
 from graphfair.generators import generate
@@ -57,15 +57,20 @@ def test_recognize_disconnected(tmp_path, capsys):
     assert "blocks=" not in out
 
 
-def test_recognize_counts_blocks_and_cut_vertices_as_the_frozen_search(tmp_path, capsys):
+def test_recognize_counts_blocks_and_cut_vertices_as_the_frozen_search(tmp_path, capsys, record):
     # The counts line reads the bitmask search's pairs; it must print what
-    # the string-keyed block-cut tree counts.
+    # the string-keyed block-cut tree counts.  It reads the search the block
+    # flags ran, so each connected graph is searched once.
+    searches = record(graphs, "block_cut_tree")
     for cls in ("block-cactus", "multipartite", "split"):
         for seed in range(5):
             inst = generate(cls, seed, 11, 2, 20)
             f = tmp_path / f"{cls}-{seed}.json"
             f.write_bytes(io.canonical_dumps(io.instance_to_doc(inst)).encode("utf-8"))
+            oracle.clear_cache()
+            searches.clear()
             assert cli.main(["recognize", str(f)]) == 0
+            assert len(searches) == 1, (cls, seed)
             tree = frozen_block_cut_tree(inst.graph)
             counts = f"blocks={len(tree.blocks)} cut_vertices={len(tree.cut_vertices)}"
             assert capsys.readouterr().out.splitlines()[-1] == counts, (cls, seed)
@@ -125,13 +130,24 @@ def test_allocate_auto_runs_each_class_test_once(tmp_path, capsys, record):
     inst = generate("block-cactus", 3, 10, 2, 20)
     f = tmp_path / "inst.json"
     f.write_bytes(io.canonical_dumps(io.instance_to_doc(inst)).encode("utf-8"))
+    # The block test is `_block_flags` on the one component's search, which
+    # is_block_cactus_graph calls through its own binding; the witness's
+    # block flags are not read.  The search is memoized, and the allocator
+    # and the share oracle read the same memo, so block_cut_tree runs at
+    # most once per graph and mask.
+    assert graphs.is_connected(inst.graph)
     tests = {
-        name: record(graphs, name)
-        for name in ("split_partition", "_multipartite_parts", "block_cut_tree")
+        name: record(graphs, name) for name in ("split_partition", "_multipartite_parts")
     }
+    tests["_block_flags"] = record(blockcactus, "_block_flags")
+    witness_flags = record(graphs, "_block_flags")
+    searches = record(graphs, "block_cut_tree")
     assert cli.main(["allocate", str(f), "--out", str(tmp_path / "alloc.json")]) == 0
     assert "class=block-cactus" in capsys.readouterr().err
     assert {name: len(calls) for name, calls in tests.items()} == dict.fromkeys(tests, 1)
+    assert witness_flags == []
+    keys = [(call.args[0], call.args[1]) for call in searches]
+    assert searches and len(set(keys)) == len(keys)
 
 
 def test_allocate_three_agents_on_k33(tmp_path, capsys):

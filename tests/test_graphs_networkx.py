@@ -10,7 +10,9 @@ from itertools import combinations, product
 
 import networkx as nx
 
+from graphfair.blockcactus import is_block_cactus_graph
 from graphfair.core import GoodsGraph
+from graphfair.generators import gen_block_cactus
 from graphfair.graphs import (
     _components,
     connected_components,
@@ -154,3 +156,72 @@ def test_split_partition_matches_brute_force_under_relabelling():
             )
         for graph in relabelled:
             assert split_partition(graph) == naive_split_partition(graph), (index, graph)
+
+
+def networkx_block_flags(g: nx.Graph) -> tuple[set[str], bool]:
+    """The witness's block flags and is_block_cactus_graph, from networkx's blocks.
+
+    A block is a clique when it has every edge, and a chordless cycle when
+    it has 3 or more vertices and as many edges as vertices: a biconnected
+    graph with that many edges is one cycle.  networkx lists no block for a
+    lone vertex, which is a clique and allows every flag.
+    """
+    kinds = []
+    for block in nx.biconnected_components(g):
+        sub = g.subgraph(block)
+        size, edges = sub.number_of_nodes(), sub.number_of_edges()
+        kinds.append((edges == size * (size - 1) // 2, size >= 3 and edges == size, size))
+    member = g.number_of_nodes() > 0 and all(clique or cycle for clique, cycle, _ in kinds)
+    if not (g.number_of_nodes() and nx.is_connected(g)):
+        return set(), member
+    flags = set()
+    if all(clique for clique, _, _ in kinds):
+        flags.add("block_graph")
+    if all(cycle or size <= 2 for _, cycle, size in kinds):
+        flags.add("cactus")
+    if member:
+        flags.add("block_cactus")
+    return flags, member
+
+
+def networkx_graph(graph: GoodsGraph) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(graph.vertices)
+    g.add_edges_from(graph.edges)
+    return g
+
+
+def assert_block_flags_match_networkx(g: nx.Graph, ours: GoodsGraph, label) -> None:
+    flags, member = networkx_block_flags(g)
+    witness = recognize(ours)
+    assert {f for f in ("block_graph", "cactus", "block_cactus") if witness.has(f)} == flags, label
+    assert is_block_cactus_graph(ours) == member, label
+
+
+def test_block_flags_and_block_cactus_check_match_networkx_on_the_atlas():
+    for index, g, ours in atlas():
+        assert_block_flags_match_networkx(g, ours, index)
+
+
+def test_block_flags_and_block_cactus_check_match_networkx_on_generated_graphs():
+    # Generated block-cactus graphs, then disjoint unions of two of them,
+    # each alone and with a non-member beside it.
+    members = [gen_block_cactus(seed, v, 2, 20).graph for seed in range(8) for v in (1, 5, 9, 14)]
+    for graph in members:
+        assert is_block_cactus_graph(graph), graph
+    diamond = nx.complete_graph(4)
+    diamond.remove_edge(0, 1)
+    chorded_c5 = nx.cycle_graph(5)
+    chorded_c5.add_edge(0, 2)
+    others = [diamond, nx.complete_bipartite_graph(2, 3), chorded_c5]
+    rng = random.Random("networkx-block-flags")
+    cases = [networkx_graph(graph) for graph in members] + others
+    for _ in range(40):
+        left, right = rng.sample(members, 2)
+        union = nx.disjoint_union(networkx_graph(left), networkx_graph(right))
+        cases += [union, nx.disjoint_union(union, rng.choice(others))]
+    for index, g in enumerate(cases):
+        ours = goods_graph(nx.convert_node_labels_to_integers(g))
+        assert_block_flags_match_networkx(g, ours, index)
+    for g in others:
+        assert networkx_block_flags(g) == (set(), False)

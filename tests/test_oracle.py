@@ -12,7 +12,7 @@ import pytest
 
 import graphfair
 from graphfair import generators as gen
-from graphfair import oracle
+from graphfair import graphs, oracle
 from graphfair.core import (
     Agent,
     Allocation,
@@ -514,7 +514,7 @@ def test_agents_of_one_type_share_records(monkeypatch):
 
 def test_cache_is_bounded_and_drops_the_oldest_first():
     g = GoodsGraph.build(["a", "b"], [("a", "b")])
-    limit = oracle._CACHE_LIMIT
+    limit = graphs._CACHE_LIMIT
     agents = [agent_with({"a": i + 1, "b": 2 * i + 1}) for i in range(limit + 10)]
     records = [oracle.pmms(g, a, 2) for a in agents]
     assert len(oracle._cache) == limit
@@ -524,6 +524,35 @@ def test_cache_is_bounded_and_drops_the_oldest_first():
     again = oracle.pmms(g, agents[0], 2)
     assert again is not records[0] and again == records[0]
     assert len(oracle._cache) == limit
+
+
+def test_block_search_memo_is_bounded_emptied_and_not_shared_with_certify(record):
+    # Every block question reads the memo `graphs._blocks`, bounded like the
+    # share and plan caches and emptied with them.
+    limit = graphs._CACHE_LIMIT
+    edges = [GoodsGraph.build([f"a{j}", f"b{j}"], [(f"a{j}", f"b{j}")]) for j in range(limit + 10)]
+    searches = record(graphs, "block_cut_tree")
+    results = [graphs._blocks(g, 0b11) for g in edges]
+    assert len(searches) == len(results) and len(graphs._searches) == limit
+    # The newest search is a hit; the oldest was dropped and runs again.
+    assert graphs._blocks(edges[-1], 0b11) is results[-1]
+    again = graphs._blocks(edges[0], 0b11)
+    assert again is not results[0] and again == results[0]
+    assert len(searches) == len(results) + 1 and len(graphs._searches) == limit
+    oracle.clear_cache()
+    assert not graphs._searches
+
+    # A cold certify after an allocate runs its own search of the instance.
+    inst = gen.gen_block_cactus(3, 12, 3, 20)
+    full = (1 << len(inst.graph)) - 1
+    alloc = allocate_block_cactus(inst)
+    assert (inst.graph, full) in graphs._searches
+    oracle.clear_cache()
+    assert not graphs._searches
+    searches.clear()
+    records = {a.id: oracle.pmms(inst.graph, a, inst.n) for a in inst.agents}
+    assert check_allocation(inst, alloc, alloc.target_alpha, records).passes
+    assert [call.args for call in searches] == [(inst.graph.neighbor_masks, full)]
 
 
 def test_shares_exact_with_coprime_denominators():
@@ -863,9 +892,9 @@ def test_clear_cache_leaves_no_entry_behind():
         (gen.gen_split, allocate_split),
     ):
         allocate(make(3, 12, 3, 20))
-    assert oracle._cache and oracle._plans
+    assert oracle._cache and oracle._plans and graphs._searches
     oracle.clear_cache()
-    assert not oracle._cache and not oracle._plans
+    assert not oracle._cache and not oracle._plans and not graphs._searches
     for info in pkgutil.iter_modules(graphfair.__path__):
         module = importlib.import_module(f"graphfair.{info.name}")
         objects = list(vars(module).values())

@@ -125,10 +125,13 @@ def test_each_class_test_runs_once_per_witness(record):
 
 
 def test_multipartite_and_split_allocators_build_no_witness_block_cut_tree(record):
-    # Only the witness looks block_cut_tree up in graphs; the share
-    # oracle's own calls go through its own binding and are not counted here.
-    trees = record(graphs, "block_cut_tree")
+    # Every block search goes through the memo `_blocks`, the share oracle's
+    # plans too, so block_cut_tree counts theirs.  Only the witness looks
+    # `_blocks` and the block test `_block_flags` up in graphs; the oracle's
+    # reads go through its own binding and are not counted here.
+    searches = record(graphs, "_blocks")
+    tests = record(graphs, "_block_flags")
     for seed in range(6):
         allocate_multipartite(gen_multipartite(seed, 10, 2, 20))
         allocate_split(gen_split(seed, 9, 3, 20))
-    assert trees == []
+    assert searches == [] and tests == []
